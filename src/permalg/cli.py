@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 mathematical negative (not a Lie element, an
 identity that fails, an invalid algebra, a nontrivial overlap), 2 input
-error.  ``--json`` switches every command to a stable machine-readable
-report; ``PERMALG_OUTPUT=json`` makes that the default.
+error, including input nested too deeply to process.  ``--json`` switches
+every command to a stable machine-readable report; ``PERMALG_OUTPUT=json``
+makes that the default.
 """
 
 from __future__ import annotations
@@ -80,10 +81,26 @@ def _load_or_usage(path: str) -> Envelope:
         sys.exit(1)
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps input nested beyond the interpreter's recursion limit, which any
+    command's parser or tree walk can hit, to a usage error."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except RecursionError:
+            raise click.UsageError("input is nested too deeply", ctx) from None
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__, prog_name="permalg")
 def main() -> None:
     """Exact computer algebra for free perm algebras."""
+
+
+def _emit_expansion(expression: str, as_json: bool) -> None:
+    poly = _parse_or_usage(lambda t: parse_expr(t).expand(), expression)
+    _emit(as_json, {"input": expression, "terms": _poly_json(poly), "text": str(poly)}, str(poly))
 
 
 @main.command()
@@ -91,8 +108,7 @@ def main() -> None:
 @_json_flag
 def normalize(expression: str, as_json: bool) -> None:
     """Canonical word-basis form of an expression."""
-    poly = _parse_or_usage(lambda t: parse_expr(t).expand(), expression)
-    _emit(as_json, {"input": expression, "terms": _poly_json(poly), "text": str(poly)}, str(poly))
+    _emit_expansion(expression, as_json)
 
 
 @main.command()
@@ -100,8 +116,7 @@ def normalize(expression: str, as_json: bool) -> None:
 @_json_flag
 def expand(expression: str, as_json: bool) -> None:
     """Expand commutators and anticommutators into the word basis."""
-    poly = _parse_or_usage(lambda t: parse_expr(t).expand(), expression)
-    _emit(as_json, {"input": expression, "terms": _poly_json(poly), "text": str(poly)}, str(poly))
+    _emit_expansion(expression, as_json)
 
 
 @main.command(name="is-lie")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .perm import PermPolynomial, format_linear
+from .perm import PermPolynomial, exact, format_linear
 
 __all__ = [
     "Anti",
@@ -156,7 +156,7 @@ class ExprSum:
     def __init__(self, terms: Iterable[tuple[Fraction | int, Node]] = ()):
         data: dict[Node, Fraction] = {}
         for coeff, node in terms:
-            c = data.get(node, _ZERO) + Fraction(coeff)
+            c = data.get(node, _ZERO) + exact(coeff)
             if c:
                 data[node] = c
             elif node in data:

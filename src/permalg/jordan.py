@@ -11,9 +11,24 @@ Conventions: ``{a,b} = ab + ba``; the associator is
 
     f(a;b,c) = -1/4*((ab)c - 3*(bc)a + (ac)b)
 
-with juxtaposition read as the anticommutator product.  ``f(a;b,c)``
-expands to the single word ``a*b*c`` (head ``a``), which is what makes the
-``f``-elements a basis.
+with juxtaposition read as the anticommutator product.
+
+The ``2^(n-3)`` law.  In a perm algebra a product of words is the word
+with the first factor's head and the letters of both factors.  Let ``a``
+and ``b`` be letters, ``c`` a combination of words of one letter content
+with coefficient sum ``s``, ``W(h)`` the word with head ``h`` and all the
+letters of ``a``, ``b``, ``c``, and ``C`` the sum of ``c``'s coefficients
+times ``W`` of their heads.  Expanding the three anticommutators,
+
+    {{a,b},c} = s*W(a) + s*W(b) + 2*C
+    {{b,c},a} = 2*s*W(a) + s*W(b) + C
+    {{a,c},b} = s*W(a) + 2*s*W(b) + C
+
+so ``f(a;b,c) = s*W(a)``.  A left-normed anticommutator of ``m`` letters
+has coefficient sum ``2^(m-1)``, so the ``f``-element of a degree-``n``
+word expands to ``2^(n-3)`` times that word.  Every component of degree
+``>= 3`` is thus expressible through anticommutators without linear
+algebra, and the ``f``-elements are a basis.
 """
 
 from __future__ import annotations
@@ -50,6 +65,7 @@ __all__ = [
     "f_comb",
     "ideal_component",
     "jordan_express",
+    "sj_closure_oracle",
     "sj_span",
     "to_bn",
     "verify_J_identities",
@@ -215,27 +231,75 @@ def _sub_multidegrees(md: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     yield from rec(0, [])
 
 
+def _f_terms(coeff: Fraction, head: int, args: Sequence[int]) -> list[tuple[Fraction, Node]]:
+    """``coeff * f(x_head; x_a1, {..{x_a2, x_a3}, ..})`` as its three
+    anticommutator terms, built without intermediate sums."""
+    a, b = Leaf(head), Leaf(args[0])
+    c = left_normed(Anti, args[1:])
+    q = coeff * _QUARTER
+    return [(-q, Anti(Anti(a, b), c)), (3 * q, Anti(Anti(b, c), a)), (-q, Anti(Anti(a, c), b))]
+
+
+def _word_terms(mono: PermMonomial, coeff: Fraction) -> list[tuple[Fraction, Node]]:
+    """``coeff * mono`` for a word of degree ``n >= 3``: its ``f``-element
+    over ``2^(n-3)`` (the law in the module docstring)."""
+    return _f_terms(coeff / 2 ** (mono.degree - 3), mono.head, mono.tail)
+
+
 @lru_cache(maxsize=None)
 def _sj_component(md: tuple[int, ...]) -> Subspace:
     """Witness-carrying span of one multidegree slice of the anticommutator
-    subalgebra, built by closing lower slices under the product."""
+    subalgebra: a letter, the anticommutator of two letters, or from
+    degree 3 on the whole component, one word per row with its ``f``-element
+    witness.  :func:`sj_closure_oracle` rebuilds it by closure."""
     k = len(md)
     n = sum(md)
     space = Subspace(enumerate_basis(k, n, md))
+    letters = [i for i, e in enumerate(md, start=1) for _ in range(e)]
     if n == 1:
-        gen = md.index(1) + 1
-        space.add(PermPolynomial.generator(gen), ExprSum.of(Leaf(gen)))
-        return space
-    for alpha in _sub_multidegrees(md):
-        beta = tuple(a - b for a, b in zip(md, alpha))
-        if not any(alpha) or not any(beta) or alpha > beta:
-            continue  # the product is symmetric; one orientation suffices
-        left = _sj_component(alpha)
-        right = _sj_component(beta)
-        for u, uw in zip(left.basis(), left.expressions):
-            for v, vw in zip(right.basis(), right.expressions):
-                space.add(u * v + v * u, uw.anti(vw))
+        space.add(PermPolynomial.generator(letters[0]), ExprSum.of(Leaf(letters[0])))
+    elif n == 2:
+        lo, hi = letters
+        u, v = PermPolynomial.generator(lo), PermPolynomial.generator(hi)
+        space.add(u * v + v * u, ExprSum.of(Anti(Leaf(hi), Leaf(lo))))
+    else:
+        for m in space.monomials:
+            space.add(PermPolynomial.from_monomial(m), ExprSum(_word_terms(m, Fraction(1))))
     return space
+
+
+def sj_closure_oracle(multidegree: Sequence[int]) -> Subspace:
+    """One multidegree slice of the anticommutator subalgebra, by closing
+    lower slices under the product: an independent check of
+    :func:`_sj_component` that does not use the ``2^(n-3)`` law.
+
+    A slice stops growing once it has full rank; the closure only adds, so
+    nothing it would add later can change it.
+    """
+    memo: dict[tuple[int, ...], Subspace] = {}
+
+    def close(md: tuple[int, ...]) -> Subspace:
+        if md in memo:
+            return memo[md]
+        space = memo[md] = Subspace(enumerate_basis(len(md), sum(md), md))
+        if sum(md) == 1:
+            gen = md.index(1) + 1
+            space.add(PermPolynomial.generator(gen), ExprSum.of(Leaf(gen)))
+            return space
+        for alpha in _sub_multidegrees(md):
+            beta = tuple(a - b for a, b in zip(md, alpha))
+            if not any(alpha) or not any(beta) or alpha > beta:
+                continue  # the product is symmetric; one orientation suffices
+            left = close(alpha)
+            right = close(beta)
+            for u, uw in zip(left.basis(), left.expressions):
+                for v, vw in zip(right.basis(), right.expressions):
+                    space.add(u * v + v * u, uw.anti(vw))
+                    if space.dim == len(space.monomials):
+                        return space
+        return space
+
+    return close(tuple(multidegree))
 
 
 def sj_span(k: int, n: int) -> Subspace:
@@ -271,25 +335,30 @@ class NotJordanElement(ValueError):
 def jordan_express(g: PermPolynomial) -> ExprSum:
     """An anticommutator expression whose expansion equals ``g`` exactly.
 
-    Works one multidegree component at a time against the witnessed spans;
-    degree >= 3 components always succeed, degree 2 needs the symmetric
-    part only, and antisymmetric degree-2 content raises
-    :class:`NotJordanElement`.
+    Works one multidegree component at a time.  A letter is itself.  A
+    degree-2 component needs the symmetric part only; antisymmetric content
+    raises :class:`NotJordanElement`.  From degree 3 on every component
+    succeeds: by the ``2^(n-3)`` law of this module a word ``w`` of degree
+    ``n`` is ``f(w) / 2^(n-3)``, so ``sum c_w w`` is
+    ``sum c_w / 2^(n-3) * f(w)`` with no linear algebra.
     """
     if g.is_zero:
         return ExprSum.zero()
     k = g.max_generator()
-    result = ExprSum.zero()
+    terms: list[tuple[Fraction, Node]] = []
     for md, comp in g.multidegree_components(k).items():
-        if sum(md) == 1:
-            gen = md.index(1) + 1
-            result = result + ExprSum(((comp.coefficient(PermMonomial(gen)), Leaf(gen)),))
-            continue
-        witness = _sj_component(md).witness_for(comp, ExprSum.zero())
-        if witness is None:
-            raise NotJordanElement(comp)
-        result = result + witness
-    return result
+        n = sum(md)
+        if n == 1:
+            terms += [(c, Leaf(m.head)) for m, c in comp.terms()]
+        elif n == 2:
+            witness = _sj_component(md).witness_for(comp, ExprSum.zero())
+            if witness is None:
+                raise NotJordanElement(comp)
+            terms += [(c, node) for node, c in witness.terms]
+        else:
+            for m, c in comp.terms():
+                terms += _word_terms(m, c)
+    return ExprSum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +517,7 @@ class FElement(NamedTuple):
     def expr(self) -> ExprSum:
         if len(self.args) < 2:
             raise ValueError("f-elements have degree >= 3")
-        return f_comb(Leaf(self.head), Leaf(self.args[0]), left_normed(Anti, self.args[1:]))
+        return ExprSum(_f_terms(Fraction(1), self.head, self.args))
 
     def expand(self) -> PermPolynomial:
         return self.expr().expand()

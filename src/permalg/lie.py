@@ -207,7 +207,9 @@ def lie_span_oracle(
         md = tuple(multidegree)
         if len(md) != k or sum(md) != n:
             raise ValueError("multidegree must have length k and total n")
-        return _lie_component(md)
+        # a copy: the memoised slice is shared by every later call
+        component = _lie_component(md)
+        return Subspace(component.monomials, component.basis())
     space = Subspace(enumerate_basis(k, n))
     for md in sorted(_all_multidegrees(k, n)):
         for p in _lie_component(md).basis():

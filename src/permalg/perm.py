@@ -21,6 +21,7 @@ __all__ = [
     "canonicalize",
     "dimension",
     "enumerate_basis",
+    "exact",
     "format_linear",
     "mono_key",
 ]
@@ -65,6 +66,16 @@ def canonicalize(word: Sequence[int]) -> PermMonomial:
     return PermMonomial(word[0], tuple(sorted(word[1:])))
 
 
+def exact(coeff: Fraction | int) -> Fraction | int:
+    """``coeff`` itself when it is an ``int`` or a ``Fraction``; anything
+    else (a float, say, whose binary value is not the number it was written
+    as) raises ``TypeError``.  Adding or multiplying either kind with a
+    ``Fraction`` gives a ``Fraction``, so no conversion is needed."""
+    if not isinstance(coeff, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, got {type(coeff).__name__}")
+    return coeff
+
+
 def mono_key(m: PermMonomial) -> tuple[int, tuple[int, ...]]:
     """Total order used for echelon pivots and printed output: head, then tail."""
     return (m.head, m.tail)
@@ -104,7 +115,7 @@ class PermPolynomial:
         for mono, coeff in items:
             if not isinstance(mono, PermMonomial):
                 raise TypeError(f"expected PermMonomial, got {type(mono).__name__}")
-            c = data.get(mono, _ZERO) + Fraction(coeff)
+            c = data.get(mono, _ZERO) + exact(coeff)
             if c:
                 data[mono] = c
             elif mono in data:
@@ -177,7 +188,7 @@ class PermPolynomial:
         return self + (-other)
 
     def scale(self, coeff: Fraction | int) -> "PermPolynomial":
-        c = Fraction(coeff)
+        c = exact(coeff)
         if not c:
             return PermPolynomial()
         out = PermPolynomial.__new__(PermPolynomial)

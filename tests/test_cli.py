@@ -43,7 +43,9 @@ def test_lie_express_and_jordan_express(runner):
     result = runner.invoke(main, ["jordan-express", "x1*x2"])
     assert result.exit_code == 1
     out = invoke(runner, "jordan-express", "x1*x2 + x2*x1")
-    assert "{" in out
+    assert out.strip() == "{x2,x1}"
+    out = invoke(runner, "jordan-express", "x1*x2*x3")
+    assert out.strip() == "-1/4*{{x1,x2},x3} - 1/4*{{x1,x3},x2} + 3/4*{{x2,x3},x1}"
 
 
 def test_check_identity(runner):
@@ -119,6 +121,12 @@ def test_input_error_exit_codes(runner):
     assert result.exit_code == 2
     result = runner.invoke(main, ["envelope", "nf", "--algebra", "does-not-exist.json", "d(e1)"])
     assert result.exit_code == 2
+    deep_bracket = "[" * 1200 + "x1" + ",x2]" * 1200
+    deep_parens = "(" * 3000 + "x1" + ")" * 3000
+    for args in (["expand", deep_bracket], ["is-lie", deep_bracket], ["expand", deep_parens]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "nested too deeply" in result.output
 
 
 def test_json_flag_stable_within_process(runner):

@@ -75,6 +75,8 @@ def test_exprsum_combines_terms():
     s = ExprSum([(1, t), (2, t)])
     assert s.terms == ((t, Fraction(3)),)
     assert (s - s).is_zero
+    with pytest.raises(TypeError, match="int or Fraction"):
+        ExprSum([(0.5, t)])
 
 
 def test_left_normed():

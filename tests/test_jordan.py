@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from permalg.jordan import (
     f_comb,
     ideal_component,
     jordan_express,
+    sj_closure_oracle,
     sj_span,
     to_bn,
     verify_J_identities,
@@ -46,6 +48,25 @@ def test_sj_span_dimensions():
     assert _sj_component((1, 1, 1)).dim == 3
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_closed_form_slices_match_closure_oracle(k):
+    from permalg.jordan import _sj_component
+
+    for n in range(1, 8):
+        for md in (md for md in product(range(n + 1), repeat=k) if sum(md) == n):
+            oracle = sj_closure_oracle(md)
+            if n >= 3:
+                # the 2^(n-3) law: each f-element expands to a multiple of its word
+                for m in enumerate_basis(k, n, md):
+                    word = PermPolynomial.from_monomial(m)
+                    assert FElement(m.head, m.tail).expand() == 2 ** (n - 3) * word
+                assert oracle.dim == len(oracle.monomials)
+            closed = _sj_component(md)
+            assert closed.basis() == oracle.basis()
+            for row, witness in zip(closed.basis(), closed.expressions):
+                assert witness.expand() == row
+
+
 def test_sj_span_witnesses_expand_to_rows():
     sub = sj_span(2, 4)
     for row, witness in zip(sub.basis(), sub.expressions):
@@ -65,6 +86,7 @@ def test_jordan_express_paper_formula():
 
 def test_jordan_express_examples():
     expr = jordan_express(x((1, 2, 3)))
+    assert str(expr) == "-1/4*{{x1,x2},x3} - 1/4*{{x1,x3},x2} + 3/4*{{x2,x3},x1}"
     assert expr.expand() == x((1, 2, 3))
     sym = x((1, 2)) + x((2, 1))
     expr2 = jordan_express(sym)

@@ -107,6 +107,14 @@ def test_oracle_dimensions():
     assert basis == [x((1, 2)) - x((2, 1))]
 
 
+def test_oracle_slice_is_not_shared():
+    # a caller's change to a returned slice must not reach later calls
+    first = lie_span_oracle(2, 3, (2, 1))
+    assert first.dim == 1
+    assert first.add(x((1, 1, 2)))
+    assert lie_span_oracle(2, 3, (2, 1)).dim == 1
+
+
 def test_oracle_members_are_lie(rng):
     for k in (1, 2, 3):
         for n in range(1, 6):

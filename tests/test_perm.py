@@ -79,6 +79,16 @@ def test_add_scale_examples():
     assert doubled == PermPolynomial.from_word((1, 2), 2)
 
 
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", None])
+def test_inexact_coefficients_rejected(bad):
+    with pytest.raises(TypeError, match="int or Fraction"):
+        PermPolynomial.from_word((1, 2), bad)
+    with pytest.raises(TypeError, match="int or Fraction"):
+        PermPolynomial({PermMonomial(1, (2,)): bad})
+    with pytest.raises(TypeError, match="int or Fraction"):
+        PermPolynomial.generator(1).scale(bad)
+
+
 @given(polys(), polys(), coeffs)
 def test_linear_structure(u, v, c):
     assert (u + v).scale(c) == u.scale(c) + v.scale(c)
