@@ -30,7 +30,7 @@ from .jordan import (
     jordan_express,
     to_bn,
 )
-from .lie import NotLieElement, is_lie, lie_express
+from .lie import NotLieElement, lie_express
 from .parser import (
     ExprSyntaxError,
     parse_envelope_expr,
@@ -38,7 +38,7 @@ from .parser import (
     parse_template,
     parse_word,
 )
-from .perm import PermPolynomial, dimension
+from .perm import PermPolynomial, dimension, format_linear
 
 _JSON_DEFAULT = os.environ.get("PERMALG_OUTPUT", "text").strip().lower() == "json"
 
@@ -119,36 +119,7 @@ def expand(expression: str, as_json: bool) -> None:
     _emit_expansion(expression, as_json)
 
 
-@main.command(name="is-lie")
-@click.argument("expression")
-@_json_flag
-def is_lie_cmd(expression: str, as_json: bool) -> None:
-    """Decide commutator expressibility; prints the expression when it exists."""
-    poly = _parse_or_usage(lambda t: parse_expr(t).expand(), expression)
-    if is_lie(poly):
-        expr = lie_express(poly)
-        _emit(
-            as_json,
-            {"input": expression, "is_lie": True, "expression": str(expr)},
-            f"Lie element: {expr}",
-        )
-    else:
-        from .lie import dynkin, head
-
-        defect = poly - dynkin(head(poly))
-        _emit(
-            as_json,
-            {"input": expression, "is_lie": False, "defect": str(defect)},
-            f"not a Lie element; defect: {defect}",
-        )
-        sys.exit(1)
-
-
-@main.command(name="lie-express")
-@click.argument("expression")
-@_json_flag
-def lie_express_cmd(expression: str, as_json: bool) -> None:
-    """Write the input as left-normed commutator words."""
+def _emit_lie(expression: str, as_json: bool, label: str) -> None:
     poly = _parse_or_usage(lambda t: parse_expr(t).expand(), expression)
     try:
         expr = lie_express(poly)
@@ -162,8 +133,24 @@ def lie_express_cmd(expression: str, as_json: bool) -> None:
     _emit(
         as_json,
         {"input": expression, "is_lie": True, "expression": str(expr)},
-        str(expr),
+        f"{label}{expr}",
     )
+
+
+@main.command(name="is-lie")
+@click.argument("expression")
+@_json_flag
+def is_lie_cmd(expression: str, as_json: bool) -> None:
+    """Decide commutator expressibility; prints the expression when it exists."""
+    _emit_lie(expression, as_json, "Lie element: ")
+
+
+@main.command(name="lie-express")
+@click.argument("expression")
+@_json_flag
+def lie_express_cmd(expression: str, as_json: bool) -> None:
+    """Write the input as left-normed commutator words."""
+    _emit_lie(expression, as_json, "")
 
 
 @main.command(name="jordan-express")
@@ -266,8 +253,6 @@ def to_bn_cmd(word: str, as_json: bool) -> None:
     if len(letters) < 3:
         raise click.UsageError("word must have length >= 3")
     combo = to_bn(letters)
-    from .perm import format_linear
-
     text = format_linear((c, str(fe)) for c, fe in combo)
     _emit(
         as_json,

@@ -22,12 +22,13 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import ceil, comb, log
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .perm import format_linear
+from .linalg import Span, rref
+from .perm import accumulate, exact, format_linear
 
 __all__ = [
     "AlgebraFormatError",
@@ -49,17 +50,7 @@ __all__ = [
 Vec = dict[int, Fraction]
 
 _ZERO = Fraction(0)
-
-
-def _vec_add(a: Vec, b: Vec, scale: Fraction = Fraction(1)) -> Vec:
-    out = dict(a)
-    for i, c in b.items():
-        s = out.get(i, _ZERO) + scale * c
-        if s:
-            out[i] = s
-        elif i in out:
-            del out[i]
-    return out
+_ONE = Fraction(1)
 
 
 class AlgebraFormatError(ValueError):
@@ -96,7 +87,7 @@ class MetabelianLieAlgebra:
         self,
         dim: int,
         labels: Sequence[str] | None = None,
-        brackets: Mapping[tuple[int, int], Mapping[int, Fraction | int | str]] | None = None,
+        brackets: Mapping[tuple[int, int], Mapping[int, Fraction | int]] | None = None,
     ):
         if dim < 1:
             raise AlgebraFormatError("dimension must be at least 1")
@@ -110,14 +101,10 @@ class MetabelianLieAlgebra:
         for (i, j), value in (brackets or {}).items():
             if not (1 <= i < j <= dim):
                 raise AlgebraFormatError(f"bracket pair ({i},{j}) must satisfy 1 <= i < j <= dim")
-            vec: Vec = {}
-            for b, coeff in value.items():
+            for b in value:
                 if not 1 <= b <= dim:
                     raise AlgebraFormatError(f"bracket value index {b} out of range")
-                c = Fraction(coeff)
-                if c:
-                    vec[b] = vec.get(b, _ZERO) + c
-            vec = {b: c for b, c in vec.items() if c}
+            vec = accumulate({}, ((b, exact(c)) for b, c in value.items()))
             if vec:
                 self.table[(i, j)] = vec
 
@@ -141,7 +128,7 @@ class MetabelianLieAlgebra:
                 raise AlgebraFormatError(f"bracket pair ({i},{j}) must have i < j")
             if (i, j) in brackets:
                 raise AlgebraFormatError(f"duplicate bracket pair ({i},{j})")
-            vec: dict[int, Fraction] = {}
+            items: list[tuple[int, Fraction]] = []
             for item in entry.get("value", []):
                 try:
                     b, text = item
@@ -151,8 +138,8 @@ class MetabelianLieAlgebra:
                     coeff = _parse_rational(text)
                 except ValueError as exc:
                     raise AlgebraFormatError(str(exc)) from None
-                vec[int(b)] = vec.get(int(b), _ZERO) + coeff
-            brackets[(i, j)] = vec
+                items.append((int(b), coeff))
+            brackets[(i, j)] = accumulate({}, items)
         return cls(dim, labels, brackets)
 
     def bracket_basis(self, i: int, j: int) -> Vec:
@@ -164,23 +151,28 @@ class MetabelianLieAlgebra:
         return {b: -c for b, c in self.table.get((j, i), {}).items()}
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
-        out: Vec = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                if i == j:
-                    continue
-                out = _vec_add(out, self.bracket_basis(i, j), ci * cj)
-        return out
+        return accumulate(
+            {},
+            (
+                (b, ci * cj * c)
+                for i, ci in u.items()
+                for j, cj in v.items()
+                for b, c in self.bracket_basis(i, j).items()
+            ),
+        )
 
     def validate(self) -> LieValidationReport:
         report = LieValidationReport()
-        basis = [{i: Fraction(1)} for i in range(1, self.dim + 1)]
         for i in range(1, self.dim + 1):
             for j in range(i + 1, self.dim + 1):
                 for k in range(j + 1, self.dim + 1):
-                    r = self.bracket(self.bracket_basis(i, j), basis[k - 1])
-                    r = _vec_add(r, self.bracket(self.bracket_basis(j, k), basis[i - 1]))
-                    r = _vec_add(r, self.bracket(self.bracket_basis(k, i), basis[j - 1]))
+                    r = accumulate(
+                        {},
+                        chain.from_iterable(
+                            self.bracket(self.bracket_basis(p, q), {t: _ONE}).items()
+                            for p, q, t in ((i, j, k), (j, k, i), (k, i, j))
+                        ),
+                    )
                     if r:
                         report.jacobi_violations.append(((i, j, k), r))
         pairs = [(i, j) for i in range(1, self.dim + 1) for j in range(i + 1, self.dim + 1)]
@@ -225,6 +217,29 @@ def load_algebra(path: str | Path) -> MetabelianLieAlgebra:
     return MetabelianLieAlgebra.from_dict(data)
 
 
+def random_metabelian(dim: int, rng: random.Random) -> MetabelianLieAlgebra:
+    """Seeded valid metabelian algebras from two stock families, for
+    randomized tests and fuzzing."""
+    brackets = {}
+    if rng.random() < 0.5 and dim >= 2:
+        # one outer derivation acting on an abelian ideal spanned by e2..ed
+        for j in range(2, dim + 1):
+            vec = {b: Fraction(rng.randint(-3, 3)) for b in range(2, dim + 1) if rng.random() < 0.6}
+            vec = {b: c for b, c in vec.items() if c}
+            if vec:
+                brackets[(1, j)] = vec
+    else:
+        # two-step nilpotent: brackets of the first block land in the center
+        m = max(2, dim - 1)
+        for i in range(1, m + 1):
+            for j in range(i + 1, m + 1):
+                vec = {b: Fraction(rng.randint(-2, 2)) for b in range(m + 1, dim + 1) if rng.random() < 0.8}
+                vec = {b: c for b, c in vec.items() if c}
+                if vec:
+                    brackets[(i, j)] = vec
+    return MetabelianLieAlgebra(dim, brackets=brackets)
+
+
 # ---------------------------------------------------------------------------
 # basis splitting
 
@@ -265,32 +280,22 @@ class BasisSplit:
 
     def to_adapted(self, v: Vec) -> Vec:
         """Coordinates of an original-basis vector over the adapted basis."""
-        dense = [v.get(i, _ZERO) for i in range(1, self.original.dim + 1)]
-        out: Vec = {}
-        for r, row in enumerate(self._old_to_new, start=1):
-            c = sum(row[i] * dense[i] for i in range(len(dense)))
-            if c:
-                out[r] = c
-        return out
+        return _apply(self._old_to_new, v)
 
 
 def _dense(v: Vec, dim: int) -> list[Fraction]:
     return [v.get(i, _ZERO) for i in range(1, dim + 1)]
 
 
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(matrix)
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pr = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pr] = aug[pr], aug[col]
-        lead = aug[col][col]
-        aug[col] = [v / lead for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _apply(matrix: Sequence[Sequence[Fraction]], v: Vec) -> Vec:
+    """The square ``matrix`` times the sparse vector ``v``, both indexed from 1."""
+    dense = _dense(v, len(matrix))
+    out: Vec = {}
+    for r, row in enumerate(matrix, start=1):
+        c = sum(a * b for a, b in zip(row, dense))
+        if c:
+            out[r] = c
+    return out
 
 
 def split_basis(algebra: MetabelianLieAlgebra) -> BasisSplit:
@@ -301,31 +306,25 @@ def split_basis(algebra: MetabelianLieAlgebra) -> BasisSplit:
     adjoined (changing the basis, with fresh ``y<r>`` labels for the
     synthesized vectors).
     """
-    from .linalg import Span
-
     n = algebra.dim
+    units = [_dense({i: _ONE}, n) for i in range(1, n + 1)]
     derived = Span(n)
     for pair in sorted(algebra.table):
         derived.add(_dense(algebra.table[pair], n))
-    in_derived = [
-        i for i in range(1, n + 1) if derived.contains([Fraction(1 if j == i else 0) for j in range(1, n + 1)])
-    ]
     y_rows: list[list[Fraction]] = []
     chosen = Span(n)
-    for i in in_derived:
-        e = [Fraction(1 if j == i else 0) for j in range(1, n + 1)]
-        if chosen.add(list(e)):
+    for e in units:
+        if derived.contains(e) and chosen.add(e):
             y_rows.append(e)
     for row in derived.rows:
-        if chosen.add(list(row)):
+        if chosen.add(row):
             y_rows.append(list(row))
     z_rows: list[list[Fraction]] = []
     completion = Span(n)
     for row in y_rows:
-        completion.add(list(row))
-    for i in range(1, n + 1):
-        e = [Fraction(1 if j == i else 0) for j in range(1, n + 1)]
-        if completion.add(list(e)):
+        completion.add(row)
+    for e in units:
+        if completion.add(e):
             z_rows.append(e)
 
     new_rows = y_rows + z_rows
@@ -342,24 +341,16 @@ def split_basis(algebra: MetabelianLieAlgebra) -> BasisSplit:
                 base += "_"
             labels.append(base)
 
-    transpose = [[new_rows[r][c] for r in range(n)] for c in range(n)]
-    old_to_new = _invert(transpose)
-
-    def to_new(v: Vec) -> Vec:
-        dense = _dense(v, n)
-        out: Vec = {}
-        for r in range(n):
-            c = sum(old_to_new[r][i] * dense[i] for i in range(n))
-            if c:
-                out[r + 1] = c
-        return out
+    # invert the matrix whose columns are the new rows: rref of [M | I]
+    transpose = [[new_rows[r][c] for r in range(n)] + units[c] for c in range(n)]
+    old_to_new = [row[n:] for row in rref(transpose)[0]]
 
     brackets: dict[tuple[int, int], Vec] = {}
     for r in range(1, n + 1):
         for s in range(r + 1, n + 1):
             u = {i + 1: c for i, c in enumerate(new_rows[r - 1]) if c}
             v = {i + 1: c for i, c in enumerate(new_rows[s - 1]) if c}
-            w = to_new(algebra.bracket(u, v))
+            w = _apply(old_to_new, algebra.bracket(u, v))
             if w:
                 brackets[(r, s)] = w
     adapted = MetabelianLieAlgebra(n, labels, brackets)
@@ -395,14 +386,6 @@ def env_monomial(dot: int, tail: Iterable[int] = ()) -> EnvelopeMonomial:
 
 
 EnvElement = dict[EnvelopeMonomial, Fraction]
-
-
-def _env_put(acc: EnvElement, m: EnvelopeMonomial, c: Fraction) -> None:
-    s = acc.get(m, _ZERO) + c
-    if s:
-        acc[m] = s
-    elif m in acc:
-        del acc[m]
 
 
 def env_key(m: EnvelopeMonomial, y_count: int) -> tuple:
@@ -525,10 +508,7 @@ class Envelope:
 
     def dotted(self, v: Vec) -> EnvElement:
         """Dotted image of an adapted-coordinates vector."""
-        out: EnvElement = {}
-        for i, c in sorted(v.items()):
-            _env_put(out, EnvelopeMonomial(i), c)
-        return out
+        return accumulate({}, ((EnvelopeMonomial(i), c) for i, c in sorted(v.items())))
 
     def rules(self) -> list[RewriteRule]:
         out = []
@@ -540,9 +520,10 @@ class Envelope:
             for i in self.z_indices:
                 if i <= j:
                     continue
-                reduct: EnvElement = {EnvelopeMonomial(j, (i,)): Fraction(1)}
-                for m, c in self.dotted(self.algebra.bracket_basis(i, j)).items():
-                    _env_put(reduct, m, c)
+                reduct = accumulate(
+                    {EnvelopeMonomial(j, (i,)): _ONE},
+                    self.dotted(self.algebra.bracket_basis(i, j)).items(),
+                )
                 out.append(RewriteRule(EnvelopeMonomial(i, (j,)), tuple(sorted(reduct.items()))))
         return out
 
@@ -561,6 +542,16 @@ class Envelope:
             return not m.tail
         return not m.tail or m.dot <= m.tail[0]
 
+    def _absorb(self, m: EnvelopeMonomial, letter: int) -> EnvElement:
+        """One step of the length-two rule of the dot and the plain
+        ``letter`` of ``m``: a dotted Y letter ``y`` becomes ``[y,letter]'``;
+        a dotted Z letter ``z_i`` with ``letter = z_j`` becomes
+        ``z_j' z_i + [z_i,z_j]'``.  The other plain letters ride along."""
+        rest = _drop_one(m.tail, letter)
+        moved = {} if self.is_y(m.dot) else {EnvelopeMonomial(letter, tuple(sorted(rest + (m.dot,)))): _ONE}
+        bracket = sorted(self.algebra.bracket_basis(m.dot, letter).items())
+        return accumulate(moved, ((EnvelopeMonomial(b, rest), c) for b, c in bracket))
+
     def _step(self, m: EnvelopeMonomial, strategy: str) -> EnvElement | None:
         """One rewriting step, or None when the monomial is normal."""
         y_tail = [t for t in m.tail if self.is_y(t)]
@@ -570,21 +561,11 @@ class Envelope:
             return None
         pick = min if strategy == "leftmost" else max
         if self.is_y(m.dot):
-            z = pick(m.tail)
-            rest = _drop_one(m.tail, z)
-            out: EnvElement = {}
-            for b, c in sorted(self.algebra.bracket_basis(m.dot, z).items()):
-                _env_put(out, EnvelopeMonomial(b, rest), c)
-            return out
+            return self._absorb(m, pick(m.tail))
         smaller = [t for t in m.tail if t < m.dot]
         if not smaller:
             return None
-        j = pick(smaller)
-        rest = _drop_one(m.tail, j)
-        out = {EnvelopeMonomial(j, tuple(sorted(rest + (m.dot,)))): Fraction(1)}
-        for b, c in sorted(self.algebra.bracket_basis(m.dot, j).items()):
-            _env_put(out, EnvelopeMonomial(b, rest), c)
-        return out
+        return self._absorb(m, pick(smaller))
 
     def normal_form(self, element: EnvElement, strategy: str = "leftmost") -> EnvElement:
         """Confluent reduction to the basis monomials.
@@ -594,19 +575,16 @@ class Envelope:
         """
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError(f"unknown strategy {strategy!r}")
-        work: EnvElement = {}
-        for m, c in element.items():
-            _env_put(work, m, c)
+        work = accumulate({}, element.items())
         result: EnvElement = {}
         while work:
             m = max(work, key=lambda mm: env_key(mm, self.y_count))
             c = work.pop(m)
             step = self._step(m, strategy)
             if step is None:
-                _env_put(result, m, c)
+                accumulate(result, ((m, c),))
                 continue
-            for m2, c2 in step.items():
-                _env_put(work, m2, c * c2)
+            accumulate(work, ((m2, c * c2) for m2, c2 in step.items()))
         return result
 
     # -- composition (overlap) checking
@@ -621,9 +599,7 @@ class Envelope:
                 for bj in range(bi + 1, len(zs)):
                     zj, zi = zs[bi], zs[bj]  # zi > zj
                     word = env_monomial(y, (zi, zj))
-                    first_i = self._apply_to(word, absorb=zi)
-                    first_j = self._apply_to(word, absorb=zj)
-                    diff = self._difference(first_i, first_j)
+                    diff = self._overlap(word, zi, zj)
                     entries.append(
                         CompositionEntry(
                             "y-overlap",
@@ -637,9 +613,7 @@ class Envelope:
                 for c in range(b + 1, len(zs)):
                     zk, zj, zi = zs[a], zs[b], zs[c]  # zi > zj > zk
                     word = env_monomial(zi, (zj, zk))
-                    first_j = self._apply_to(word, absorb=zj)
-                    first_k = self._apply_to(word, absorb=zk)
-                    diff = self._difference(first_j, first_k)
+                    diff = self._overlap(word, zj, zk)
                     entries.append(
                         CompositionEntry(
                             "z-overlap",
@@ -650,25 +624,12 @@ class Envelope:
                     )
         return CompositionReport(entries)
 
-    def _apply_to(self, m: EnvelopeMonomial, absorb: int) -> EnvElement:
-        """Apply the unique length-two rule involving the dot and ``absorb``,
-        then reduce fully."""
-        rest = _drop_one(m.tail, absorb)
-        out: EnvElement = {}
-        if self.is_y(m.dot):
-            for b, c in sorted(self.algebra.bracket_basis(m.dot, absorb).items()):
-                _env_put(out, EnvelopeMonomial(b, rest), c)
-        else:
-            _env_put(out, EnvelopeMonomial(absorb, tuple(sorted(rest + (m.dot,)))), Fraction(1))
-            for b, c in sorted(self.algebra.bracket_basis(m.dot, absorb).items()):
-                _env_put(out, EnvelopeMonomial(b, rest), c)
-        return self.normal_form(out)
-
-    def _difference(self, a: EnvElement, b: EnvElement) -> EnvElement:
-        out = dict(a)
-        for m, c in b.items():
-            _env_put(out, m, -c)
-        return out
+    def _overlap(self, m: EnvelopeMonomial, first: int, second: int) -> EnvElement:
+        """Normal form of ``m`` after the dot absorbs ``first``, minus the
+        one after it absorbs ``second``."""
+        a = self.normal_form(self._absorb(m, first))
+        b = self.normal_form(self._absorb(m, second))
+        return accumulate(a, ((mono, -c) for mono, c in b.items()))
 
     # -- basis and growth
 
@@ -733,10 +694,7 @@ class Envelope:
                 failures.append((self.label(i), "", "degree-1 letter not normal", ""))
         for i in range(1, self.dim + 1):
             for j in range(i + 1, self.dim + 1):
-                lhs: EnvElement = {}
-                _env_put(lhs, EnvelopeMonomial(i, (j,)), Fraction(1))
-                _env_put(lhs, EnvelopeMonomial(j, (i,)), Fraction(-1))
-                got = self.normal_form(lhs)
+                got = self.normal_form({EnvelopeMonomial(i, (j,)): _ONE, EnvelopeMonomial(j, (i,)): -_ONE})
                 expected = self.dotted(self.algebra.bracket_basis(i, j))
                 checked += 1
                 if got != expected:
@@ -787,8 +745,7 @@ class Envelope:
                     for c, dot, tail in parts
                     for ti, tc in t_vec
                 ]
-            for c, dot, tail in parts:
-                _env_put(out, env_monomial(dot, tail), c)
+            accumulate(out, ((env_monomial(dot, tail), c) for c, dot, tail in parts))
         return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .perm import PermPolynomial, exact, format_linear
+from .perm import PermPolynomial, accumulate, exact, format_linear
 
 __all__ = [
     "Anti",
@@ -154,13 +154,7 @@ class ExprSum:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple[Fraction | int, Node]] = ()):
-        data: dict[Node, Fraction] = {}
-        for coeff, node in terms:
-            c = data.get(node, _ZERO) + exact(coeff)
-            if c:
-                data[node] = c
-            elif node in data:
-                del data[node]
+        data = accumulate({}, ((node, exact(coeff)) for coeff, node in terms))
         self._terms = tuple(sorted(data.items(), key=lambda kv: node_key(kv[0])))
 
     @classmethod
@@ -246,9 +240,6 @@ class ExprSum:
 
     def __repr__(self) -> str:
         return f"ExprSum({self})"
-
-
-_ZERO = Fraction(0)
 
 
 def wrap(x: "ExprSum | Node") -> ExprSum:

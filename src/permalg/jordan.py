@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .expr import (
     Anti,
@@ -52,7 +52,15 @@ from .expr import (
     wrap,
 )
 from .linalg import Subspace
-from .perm import PermMonomial, PermPolynomial, enumerate_basis
+from .perm import (
+    PermMonomial,
+    PermPolynomial,
+    accumulate,
+    enumerate_basis,
+    letters,
+    multidegrees,
+    sub_multidegrees,
+)
 
 __all__ = [
     "FElement",
@@ -97,10 +105,6 @@ class IdentitySuiteReport:
         return out
 
 
-def _mono(head: int, tail: Sequence[int]) -> PermMonomial:
-    return PermMonomial(head, tuple(sorted(tail)))
-
-
 def verify_perm_plus_identities() -> IdentitySuiteReport:
     """Degree-four laws of the anticommutator product, with the two frozen
     expansions that drive their proofs checked term for term."""
@@ -129,10 +133,10 @@ def verify_perm_plus_identities() -> IdentitySuiteReport:
     double_anti = wrap(x1).anti(x2).anti(wrap(x3).anti(x4)).expand()
     expected = PermPolynomial(
         [
-            (_mono(1, (2, 3, 4)), 2),
-            (_mono(2, (1, 3, 4)), 2),
-            (_mono(3, (1, 2, 4)), 2),
-            (_mono(4, (1, 2, 3)), 2),
+            (PermMonomial(1, (2, 3, 4)), 2),
+            (PermMonomial(2, (1, 3, 4)), 2),
+            (PermMonomial(3, (1, 2, 4)), 2),
+            (PermMonomial(4, (1, 2, 3)), 2),
         ]
     )
     report.expansions.append(("{{a,b},{c,d}} expansion", double_anti == expected))
@@ -140,9 +144,9 @@ def verify_perm_plus_identities() -> IdentitySuiteReport:
     assoc = associator(wrap(x1).anti(x2), x3, x4).expand()
     expected = PermPolynomial(
         [
-            (_mono(1, (2, 3, 4)), -1),
-            (_mono(2, (1, 3, 4)), -1),
-            (_mono(4, (1, 2, 3)), 2),
+            (PermMonomial(1, (2, 3, 4)), -1),
+            (PermMonomial(2, (1, 3, 4)), -1),
+            (PermMonomial(4, (1, 2, 3)), 2),
         ]
     )
     report.expansions.append(("<{a,b},c,d> expansion", assoc == expected))
@@ -220,17 +224,6 @@ def verify_J_identities() -> IdentitySuiteReport:
 # anticommutator spans and Jordan expressibility
 
 
-def _sub_multidegrees(md: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    def rec(i: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == len(md):
-            yield tuple(acc)
-            return
-        for v in range(md[i] + 1):
-            yield from rec(i + 1, acc + [v])
-
-    yield from rec(0, [])
-
-
 def _f_terms(coeff: Fraction, head: int, args: Sequence[int]) -> list[tuple[Fraction, Node]]:
     """``coeff * f(x_head; x_a1, {..{x_a2, x_a3}, ..})`` as its three
     anticommutator terms, built without intermediate sums."""
@@ -255,11 +248,11 @@ def _sj_component(md: tuple[int, ...]) -> Subspace:
     k = len(md)
     n = sum(md)
     space = Subspace(enumerate_basis(k, n, md))
-    letters = [i for i, e in enumerate(md, start=1) for _ in range(e)]
+    word = letters(md)
     if n == 1:
-        space.add(PermPolynomial.generator(letters[0]), ExprSum.of(Leaf(letters[0])))
+        space.add(PermPolynomial.generator(word[0]), ExprSum.of(Leaf(word[0])))
     elif n == 2:
-        lo, hi = letters
+        lo, hi = word
         u, v = PermPolynomial.generator(lo), PermPolynomial.generator(hi)
         space.add(u * v + v * u, ExprSum.of(Anti(Leaf(hi), Leaf(lo))))
     else:
@@ -286,9 +279,8 @@ def sj_closure_oracle(multidegree: Sequence[int]) -> Subspace:
             gen = md.index(1) + 1
             space.add(PermPolynomial.generator(gen), ExprSum.of(Leaf(gen)))
             return space
-        for alpha in _sub_multidegrees(md):
-            beta = tuple(a - b for a, b in zip(md, alpha))
-            if not any(alpha) or not any(beta) or alpha > beta:
+        for alpha, beta in sub_multidegrees(md):
+            if alpha > beta:
                 continue  # the product is symmetric; one orientation suffices
             left = close(alpha)
             right = close(beta)
@@ -308,20 +300,11 @@ def sj_span(k: int, n: int) -> Subspace:
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     space = Subspace(enumerate_basis(k, n))
-    for md in sorted(_degree_multidegrees(k, n)):
+    for md in multidegrees(k, n):
         part = _sj_component(md)
         for p, w in zip(part.basis(), part.expressions):
             space.add(p, w)
     return space
-
-
-def _degree_multidegrees(k: int, n: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        yield (n,)
-        return
-    for e in range(n + 1):
-        for rest in _degree_multidegrees(k - 1, n - e):
-            yield (e, *rest)
 
 
 class NotJordanElement(ValueError):
@@ -416,10 +399,7 @@ def ideal_component(
                     space.add(letter * p)
                     space.add(p * letter)
         else:
-            for delta in _sub_multidegrees(md):
-                rest = tuple(a - b for a, b in zip(md, delta))
-                if not any(delta) or not any(rest):
-                    continue
+            for delta, rest in sub_multidegrees(md):
                 mult = _sj_component(delta)
                 for p in slice_of(rest).basis():
                     for s in mult.basis():
@@ -539,47 +519,35 @@ def bn_basis(k: int, n: int) -> list[FElement]:
         raise ValueError("f-element basis starts at degree 3")
     if k < 1:
         raise ValueError("need k >= 1")
-    from itertools import combinations_with_replacement
-
-    return [
-        FElement(head, args)
-        for head in range(1, k + 1)
-        for args in combinations_with_replacement(range(1, k + 1), n - 1)
-    ]
+    return [FElement(m.head, m.tail) for m in enumerate_basis(k, n)]
 
 
 def to_bn(word: Sequence[int]) -> list[tuple[Fraction, FElement]]:
     """Rewrite a left-normed product word into ``f``-elements.
 
-    Degree 3 is the triple product decomposition; longer words append one
-    letter at a time through the append law, re-sorting arguments via the
-    shift and reassociation laws.  The output expands to exactly the same
-    polynomial as the left-normed anticommutator reading of the word.
+    Read as a left-normed anticommutator, ``a1 a2 ... an`` expands to
+    ``W(a1) + W(a2) + sum_{j>=3} 2^(j-2) W(aj)``, where ``W(h)`` is the word
+    with head ``h`` and all the letters of the input: the product of the
+    first ``j-1`` letters has coefficient sum ``2^(j-2)``, and a letter
+    multiplied on the left of it becomes the head.  By the ``2^(n-3)`` law
+    of this module ``W(h) = f(h; rest) / 2^(n-3)``, with ``rest`` the other
+    letters, so the combination follows in one pass.  It is the unique
+    ``f``-element combination that expands to the anticommutator reading
+    of the word.
     """
     w = tuple(word)
     if len(w) < 3:
         raise ValueError("word must have length >= 3")
     if any(i < 1 for i in w):
         raise ValueError("generator indices are 1-based")
-    combo: dict[FElement, Fraction] = {}
-
-    def put(fe: FElement, c: Fraction) -> None:
-        s = combo.get(fe, Fraction(0)) + c
-        if s:
-            combo[fe] = s
-        elif fe in combo:
-            del combo[fe]
-
-    if len(w) == 3:
-        a, b, c = w
-        put(f_element(a, (b, c)), Fraction(1))
-        put(f_element(b, (a, c)), Fraction(1))
-        put(f_element(c, (a, b)), Fraction(2))
-    else:
-        x = w[-1]
-        for coeff, fe in to_bn(w[:-1]):
-            put(f_element(fe.head, fe.args + (x,)), coeff * _HALF)
-            put(f_element(x, (fe.head,) + fe.args), coeff * _HALF)
+    den = 1 << (len(w) - 3)
+    combo = accumulate(
+        {},
+        (
+            (f_element(h, w[:j] + w[j + 1 :]), Fraction(1 << max(j - 1, 0), den))
+            for j, h in enumerate(w)
+        ),
+    )
     return [(combo[fe], fe) for fe in sorted(combo)]
 
 

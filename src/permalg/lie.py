@@ -12,11 +12,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from itertools import combinations_with_replacement
+from typing import NamedTuple, Sequence
 
 from .expr import Comm, ExprSum, Leaf, left_normed, node_str
 from .linalg import Subspace
-from .perm import PermMonomial, PermPolynomial, enumerate_basis
+from .perm import (
+    PermMonomial,
+    PermPolynomial,
+    enumerate_basis,
+    letters,
+    multidegrees,
+    sub_multidegrees,
+)
 
 __all__ = [
     "MLMonomial",
@@ -120,15 +128,6 @@ class MLMonomial(NamedTuple):
         return node_str(self.expr())
 
 
-def _nondecreasing(low: int, k: int, length: int) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for first in range(low, k + 1):
-        for rest in _nondecreasing(first, k, length - 1):
-            yield (first, *rest)
-
-
 def ml_basis(
     k: int, n: int, multidegree: Sequence[int] | None = None
 ) -> list[MLMonomial]:
@@ -143,15 +142,13 @@ def ml_basis(
             raise ValueError(f"multidegree must have length {k}")
         if sum(md) != n:
             raise ValueError(f"multidegree total {sum(md)} != degree {n}")
-        letters: list[int] = []
-        for i, e in enumerate(md, start=1):
-            letters.extend([i] * e)
-        second = letters[0]  # the minimum letter
+        word = letters(md)
+        second = word[0]  # the minimum letter
         out = []
-        for first in sorted(set(letters[1:])):
+        for first in sorted(set(word[1:])):
             if first <= second:
                 continue
-            rest = list(letters)
+            rest = list(word)
             rest.remove(second)
             rest.remove(first)
             out.append(MLMonomial(first, second, tuple(rest)))
@@ -159,25 +156,9 @@ def ml_basis(
     out = []
     for second in range(1, k + 1):
         for first in range(second + 1, k + 1):
-            for rest in _nondecreasing(second, k, n - 2):
+            for rest in combinations_with_replacement(range(second, k + 1), n - 2):
                 out.append(MLMonomial(first, second, rest))
     return sorted(out)
-
-
-def _splits(md: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All ordered decompositions of a multidegree into two nonzero parts."""
-
-    def rec(i: int, left: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == len(md):
-            yield tuple(left)
-            return
-        for e in range(md[i] + 1):
-            yield from rec(i + 1, left + [e])
-
-    for alpha in rec(0, []):
-        beta = tuple(a - b for a, b in zip(md, alpha))
-        if any(alpha) and any(beta):
-            yield alpha, beta
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +171,7 @@ def _lie_component(md: tuple[int, ...]) -> Subspace:
         gen = md.index(1) + 1
         space.add(PermPolynomial.generator(gen))
         return space
-    for alpha, beta in _splits(md):
+    for alpha, beta in sub_multidegrees(md):
         for u in _lie_component(alpha).basis():
             for v in _lie_component(beta).basis():
                 space.add(u * v - v * u)
@@ -211,16 +192,7 @@ def lie_span_oracle(
         component = _lie_component(md)
         return Subspace(component.monomials, component.basis())
     space = Subspace(enumerate_basis(k, n))
-    for md in sorted(_all_multidegrees(k, n)):
+    for md in multidegrees(k, n):
         for p in _lie_component(md).basis():
             space.add(p)
     return space
-
-
-def _all_multidegrees(k: int, n: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        yield (n,)
-        return
-    for e in range(n + 1):
-        for rest in _all_multidegrees(k - 1, n - e):
-            yield (e, *rest)

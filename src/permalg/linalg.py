@@ -182,9 +182,7 @@ class Subspace:
 
     def basis(self) -> list[PermPolynomial]:
         return [
-            PermPolynomial(
-                (m, c) for m, c in zip(self.monomials, row) if c
-            )
+            PermPolynomial._of({m: c for m, c in zip(self.monomials, row) if c})
             for row in self._span.rows
         ]
 
@@ -224,13 +222,5 @@ def span_solve(
     _component_of(monos)
     if not monos:
         return [_ZERO] * len(vectors)
-    axis = sorted(monos, key=mono_key)
-    index = {m: i for i, m in enumerate(axis)}
-
-    def to_vec(p: PermPolynomial) -> list[Fraction]:
-        vec = [_ZERO] * len(axis)
-        for m, c in p.terms():
-            vec[index[m]] = c
-        return vec
-
-    return solve_coordinates([to_vec(v) for v in vectors], to_vec(target))
+    axis = Subspace(sorted(monos, key=mono_key))
+    return solve_coordinates([axis.vector(v) for v in vectors], axis.vector(target))

@@ -144,7 +144,8 @@ class _Parser:
             else:
                 return acc
 
-    def product(self) -> ExprSum:
+    def factors(self) -> tuple[Fraction, list[ExprSum]]:
+        """The scalar and the factors of one product, not yet multiplied."""
         coeff = Fraction(1)
         factors: list[ExprSum] = []
         first = True
@@ -168,6 +169,10 @@ class _Parser:
         if first:
             kind, text, at = self.peek()
             raise ExprSyntaxError("expected an expression", at)
+        return coeff, factors
+
+    def product(self) -> ExprSum:
+        coeff, factors = self.factors()
         if not factors:
             if coeff == 0:
                 return ExprSum.zero()
@@ -270,13 +275,14 @@ def parse_template(text: str) -> IdentityTemplate:
 
 
 def parse_word(text: str, table: GeneratorTable | None = None) -> tuple[int, ...]:
-    """Parse a plain left-normed product word and return its letters."""
-    expr = parse_expr(text, table)
-    if len(expr.terms) != 1:
+    """Parse a plain left-normed product word and return its letters.
+
+    The factors are read one at a time instead of being multiplied into
+    one tree, so a long flat word is not a deeply nested input."""
+    parser = _Parser(text, table or GeneratorTable())
+    coeff, factors = parser.factors()
+    if parser.peek()[0] is not None or not factors or any(len(f.terms) != 1 for f in factors):
         raise ExprSyntaxError("expected a single product word", 0)
-    node, coeff = expr.terms[0]
-    if coeff != 1:
-        raise ExprSyntaxError("expected a word without a coefficient", 0)
     letters: list[int] = []
 
     def flatten(n) -> None:
@@ -291,7 +297,14 @@ def parse_word(text: str, table: GeneratorTable | None = None) -> tuple[int, ...
             return
         raise ExprSyntaxError("expected a plain product of generators", 0)
 
-    flatten(node)
+    for i, factor in enumerate(factors):
+        node, c = factor.terms[0]
+        coeff *= c
+        if i and isinstance(node, Prod):
+            raise ExprSyntaxError("word must be left-normed", 0)
+        flatten(node)
+    if coeff != 1:
+        raise ExprSyntaxError("expected a word without a coefficient", 0)
     return tuple(letters)
 
 

@@ -11,20 +11,26 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 __all__ = [
     "PermMonomial",
     "PermPolynomial",
+    "accumulate",
     "canonicalize",
     "dimension",
     "enumerate_basis",
     "exact",
     "format_linear",
+    "letters",
     "mono_key",
+    "multidegrees",
+    "sub_multidegrees",
 ]
+
+K = TypeVar("K", bound=Hashable)
 
 
 class PermMonomial(NamedTuple):
@@ -76,6 +82,32 @@ def exact(coeff: Fraction | int) -> Fraction | int:
     return coeff
 
 
+def accumulate(data: dict[K, Fraction], items: Iterable[tuple[K, Fraction | int]]) -> dict[K, Fraction]:
+    """Add the ``(key, coeff)`` terms into the sparse combination ``data``
+    in place and return it.  A key whose coefficient sums to zero is
+    dropped, so ``data`` never stores a zero; values stay ``Fraction``s
+    because every sum starts from the ``Fraction`` zero."""
+    for key, coeff in items:
+        s = data.get(key, _ZERO) + coeff
+        if s:
+            data[key] = s
+        elif key in data:
+            del data[key]
+    return data
+
+
+def _canonical(mono: PermMonomial) -> PermMonomial:
+    """``mono`` itself when it is a canonical word: a head and a sorted
+    tail of 1-based indices.  Anything else raises, since a second spelling
+    of one word would make equal elements compare unequal."""
+    if not isinstance(mono, PermMonomial):
+        raise TypeError(f"expected PermMonomial, got {type(mono).__name__}")
+    tail = mono.tail
+    if mono.head < 1 or (tail and (tail[0] < 1 or tuple(sorted(tail)) != tail)):
+        raise ValueError(f"{mono!r} is not canonical: need indices >= 1 and a sorted tail")
+    return mono
+
+
 def mono_key(m: PermMonomial) -> tuple[int, tuple[int, ...]]:
     """Total order used for echelon pivots and printed output: head, then tail."""
     return (m.head, m.tail)
@@ -110,17 +142,17 @@ class PermPolynomial:
         terms: Mapping[PermMonomial, Fraction | int]
         | Iterable[tuple[PermMonomial, Fraction | int]] = (),
     ):
-        data: dict[PermMonomial, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for mono, coeff in items:
-            if not isinstance(mono, PermMonomial):
-                raise TypeError(f"expected PermMonomial, got {type(mono).__name__}")
-            c = data.get(mono, _ZERO) + exact(coeff)
-            if c:
-                data[mono] = c
-            elif mono in data:
-                del data[mono]
-        self._terms = data
+        self._terms = accumulate({}, ((_canonical(m), exact(c)) for m, c in items))
+
+    @classmethod
+    def _of(cls, data: dict[PermMonomial, Fraction]) -> "PermPolynomial":
+        """Wrap ``data`` without checks.  The caller guarantees what the
+        public constructor checks: canonical monomials, no zero values, and
+        ``Fraction`` values (an ``int`` would make ``int / int`` a float)."""
+        out = cls.__new__(cls)
+        out._terms = data
+        return out
 
     @classmethod
     def zero(cls) -> "PermPolynomial":
@@ -132,7 +164,7 @@ class PermPolynomial:
 
     @classmethod
     def from_word(cls, word: Sequence[int], coeff: Fraction | int = 1) -> "PermPolynomial":
-        return cls(((canonicalize(word), coeff),))
+        return cls._of(accumulate({}, ((canonicalize(word), exact(coeff)),)))
 
     @classmethod
     def from_monomial(cls, mono: PermMonomial, coeff: Fraction | int = 1) -> "PermPolynomial":
@@ -166,21 +198,12 @@ class PermPolynomial:
     __hash__ = None  # type: ignore[assignment]
 
     def __neg__(self) -> "PermPolynomial":
-        return PermPolynomial({m: -c for m, c in self._terms.items()})
+        return PermPolynomial._of({m: -c for m, c in self._terms.items()})
 
     def __add__(self, other: "PermPolynomial") -> "PermPolynomial":
         if not isinstance(other, PermPolynomial):
             return NotImplemented
-        data = dict(self._terms)
-        for m, c in other._terms.items():
-            s = data.get(m, _ZERO) + c
-            if s:
-                data[m] = s
-            elif m in data:
-                del data[m]
-        out = PermPolynomial.__new__(PermPolynomial)
-        out._terms = data
-        return out
+        return PermPolynomial._of(accumulate(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "PermPolynomial") -> "PermPolynomial":
         if not isinstance(other, PermPolynomial):
@@ -191,24 +214,20 @@ class PermPolynomial:
         c = exact(coeff)
         if not c:
             return PermPolynomial()
-        out = PermPolynomial.__new__(PermPolynomial)
-        out._terms = {m: v * c for m, v in self._terms.items()}
-        return out
+        return PermPolynomial._of({m: v * c for m, v in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, PermPolynomial):
-            data: dict[PermMonomial, Fraction] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    prod = PermMonomial(m1.head, tuple(sorted(m1.tail + m2.word())))
-                    s = data.get(prod, _ZERO) + c1 * c2
-                    if s:
-                        data[prod] = s
-                    elif prod in data:
-                        del data[prod]
-            out = PermPolynomial.__new__(PermPolynomial)
-            out._terms = data
-            return out
+            return PermPolynomial._of(
+                accumulate(
+                    {},
+                    (
+                        (PermMonomial(m1.head, tuple(sorted(m1.tail + m2.word()))), c1 * c2)
+                        for m1, c1 in self._terms.items()
+                        for m2, c2 in other._terms.items()
+                    ),
+                )
+            )
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -233,12 +252,7 @@ class PermPolynomial:
         buckets: dict[int, dict[PermMonomial, Fraction]] = {}
         for m, c in self._terms.items():
             buckets.setdefault(m.degree, {})[m] = c
-        out = {}
-        for d in sorted(buckets):
-            p = PermPolynomial.__new__(PermPolynomial)
-            p._terms = buckets[d]
-            out[d] = p
-        return out
+        return {d: PermPolynomial._of(buckets[d]) for d in sorted(buckets)}
 
     def multidegree_components(self, k: int | None = None) -> dict[tuple[int, ...], "PermPolynomial"]:
         """Split by exponent vector over generators ``1..k``; keys ascending."""
@@ -247,12 +261,7 @@ class PermPolynomial:
         buckets: dict[tuple[int, ...], dict[PermMonomial, Fraction]] = {}
         for m, c in self._terms.items():
             buckets.setdefault(m.multidegree(k), {})[m] = c
-        out = {}
-        for md in sorted(buckets):
-            p = PermPolynomial.__new__(PermPolynomial)
-            p._terms = buckets[md]
-            out[md] = p
-        return out
+        return {md: PermPolynomial._of(buckets[md]) for md in sorted(buckets)}
 
     def __str__(self) -> str:
         return format_linear((c, str(m)) for m, c in self.terms())
@@ -275,6 +284,34 @@ def dimension(k: int, n: int) -> int:
     return k * comb(n + k - 2, n - 1)
 
 
+def letters(multidegree: Sequence[int]) -> list[int]:
+    """The letters of a multidegree in ascending order: generator ``i``
+    repeated ``multidegree[i - 1]`` times."""
+    return [i for i, e in enumerate(multidegree, start=1) for _ in range(e)]
+
+
+def multidegrees(k: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Every exponent vector over ``k`` generators with total ``n``, in
+    ascending order.  Stars and bars: ``k - 1`` bars among ``n + k - 1``
+    places, and lexicographic bar positions give ascending vectors."""
+    for bars in combinations(range(n + k - 1), k - 1):
+        edges = (-1, *bars, n + k - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def sub_multidegrees(
+    multidegree: Sequence[int],
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every split of ``multidegree`` into two nonzero exponent vectors, as
+    ordered pairs ``(alpha, multidegree - alpha)`` with ``alpha`` running
+    through ``itertools.product`` order."""
+    md = tuple(multidegree)
+    for alpha in product(*(range(e + 1) for e in md)):
+        beta = tuple(a - b for a, b in zip(md, alpha))
+        if any(alpha) and any(beta):
+            yield alpha, beta
+
+
 def enumerate_basis(
     k: int, n: int, multidegree: Sequence[int] | None = None
 ) -> list[PermMonomial]:
@@ -294,12 +331,10 @@ def enumerate_basis(
             raise ValueError("multidegree entries must be non-negative")
         if sum(md) != n:
             raise ValueError(f"multidegree total {sum(md)} != degree {n}")
-        letters: list[int] = []
-        for i, e in enumerate(md, start=1):
-            letters.extend([i] * e)
+        word = letters(md)
         out = []
-        for head in sorted(set(letters)):
-            rest = list(letters)
+        for head in sorted(set(word)):
+            rest = list(word)
             rest.remove(head)
             out.append(PermMonomial(head, tuple(rest)))
         return out

@@ -268,8 +268,15 @@ CLI_COMMANDS = [
 ]
 
 
+# ``--json`` stdout of each CLI_COMMANDS entry, recorded at an earlier
+# commit; algebra paths are stored relative to the repository root.
+GOLDEN = json.loads((REPO / "tests" / "data" / "criterion10_json.json").read_text())
+
+
 def test_criterion_10_cli_determinism():
-    for args in CLI_COMMANDS:
+    assert len(GOLDEN) == len(CLI_COMMANDS)
+    for args, golden in zip(CLI_COMMANDS, GOLDEN):
+        assert [a.replace(f"{REPO}/", "") for a in args] == golden["args"]
         outputs = []
         for _ in range(2):
             proc = subprocess.run(
@@ -281,4 +288,5 @@ def test_criterion_10_cli_determinism():
             json.loads(proc.stdout.decode())  # must be valid JSON
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], f"nondeterministic output for {args}"
+        assert outputs[0].decode() == golden["stdout"], f"output of {args} differs from the recording"
     _verdict("10 CLI determinism", True, f"{len(CLI_COMMANDS)} commands byte-identical")

@@ -71,6 +71,8 @@ def test_to_bn(runner):
     assert out.strip() == "f(x1;x2,x3) + f(x2;x1,x3) + 2*f(x3;x1,x2)"
     result = runner.invoke(main, ["to-bn", "x1*x2"])
     assert result.exit_code == 2
+    out = invoke(runner, "to-bn", "*".join(["x1"] * 1200))
+    assert out.strip() == "4*f(x1;x1," + "*".join(["x1"] * 1198) + ")"
 
 
 def test_cohn_witness(runner):

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ from permalg.envelope import (
     MetabelianLieAlgebra,
     env_monomial,
     load_algebra,
+    random_metabelian,
     split_basis,
 )
 from permalg.parser import parse_envelope_expr
@@ -37,36 +37,6 @@ def heisenberg():
 
 def abelian(dim):
     return MetabelianLieAlgebra(dim)
-
-
-def random_metabelian(dim: int, rng: random.Random) -> MetabelianLieAlgebra:
-    """Seeded valid metabelian algebras from two stock families."""
-    brackets = {}
-    if rng.random() < 0.5 and dim >= 2:
-        # one outer derivation acting on an abelian ideal spanned by e2..ed
-        for j in range(2, dim + 1):
-            vec = {
-                b: Fraction(rng.randint(-3, 3))
-                for b in range(2, dim + 1)
-                if rng.random() < 0.6
-            }
-            vec = {b: c for b, c in vec.items() if c}
-            if vec:
-                brackets[(1, j)] = vec
-    else:
-        # two-step nilpotent: brackets of the first block land in the center
-        m = max(2, dim - 1)
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                vec = {
-                    b: Fraction(rng.randint(-2, 2))
-                    for b in range(m + 1, dim + 1)
-                    if rng.random() < 0.8
-                }
-                vec = {b: c for b, c in vec.items() if c}
-                if vec:
-                    brackets[(i, j)] = vec
-    return MetabelianLieAlgebra(dim, brackets=brackets)
 
 
 def test_validate_examples():
@@ -100,6 +70,8 @@ def test_from_dict_validation_errors():
         )
     with pytest.raises(AlgebraFormatError, match="unique"):
         MetabelianLieAlgebra(2, labels=["a", "a"])
+    with pytest.raises(TypeError, match="int or Fraction"):
+        MetabelianLieAlgebra(2, brackets={(1, 2): {2: 0.5}})
 
 
 def test_envelope_rejects_invalid():

@@ -215,6 +215,19 @@ def test_to_bn_roundtrip(word):
     assert expand_bn(combo) == expected
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_to_bn_roundtrip_exhaustive(n):
+    for word in product((1, 2, 3), repeat=n):
+        expected = ExprSum.of(left_normed(Anti, word)).expand()
+        assert expand_bn(to_bn(word)) == expected, word
+
+
+def test_to_bn_long_flat_word():
+    # {..{x,x},..,x} on n letters is 2^(n-1) x^n and f(x;x,x^(n-2)) is
+    # 2^(n-3) x^n, so the combination is 4 f(x;x,x^(n-2)) for every n
+    assert to_bn((1,) * 1200) == [(Fraction(4), FElement(1, (1,) * 1199))]
+
+
 def test_felement_roundtrip_through_to_bn():
     # expanding an f-element and re-solving it via the triple-product route
     fe = FElement(2, (1, 3))

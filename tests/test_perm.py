@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -10,6 +12,8 @@ from permalg.perm import (
     canonicalize,
     dimension,
     enumerate_basis,
+    multidegrees,
+    sub_multidegrees,
 )
 
 letters = st.integers(min_value=1, max_value=4)
@@ -89,6 +93,15 @@ def test_inexact_coefficients_rejected(bad):
         PermPolynomial.generator(1).scale(bad)
 
 
+@pytest.mark.parametrize(
+    "mono", [PermMonomial(1, (3, 2)), PermMonomial(-3, (2, 1)), PermMonomial(0), PermMonomial(2, (0, 1))]
+)
+def test_noncanonical_monomials_rejected(mono):
+    # a second spelling of a word would make equal elements compare unequal
+    with pytest.raises(ValueError, match="not canonical"):
+        PermPolynomial([(mono, 1)])
+
+
 @given(polys(), polys(), coeffs)
 def test_linear_structure(u, v, c):
     assert (u + v).scale(c) == u.scale(c) + v.scale(c)
@@ -111,6 +124,17 @@ def test_enumerate_basis_examples():
         PermMonomial(3, (1, 2)),
     ]
     assert enumerate_basis(1, 4) == [PermMonomial(1, (1, 1, 1))]
+
+
+@pytest.mark.parametrize("k,n", [(1, 4), (2, 3), (3, 4), (4, 2)])
+def test_multidegree_walks_match_brute_force(k, n):
+    brute = [md for md in product(range(n + 1), repeat=k) if sum(md) == n]
+    assert list(multidegrees(k, n)) == brute
+    for md in brute:
+        splits = list(sub_multidegrees(md))
+        # every split but the two with a zero part, each once
+        assert len(set(splits)) == len(splits) == prod(e + 1 for e in md) - 2
+        assert all(any(a) and any(b) and tuple(map(sum, zip(a, b))) == md for a, b in splits)
 
 
 def test_enumerate_basis_bad_multidegree():

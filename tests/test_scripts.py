@@ -1,0 +1,32 @@
+"""Smoke test: each script in ``scripts/`` runs to completion on small input."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rewrite_fuzz.py", "--algebras", "2", "--words", "20"],
+        ["growth_report.py", "--dmax", "6"],
+        ["identity_audit.py"],
+    ],
+)
+def test_script_runs(argv):
+    src = str(REPO / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True,
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout
