@@ -332,14 +332,14 @@ def jordan_express(g: PermPolynomial) -> ExprSum:
     for md, comp in g.multidegree_components(k).items():
         n = sum(md)
         if n == 1:
-            terms += [(c, Leaf(m.head)) for m, c in comp.terms()]
+            terms += [(c, Leaf(m.head)) for m, c in comp.items()]
         elif n == 2:
             witness = _sj_component(md).witness_for(comp, ExprSum.zero())
             if witness is None:
                 raise NotJordanElement(comp)
             terms += [(c, node) for node, c in witness.terms]
         else:
-            for m, c in comp.terms():
+            for m, c in comp.items():
                 terms += _word_terms(m, c)
     return ExprSum(terms)
 

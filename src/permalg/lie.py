@@ -40,11 +40,9 @@ __all__ = [
 
 def head(f: PermPolynomial) -> PermPolynomial:
     """Keep degree-1 terms and words whose head exceeds the first tail letter."""
-    kept = []
-    for m, c in f.terms():
-        if not m.tail or m.head > m.tail[0]:
-            kept.append((m, c))
-    return PermPolynomial(kept)
+    return PermPolynomial._of(
+        {m: c for m, c in f.items() if not m.tail or m.head > m.tail[0]}
+    )
 
 
 def dynkin(f: PermPolynomial) -> PermPolynomial:
@@ -56,7 +54,7 @@ def dynkin(f: PermPolynomial) -> PermPolynomial:
     words.  Length-1 words are fixed.
     """
     out: list[tuple[PermMonomial, Fraction]] = []
-    for m, c in f.terms():
+    for m, c in f.items():
         if not m.tail:
             out.append((m, c))
             continue
@@ -85,7 +83,7 @@ def lie_express(f: PermPolynomial) -> ExprSum:
     if defect:
         raise NotLieElement(defect)
     terms = []
-    for m, c in head(f).terms():
+    for m, c in head(f).items():
         if not m.tail:
             terms.append((c, Leaf(m.head)))
         else:

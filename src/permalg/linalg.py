@@ -163,7 +163,7 @@ class Subspace:
 
     def vector(self, poly: PermPolynomial) -> list[Fraction]:
         vec = [_ZERO] * len(self.monomials)
-        for m, c in poly.terms():
+        for m, c in poly.items():
             i = self._index.get(m)
             if i is None:
                 raise ValueError(f"monomial {m} outside this component")

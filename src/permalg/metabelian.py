@@ -1,0 +1,347 @@
+"""The input side of the enveloping construction: metabelian Lie algebras.
+
+A finite-dimensional Lie algebra is given by labels and structure
+constants (``load_algebra`` reads the JSON form).  ``validate`` checks the
+Jacobi identity on basis triples and the metabelian law on basis
+quadruples, and ``split_basis`` reorders (and, when it must, changes) the
+basis so the derived subalgebra comes first, which is the form the
+rewriting system in :mod:`permalg.envelope` is stated in.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import chain
+from pathlib import Path
+from typing import Mapping, Sequence
+
+from .linalg import Span, rref
+from .perm import accumulate, exact, format_linear
+
+__all__ = [
+    "AlgebraFormatError",
+    "BasisSplit",
+    "InvalidLieAlgebra",
+    "LieValidationReport",
+    "MetabelianLieAlgebra",
+    "load_algebra",
+    "split_basis",
+]
+
+Vec = dict[int, Fraction]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class AlgebraFormatError(ValueError):
+    """Malformed structure-constant input."""
+
+
+@dataclass
+class LieValidationReport:
+    jacobi_violations: list[tuple[tuple[int, int, int], Vec]] = field(default_factory=list)
+    metabelian_violations: list[tuple[tuple[int, int, int, int], Vec]] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.jacobi_violations and not self.metabelian_violations
+
+
+class InvalidLieAlgebra(ValueError):
+    def __init__(self, report: LieValidationReport):
+        jac = [t for t, _ in report.jacobi_violations]
+        met = [t for t, _ in report.metabelian_violations]
+        super().__init__(f"invalid algebra: jacobi violations {jac}, metabelian violations {met}")
+        self.report = report
+
+
+class MetabelianLieAlgebra:
+    """Finite-dimensional Lie algebra given by labels and structure constants.
+
+    Brackets are stored for index pairs ``i < j`` only; the other
+    orientation follows by antisymmetry.  ``validate`` checks the Jacobi
+    identity on basis triples and the metabelian law on basis quadruples.
+    """
+
+    def __init__(
+        self,
+        dim: int,
+        labels: Sequence[str] | None = None,
+        brackets: Mapping[tuple[int, int], Mapping[int, Fraction | int]] | None = None,
+    ):
+        if dim < 1:
+            raise AlgebraFormatError("dimension must be at least 1")
+        self.dim = dim
+        self.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(1, dim + 1))
+        if len(self.labels) != dim:
+            raise AlgebraFormatError(f"expected {dim} labels, got {len(self.labels)}")
+        if len(set(self.labels)) != dim:
+            raise AlgebraFormatError("labels must be unique")
+        self.table: dict[tuple[int, int], Vec] = {}
+        for (i, j), value in (brackets or {}).items():
+            if not (1 <= i < j <= dim):
+                raise AlgebraFormatError(f"bracket pair ({i},{j}) must satisfy 1 <= i < j <= dim")
+            for b in value:
+                if not 1 <= b <= dim:
+                    raise AlgebraFormatError(f"bracket value index {b} out of range")
+            vec = accumulate({}, ((b, exact(c)) for b, c in value.items()))
+            if vec:
+                self.table[(i, j)] = vec
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "MetabelianLieAlgebra":
+        try:
+            dim = int(data["dim"])
+        except (KeyError, TypeError, ValueError):
+            raise AlgebraFormatError("missing or bad 'dim'") from None
+        labels = data.get("basis")
+        entries = data.get("brackets", [])
+        brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+        if not isinstance(entries, list):
+            raise AlgebraFormatError("'brackets' must be a list")
+        for entry in entries:
+            try:
+                i, j = int(entry["i"]), int(entry["j"])
+            except (KeyError, TypeError, ValueError):
+                raise AlgebraFormatError(f"bad bracket entry {entry!r}") from None
+            if i >= j:
+                raise AlgebraFormatError(f"bracket pair ({i},{j}) must have i < j")
+            if (i, j) in brackets:
+                raise AlgebraFormatError(f"duplicate bracket pair ({i},{j})")
+            items: list[tuple[int, Fraction]] = []
+            for item in entry.get("value", []):
+                try:
+                    b, text = item
+                except (TypeError, ValueError):
+                    raise AlgebraFormatError(f"bad bracket value item {item!r}") from None
+                try:
+                    coeff = _parse_rational(text)
+                except ValueError as exc:
+                    raise AlgebraFormatError(str(exc)) from None
+                items.append((int(b), coeff))
+            brackets[(i, j)] = accumulate({}, items)
+        return cls(dim, labels, brackets)
+
+    def bracket_basis(self, i: int, j: int) -> Vec:
+        """``[e_i, e_j]`` for any pair of basis indices."""
+        if i == j:
+            return {}
+        if i < j:
+            return dict(self.table.get((i, j), {}))
+        return {b: -c for b, c in self.table.get((j, i), {}).items()}
+
+    def bracket(self, u: Vec, v: Vec) -> Vec:
+        return accumulate(
+            {},
+            (
+                (b, ci * cj * c)
+                for i, ci in u.items()
+                for j, cj in v.items()
+                for b, c in self.bracket_basis(i, j).items()
+            ),
+        )
+
+    def validate(self) -> LieValidationReport:
+        report = LieValidationReport()
+        for i in range(1, self.dim + 1):
+            for j in range(i + 1, self.dim + 1):
+                for k in range(j + 1, self.dim + 1):
+                    r = accumulate(
+                        {},
+                        chain.from_iterable(
+                            self.bracket(self.bracket_basis(p, q), {t: _ONE}).items()
+                            for p, q, t in ((i, j, k), (j, k, i), (k, i, j))
+                        ),
+                    )
+                    if r:
+                        report.jacobi_violations.append(((i, j, k), r))
+        pairs = [(i, j) for i in range(1, self.dim + 1) for j in range(i + 1, self.dim + 1)]
+        for a, b in pairs:
+            for c, d in pairs:
+                if (a, b) > (c, d):
+                    continue
+                r = self.bracket(self.bracket_basis(a, b), self.bracket_basis(c, d))
+                if r:
+                    report.metabelian_violations.append(((a, b, c, d), r))
+        return report
+
+    def vector_str(self, v: Vec) -> str:
+        items = sorted(v.items())
+        return format_linear((c, self.labels[i - 1]) for i, c in items)
+
+    def __repr__(self) -> str:
+        return f"MetabelianLieAlgebra(dim={self.dim}, labels={self.labels})"
+
+
+def _parse_rational(text) -> Fraction:
+    if isinstance(text, int):
+        return Fraction(text)
+    if not isinstance(text, str):
+        raise ValueError(f"rational must be 'p' or 'p/q', got {text!r}")
+    s = text.strip()
+    body = s[1:] if s[:1] == "-" else s
+    if not body or not all(part.isdigit() and part for part in body.split("/", 1)):
+        raise ValueError(f"rational must be 'p' or 'p/q', got {text!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
+
+
+def load_algebra(path: str | Path) -> MetabelianLieAlgebra:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise AlgebraFormatError(f"invalid JSON: {exc}") from None
+    return MetabelianLieAlgebra.from_dict(data)
+
+
+def random_metabelian(dim: int, rng: random.Random) -> MetabelianLieAlgebra:
+    """Seeded valid metabelian algebras from two stock families, for
+    randomized tests and fuzzing."""
+    brackets = {}
+    if rng.random() < 0.5 and dim >= 2:
+        # one outer derivation acting on an abelian ideal spanned by e2..ed
+        for j in range(2, dim + 1):
+            vec = {b: Fraction(rng.randint(-3, 3)) for b in range(2, dim + 1) if rng.random() < 0.6}
+            vec = {b: c for b, c in vec.items() if c}
+            if vec:
+                brackets[(1, j)] = vec
+    else:
+        # two-step nilpotent: brackets of the first block land in the center
+        m = max(2, dim - 1)
+        for i in range(1, m + 1):
+            for j in range(i + 1, m + 1):
+                vec = {b: Fraction(rng.randint(-2, 2)) for b in range(m + 1, dim + 1) if rng.random() < 0.8}
+                vec = {b: c for b, c in vec.items() if c}
+                if vec:
+                    brackets[(i, j)] = vec
+    return MetabelianLieAlgebra(dim, brackets=brackets)
+
+
+# ---------------------------------------------------------------------------
+# basis splitting
+
+
+@dataclass
+class BasisSplit:
+    """Basis reordered (and, if needed, changed) so the derived subalgebra
+    comes first.
+
+    ``algebra`` is the adapted copy: indices ``1..y_count`` span the derived
+    subalgebra, the rest are the complement.  ``new_in_old`` holds the
+    adapted basis vectors in original coordinates.
+    """
+
+    algebra: MetabelianLieAlgebra
+    original: MetabelianLieAlgebra
+    y_count: int
+    new_in_old: tuple[tuple[Fraction, ...], ...]
+    _old_to_new: tuple[tuple[Fraction, ...], ...]
+
+    @property
+    def y_indices(self) -> tuple[int, ...]:
+        return tuple(range(1, self.y_count + 1))
+
+    @property
+    def z_indices(self) -> tuple[int, ...]:
+        return tuple(range(self.y_count + 1, self.algebra.dim + 1))
+
+    @property
+    def changed_basis(self) -> bool:
+        """True when some adapted vector is not an original basis vector
+        (pure reorderings do not count)."""
+        for row in self.new_in_old:
+            support = [c for c in row if c]
+            if len(support) != 1 or support[0] != 1:
+                return True
+        return False
+
+    def to_adapted(self, v: Vec) -> Vec:
+        """Coordinates of an original-basis vector over the adapted basis."""
+        return _apply(self._old_to_new, v)
+
+
+def _dense(v: Vec, dim: int) -> list[Fraction]:
+    return [v.get(i, _ZERO) for i in range(1, dim + 1)]
+
+
+def _apply(matrix: Sequence[Sequence[Fraction]], v: Vec) -> Vec:
+    """The square ``matrix`` times the sparse vector ``v``, both indexed from 1."""
+    dense = _dense(v, len(matrix))
+    out: Vec = {}
+    for r, row in enumerate(matrix, start=1):
+        c = sum(a * b for a, b in zip(row, dense))
+        if c:
+            out[r] = c
+    return out
+
+
+def split_basis(algebra: MetabelianLieAlgebra) -> BasisSplit:
+    """Choose the derived-first adapted basis.
+
+    Original basis vectors lying in the derived subalgebra are preferred;
+    only when they fail to span it are echelon rows of the bracket span
+    adjoined (changing the basis, with fresh ``y<r>`` labels for the
+    synthesized vectors).
+    """
+    n = algebra.dim
+    units = [_dense({i: _ONE}, n) for i in range(1, n + 1)]
+    derived = Span(n)
+    for pair in sorted(algebra.table):
+        derived.add(_dense(algebra.table[pair], n))
+    y_rows: list[list[Fraction]] = []
+    chosen = Span(n)
+    for e in units:
+        if derived.contains(e) and chosen.add(e):
+            y_rows.append(e)
+    for row in derived.rows:
+        if chosen.add(row):
+            y_rows.append(list(row))
+    z_rows: list[list[Fraction]] = []
+    completion = Span(n)
+    for row in y_rows:
+        completion.add(row)
+    for e in units:
+        if completion.add(e):
+            z_rows.append(e)
+
+    new_rows = y_rows + z_rows
+    labels: list[str] = []
+    synth = 0
+    for row in new_rows:
+        ones = [i for i, c in enumerate(row) if c]
+        if len(ones) == 1 and row[ones[0]] == 1:
+            labels.append(algebra.labels[ones[0]])
+        else:
+            synth += 1
+            base = f"y{synth}"
+            while base in labels or base in algebra.labels:
+                base += "_"
+            labels.append(base)
+
+    # invert the matrix whose columns are the new rows: rref of [M | I]
+    transpose = [[new_rows[r][c] for r in range(n)] + units[c] for c in range(n)]
+    old_to_new = [row[n:] for row in rref(transpose)[0]]
+
+    brackets: dict[tuple[int, int], Vec] = {}
+    for r in range(1, n + 1):
+        for s in range(r + 1, n + 1):
+            u = {i + 1: c for i, c in enumerate(new_rows[r - 1]) if c}
+            v = {i + 1: c for i, c in enumerate(new_rows[s - 1]) if c}
+            w = _apply(old_to_new, algebra.bracket(u, v))
+            if w:
+                brackets[(r, s)] = w
+    adapted = MetabelianLieAlgebra(n, labels, brackets)
+    return BasisSplit(
+        algebra=adapted,
+        original=algebra,
+        y_count=len(y_rows),
+        new_in_old=tuple(tuple(row) for row in new_rows),
+        _old_to_new=tuple(tuple(row) for row in old_to_new),
+    )

@@ -11,6 +11,7 @@ of first appearance and accepts ``lhs = rhs``.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from typing import Sequence
@@ -178,10 +179,18 @@ class _Parser:
                 return ExprSum.zero()
             _, _, at = self.peek()
             raise ExprSyntaxError("scalar without a monomial", at)
-        acc = factors[0]
-        for f in factors[1:]:
-            acc = acc.prod(f)
-        return coeff * acc
+        # distribute over all factors at once: each choice of one term per
+        # factor is one left-nested Prod chain, and one ExprSum holds them
+        # all, so the tree is hashed and keyed once instead of once a factor
+        terms = []
+        for choice in itertools.product(*(f.terms for f in factors)):
+            (node, c), *rest = choice
+            c *= coeff
+            for right, rc in rest:
+                node = Prod(node, right)
+                c *= rc
+            terms.append((c, node))
+        return ExprSum(terms)
 
     def rational(self) -> Fraction:
         kind, text, at = self.next()

@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Hashable, ItemsView, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 __all__ = [
     "PermMonomial",
@@ -173,6 +173,10 @@ class PermPolynomial:
     def terms(self) -> list[tuple[PermMonomial, Fraction]]:
         """Terms sorted in the printing/echelon order."""
         return sorted(self._terms.items(), key=lambda kv: mono_key(kv[0]))
+
+    def items(self) -> ItemsView[PermMonomial, Fraction]:
+        """Terms in no particular order, for callers that only index them."""
+        return self._terms.items()
 
     def coefficient(self, mono: PermMonomial) -> Fraction:
         return self._terms.get(mono, _ZERO)

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
+from permalg import expr
 from permalg.expr import Anti, Comm, ExprSum, Leaf, Prod, check_identity
 from permalg.parser import (
     ExprSyntaxError,
@@ -123,6 +125,8 @@ def test_parse_envelope_expr():
     assert sorted(got) == [(Fraction(-1), 3, ()), (Fraction(1), 1, (2,))]
     got = parse_envelope_expr("1/2 d(e1)*e1*e1", labels)
     assert got == [(Fraction(1, 2), 1, (1, 1))]
+    got = parse_envelope_expr("2*d(e1)*(e2-e3)*e1", labels)
+    assert sorted(got) == [(Fraction(-2), 1, (3, 1)), (Fraction(2), 1, (2, 1))]
     with pytest.raises(ExprSyntaxError, match="exactly one dotted"):
         parse_envelope_expr("e1*e2", labels)
     with pytest.raises(ExprSyntaxError, match="exactly one dotted"):
@@ -131,3 +135,39 @@ def test_parse_envelope_expr():
         parse_envelope_expr("[e1,e2]", labels)
     with pytest.raises(ExprSyntaxError, match="unknown"):
         parse_envelope_expr("d(zz)", labels)
+
+
+def test_flat_product_parses_in_linear_work(monkeypatch):
+    calls = 0
+    node_key = expr.node_key
+
+    def counting(e):
+        nonlocal calls
+        calls += 1
+        return node_key(e)
+
+    monkeypatch.setattr(expr, "node_key", counting)
+
+    def work(n: int) -> int:
+        nonlocal calls
+        calls = 0
+        parse_expr("*".join(["x1"] * n))
+        return calls
+
+    small, large = work(100), work(200)
+    assert large <= 2 * small + 10, (small, large)
+
+
+@pytest.mark.parametrize(
+    "coeff, factors",
+    [
+        (1, ["x1+2*x2", "[x1,x3]", "x2-x3"]),
+        (3, ["x1-x2", "x3", "x1+x3", "{x2,x1}"]),
+        (1, ["x1*x2", "x3", "x2*x1 - x1*x2"]),
+        (-2, ["x1+x2", "x1-x2"]),
+    ],
+)
+def test_flat_product_matches_factor_by_factor(coeff, factors):
+    text = "*".join([str(coeff)] + [f"({f})" for f in factors])
+    expected = coeff * reduce(ExprSum.prod, map(parse_expr, factors))
+    assert parse_expr(text) == expected
