@@ -6,6 +6,11 @@ expression in the letters precisely when the composite of ``head`` (keep
 words whose first letter exceeds the second) and ``dynkin`` (left-normed
 bracketing) fixes it; ``lie_span_oracle`` rebuilds the same subspace by
 brute-force bracket closure, independently of that criterion.
+
+The closure works one multidegree slice at a time and brackets each lower
+slice with one letter: a Lie subalgebra generated by a set is spanned by
+the left-normed brackets of its elements, so one-letter brackets of the
+lower slices reach every bracket of the slice.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from .perm import (
     enumerate_basis,
     letters,
     multidegrees,
-    sub_multidegrees,
 )
 
 __all__ = [
@@ -161,7 +165,15 @@ def ml_basis(
 
 @lru_cache(maxsize=None)
 def _lie_component(md: tuple[int, ...]) -> Subspace:
-    """Bracket-closure span of one multidegree slice, built inductively."""
+    """Bracket-closure span of one multidegree slice, built inductively.
+
+    The slice is spanned by ``[u, x_i]`` for ``u`` in the slice of
+    ``md - e_i``: the subalgebra a set generates is spanned by left-normed
+    brackets of its elements (the Jacobi identity rewrites ``[u, [v, w]]``
+    as ``[[u, v], w] - [[u, w], v]``), and a left-normed bracket ends in one
+    letter.  Bracketing pairs of lower slices over every split spans the
+    same subspace, so the echelon rows are the same, at many more products.
+    """
     k = len(md)
     n = sum(md)
     space = Subspace(enumerate_basis(k, n, md))
@@ -169,10 +181,12 @@ def _lie_component(md: tuple[int, ...]) -> Subspace:
         gen = md.index(1) + 1
         space.add(PermPolynomial.generator(gen))
         return space
-    for alpha, beta in sub_multidegrees(md):
-        for u in _lie_component(alpha).basis():
-            for v in _lie_component(beta).basis():
-                space.add(u * v - v * u)
+    for i, e in enumerate(md):
+        if not e:
+            continue
+        x = PermPolynomial.generator(i + 1)
+        for u in _lie_component(md[:i] + (e - 1,) + md[i + 1 :]).basis():
+            space.add(u * x - x * u)
     return space
 
 

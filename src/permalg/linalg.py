@@ -1,48 +1,41 @@
 """Exact rational linear algebra over fixed monomial axes.
 
 Everything here works with ``fractions.Fraction`` entries, so ranks,
-memberships and solves are exact.  ``Span`` is an incremental reduced
-row echelon form; ``Subspace`` pins a span to a concrete homogeneous
-component of the free perm algebra via an ordered monomial axis.
+memberships and solves are exact; a float entry raises ``TypeError``.
+``Span`` is an incremental reduced row echelon form that stores each row
+sparse, as ``{column: coefficient}`` keyed by its pivot.  The rows are
+fully reduced (each is 1 at its own pivot and 0 at every other pivot), so
+reducing a vector touches only the pivots in its support.  ``rref`` and
+``solve_coordinates`` are thin wrappers over it, and ``Subspace`` pins a
+span to a concrete homogeneous component of the free perm algebra via an
+ordered monomial axis.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from .perm import PermMonomial, PermPolynomial, mono_key
+from .perm import PermMonomial, PermPolynomial, accumulate, exact, mono_key
 
 __all__ = ["Span", "Subspace", "rref", "solve_coordinates", "span_solve"]
 
 _ZERO = Fraction(0)
 
+Vector = Sequence[Fraction] | Mapping[int, Fraction]
+
 
 def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns the nonzero rows and their pivot columns."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
+    rows = list(rows)
+    if not rows:
         return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        lead = mat[r][c]
-        mat[r] = [v / lead for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    span = Span(len(rows[0]))
+    for row in rows:
+        span.add(row)
+    return span.rows, span.pivots
 
 
 def solve_coordinates(
@@ -51,7 +44,7 @@ def solve_coordinates(
     """Exact solution of ``sum c_j * columns[j] = target``; free variables are 0."""
     m = len(target)
     n = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(n)] + [Fraction(target[i])] for i in range(m)]
+    aug = [[columns[j][i] for j in range(n)] + [target[i]] for i in range(m)]
     rows, pivots = rref(aug)
     sol = [_ZERO] * n
     for row, p in zip(rows, pivots):
@@ -68,67 +61,114 @@ class Span:
     row may carry a witness; witnesses must support addition and left
     multiplication by ``Fraction`` and are combined alongside row operations,
     so a row's witness always maps to that row under the caller's linear map.
+    A span carries a witness on every row or on none.
+
+    Vectors come in dense (a sequence of length ``width``) or sparse (a
+    mapping from column to coefficient); entries must be ``int`` or
+    ``Fraction``.  ``rows`` (dense), ``pivots`` and ``witnesses`` return
+    fresh lists in pivot order; changing them leaves the span as it is.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-        self.witnesses: list[Any] = []
+        self._pivots: list[int] = []  # ascending
+        self._rows: dict[int, dict[int, Fraction]] = {}  # pivot -> sparse row
+        self._witnesses: dict[int, Any] = {}  # pivot -> witness
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._pivots)
 
-    def reduce(self, vec: Sequence[Fraction]) -> tuple[list[Fraction], list[tuple[int, Fraction]]]:
-        """Residue of ``vec`` modulo the span plus the row coefficients used."""
-        residue = [Fraction(v) for v in vec]
-        used: list[tuple[int, Fraction]] = []
-        for idx, (row, p) in enumerate(zip(self.rows, self.pivots)):
-            c = residue[p]
+    @property
+    def pivots(self) -> list[int]:
+        return list(self._pivots)
+
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        return [self._dense(self._rows[p]) for p in self._pivots]
+
+    @property
+    def witnesses(self) -> list[Any]:
+        return [self._witnesses[p] for p in self._pivots] if self._witnesses else []
+
+    def _dense(self, row: Mapping[int, Fraction]) -> list[Fraction]:
+        out = [_ZERO] * self.width
+        for j, c in row.items():
+            out[j] = c
+        return out
+
+    def _sparse(self, vec: Vector) -> dict[int, Fraction]:
+        """A fresh sparse copy of ``vec`` with exact ``Fraction`` entries."""
+        if isinstance(vec, Mapping):
+            items = vec.items()
+        else:
+            if len(vec) != self.width:
+                raise ValueError(f"vector of length {len(vec)} in a span of width {self.width}")
+            items = enumerate(vec)
+        out: dict[int, Fraction] = {}
+        for j, c in items:
+            if type(c) is not Fraction:
+                c = Fraction(exact(c))
             if c:
-                residue = [a - c * b for a, b in zip(residue, row)]
-                used.append((idx, c))
+                if not 0 <= j < self.width:
+                    raise ValueError(f"column {j} outside a span of width {self.width}")
+                out[j] = c
+        return out
+
+    def _reduce(self, vec: Vector) -> tuple[dict[int, Fraction], list[tuple[int, Fraction]]]:
+        """Residue of ``vec`` modulo the span plus the ``(pivot, coefficient)``
+        pairs used.  Every row is 0 at the other rows' pivots, so the
+        residue keeps ``vec``'s entry at each pivot until that pivot's own
+        row clears it: the coefficients are ``vec``'s pivot entries."""
+        residue = self._sparse(vec)
+        rows = self._rows
+        used = [(p, residue[p]) for p in sorted(p for p in residue if p in rows)]
+        for p, c in used:
+            accumulate(residue, ((j, -c * x) for j, x in rows[p].items()))
         return residue, used
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        residue, _ = self.reduce(vec)
-        return not any(residue)
+    def contains(self, vec: Vector) -> bool:
+        residue, _ = self._reduce(vec)
+        return not residue
 
-    def add(self, vec: Sequence[Fraction], witness: Any = None) -> bool:
+    def add(self, vec: Vector, witness: Any = None) -> bool:
         """Insert a vector; returns True when the rank grew."""
-        residue, used = self.reduce(vec)
-        pivot = next((i for i, v in enumerate(residue) if v), None)
-        if pivot is None:
+        if self._rows and (witness is not None) != bool(self._witnesses):
+            raise ValueError("a span carries a witness on every row or on none")
+        residue, used = self._reduce(vec)
+        if not residue:
             return False
         if witness is not None:
-            for idx, c in used:
-                witness = witness - c * self.witnesses[idx]
+            for p, c in used:
+                witness = witness - c * self._witnesses[p]
+        pivot = min(residue)
         lead = residue[pivot]
-        row = [v / lead for v in residue]
-        if witness is not None:
-            witness = (1 / lead) * witness
-        for idx, other in enumerate(self.rows):
-            f = other[pivot]
+        if lead != 1:
+            residue = {j: v / lead for j, v in residue.items()}
+            if witness is not None:
+                witness = (1 / lead) * witness
+        for q, other in self._rows.items():
+            f = other.get(pivot)
             if f:
-                self.rows[idx] = [a - f * b for a, b in zip(other, row)]
-                if self.witnesses:
-                    self.witnesses[idx] = self.witnesses[idx] - f * witness
-        at = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(at, row)
-        self.pivots.insert(at, pivot)
-        if witness is not None or self.witnesses:
-            self.witnesses.insert(at, witness)
+                accumulate(other, ((j, -f * x) for j, x in residue.items()))
+                if witness is not None:
+                    self._witnesses[q] = self._witnesses[q] - f * witness
+        self._rows[pivot] = residue
+        insort(self._pivots, pivot)
+        if witness is not None:
+            self._witnesses[pivot] = witness
         return True
 
-    def witness_for(self, vec: Sequence[Fraction], zero: Any) -> Any | None:
+    def witness_for(self, vec: Vector, zero: Any) -> Any | None:
         """Witness combination producing ``vec``, or None when outside the span."""
-        residue, used = self.reduce(vec)
-        if any(residue):
+        if self._rows and not self._witnesses:
+            raise ValueError("this span carries no witnesses")
+        residue, used = self._reduce(vec)
+        if residue:
             return None
         combo = zero
-        for idx, c in used:
-            combo = combo + c * self.witnesses[idx]
+        for p, c in used:
+            combo = combo + c * self._witnesses[p]
         return combo
 
 
@@ -161,29 +201,35 @@ class Subspace:
     def dim(self) -> int:
         return self._span.dim
 
-    def vector(self, poly: PermPolynomial) -> list[Fraction]:
-        vec = [_ZERO] * len(self.monomials)
+    def _coordinates(self, poly: PermPolynomial) -> dict[int, Fraction]:
+        """``poly`` as a sparse ``{axis index: coefficient}`` vector."""
+        index = self._index
+        out: dict[int, Fraction] = {}
         for m, c in poly.items():
-            i = self._index.get(m)
+            i = index.get(m)
             if i is None:
                 raise ValueError(f"monomial {m} outside this component")
-            vec[i] = c
-        return vec
+            out[i] = c
+        return out
+
+    def vector(self, poly: PermPolynomial) -> list[Fraction]:
+        return self._span._dense(self._coordinates(poly))
 
     def add(self, poly: PermPolynomial, witness: Any = None) -> bool:
-        return self._span.add(self.vector(poly), witness)
+        return self._span.add(self._coordinates(poly), witness)
 
     def contains(self, poly: PermPolynomial) -> bool:
         try:
-            vec = self.vector(poly)
+            vec = self._coordinates(poly)
         except ValueError:
             return False
         return self._span.contains(vec)
 
     def basis(self) -> list[PermPolynomial]:
+        monos, span = self.monomials, self._span
         return [
-            PermPolynomial._of({m: c for m, c in zip(self.monomials, row) if c})
-            for row in self._span.rows
+            PermPolynomial._of({monos[i]: row[i] for i in sorted(row)})
+            for row in (span._rows[p] for p in span._pivots)
         ]
 
     @property
@@ -192,7 +238,7 @@ class Subspace:
         return list(self._span.witnesses)
 
     def witness_for(self, poly: PermPolynomial, zero: Any) -> Any | None:
-        return self._span.witness_for(self.vector(poly), zero)
+        return self._span.witness_for(self._coordinates(poly), zero)
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, width={len(self.monomials)})"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from permalg.expr import Comm, ExprSum, left_normed
 from permalg.lie import (
+    _lie_component,
     MLMonomial,
     NotLieElement,
     dynkin,
@@ -15,7 +16,8 @@ from permalg.lie import (
     lie_span_oracle,
     ml_basis,
 )
-from permalg.perm import PermPolynomial, enumerate_basis
+from permalg.linalg import Subspace
+from permalg.perm import PermPolynomial, enumerate_basis, multidegrees, sub_multidegrees
 
 x = PermPolynomial.from_word
 
@@ -158,3 +160,40 @@ def test_left_normed_collapse_law_exhaustive():
             for i in word[2:]:
                 short = short * PermPolynomial.generator(i)
             assert full == short
+
+
+def _all_splits_closure(md, memo):
+    """A slice closed under brackets of every pair of lower slices, over
+    every split and in both orientations: the closure ``_lie_component``
+    replaced with one-letter brackets."""
+    if md in memo:
+        return memo[md]
+    k, n = len(md), sum(md)
+    space = memo[md] = Subspace(enumerate_basis(k, n, md))
+    if n == 1:
+        space.add(PermPolynomial.generator(md.index(1) + 1))
+        return space
+    for alpha, beta in sub_multidegrees(md):
+        for u in _all_splits_closure(alpha, memo).basis():
+            for v in _all_splits_closure(beta, memo).basis():
+                space.add(u * v - v * u)
+    return space
+
+
+def test_one_letter_closure_matches_all_splits_closure():
+    """Bracketing with one letter spans what bracketing every pair of lower
+    slices spans: the same echelon rows on every multidegree with k <= 3
+    letters and degree n <= 6."""
+    memo = {}
+    for k in (1, 2, 3):
+        for n in range(1, 7):
+            for md in multidegrees(k, n):
+                fast, slow = _lie_component(md), _all_splits_closure(md, memo)
+                assert fast.monomials == slow.monomials
+                assert fast._span.pivots == slow._span.pivots, md
+                assert fast.basis() == slow.basis(), md
+
+
+def test_oracle_multilinear_dimension_to_degree_8():
+    for n in range(2, 9):
+        assert lie_span_oracle(n, n, (1,) * n).dim == n - 1

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from permalg.linalg import Span, Subspace, rref, span_solve, solve_coordinates
 from permalg.perm import PermPolynomial, enumerate_basis
@@ -117,3 +118,128 @@ def test_subspace_pivots_increasing():
     rebuilt = sub.basis()
     for p in rebuilt:
         assert sub.contains(p)
+
+
+def test_span_rejects_float_entries():
+    """A float is not the number it was written as; every entry point that
+    takes a vector refuses one, zero included."""
+    span = Span(2)
+    with pytest.raises(TypeError):
+        span.add([0.1, 0])
+    with pytest.raises(TypeError):
+        span.add({0: 0.25})
+    assert span.add([F(1), 0])
+    with pytest.raises(TypeError):
+        span.contains([0.5, 0])
+    witnessed = Span(2)
+    witnessed.add([F(1), 0], F(1))
+    with pytest.raises(TypeError):
+        witnessed.witness_for([F(1), 0.0], F(0))
+    with pytest.raises(TypeError):
+        rref([[0.5, 1]])
+    with pytest.raises(TypeError):
+        solve_coordinates([[0.1]], [0.2])
+    with pytest.raises(TypeError):
+        solve_coordinates([[F(1)]], [0.2])
+    assert span.dim == 1
+
+
+def test_span_rejects_vectors_off_its_axis():
+    span = Span(2)
+    with pytest.raises(ValueError):
+        span.add([F(1)])
+    with pytest.raises(ValueError):
+        span.add({2: F(1)})
+    assert span.add({1: 3})
+    assert span.rows == [[F(0), F(1)]]
+
+
+def test_span_witnesses_on_every_row_or_none():
+    plain = Span(2)
+    plain.add([F(1), F(0)])
+    with pytest.raises(ValueError, match="every row or on none"):
+        plain.add([F(0), F(1)], F(1))
+    with pytest.raises(ValueError, match="no witnesses"):
+        plain.witness_for([F(1), F(0)], F(0))
+    witnessed = Span(2)
+    witnessed.add([F(2), F(0)], F(1))
+    with pytest.raises(ValueError, match="every row or on none"):
+        witnessed.add([F(0), F(1)])
+    assert witnessed.witness_for([F(1), F(0)], F(0)) == F(1, 2)
+    assert (plain.dim, witnessed.dim) == (1, 1)
+
+
+class Combo(dict):
+    """Formal combination ``{index of an added vector: coefficient}``."""
+
+    def __add__(self, other):
+        out = Combo(self)
+        for i, c in other.items():
+            out[i] = out.get(i, 0) + c
+        return Combo({i: c for i, c in out.items() if c})
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __rmul__(self, c):
+        return Combo({i: c * v for i, v in self.items() if c * v})
+
+
+WIDTH = 4
+small = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3)
+)
+vectors = st.lists(small, min_size=WIDTH, max_size=WIDTH)
+
+
+class SpanMachine(RuleBasedStateMachine):
+    """Random adds and lookups keep ``Span`` a reduced row echelon form
+    whose witnesses rebuild its rows from the vectors that were added."""
+
+    def __init__(self):
+        super().__init__()
+        self.span = Span(WIDTH)
+        self.added: list[list[Fraction]] = []
+
+    def rebuild(self, combo):
+        out = [F(0)] * WIDTH
+        for i, c in combo.items():
+            out = [a + c * b for a, b in zip(out, self.added[i])]
+        return out
+
+    @rule(vec=vectors)
+    def add(self, vec):
+        before, inside = self.span.dim, self.span.contains(vec)
+        self.added.append(vec)
+        grew = self.span.add(vec, Combo({len(self.added) - 1: F(1)}))
+        assert grew is not inside
+        assert self.span.dim == before + grew
+        assert self.span.contains(vec)
+
+    @precondition(lambda self: self.added)
+    @rule(vec=vectors)
+    def witness(self, vec):
+        combo = self.span.witness_for(vec, Combo())
+        if self.span.contains(vec):
+            assert self.rebuild(combo) == vec
+        else:
+            assert combo is None
+
+    @invariant()
+    def reduced_echelon(self):
+        rows, pivots = self.span.rows, self.span.pivots
+        assert len(rows) == len(pivots) == self.span.dim
+        assert all(a < b for a, b in zip(pivots, pivots[1:]))
+        for row, p in zip(rows, pivots):
+            assert not any(row[:p])
+            assert [row[q] for q in pivots] == [F(q == p) for q in pivots]
+
+    @invariant()
+    def witnesses_map_to_rows(self):
+        if self.added:
+            for row, combo in zip(self.span.rows, self.span.witnesses, strict=True):
+                assert self.rebuild(combo) == row
+
+
+SpanMachine.TestCase.settings = settings(max_examples=25, stateful_step_count=10, deadline=None)
+TestSpanMachine = SpanMachine.TestCase

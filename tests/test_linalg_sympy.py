@@ -1,0 +1,58 @@
+"""``Span``, ``rref`` and ``solve_coordinates`` against sympy's exact
+row reduction on small rational matrices."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from permalg.linalg import Span, rref, solve_coordinates
+
+sympy = pytest.importorskip("sympy")
+
+entries = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=4)
+)
+
+
+def matrices(max_rows=5, max_cols=5):
+    return st.integers(1, max_cols).flatmap(
+        lambda c: st.lists(st.lists(entries, min_size=c, max_size=c), min_size=1, max_size=max_rows)
+    )
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
+
+
+def to_fractions(matrix):
+    return [[Fraction(int(v.p), int(v.q)) for v in matrix.row(i)] for i in range(matrix.rows)]
+
+
+@given(matrices())
+def test_rref_and_span_match_sympy(rows):
+    reduced, pivots = to_sympy(rows).rref()
+    expected = to_fractions(reduced)[: len(pivots)]
+    assert rref(rows) == (expected, list(pivots))
+    span = Span(len(rows[0]))
+    for row in rows:
+        span.add(row)
+    assert span.dim == len(pivots)
+    assert span.rows == expected
+    assert span.pivots == list(pivots)
+
+
+@given(matrices(), st.data())
+def test_solve_coordinates_matches_sympy(columns, data):
+    target = data.draw(st.lists(entries, min_size=len(columns[0]), max_size=len(columns[0])))
+    a = to_sympy(columns).T
+    b = to_sympy([[t] for t in target])
+    try:
+        solution, params = a.gauss_jordan_solve(b)
+    except ValueError:  # inconsistent
+        expected = None
+    else:
+        solution = solution.subs({p: 0 for p in params})  # free variables 0
+        expected = [row[0] for row in to_fractions(solution)]
+    assert solve_coordinates(columns, target) == expected
