@@ -80,65 +80,7 @@ _EXPORTS = {
 }
 _LIBRARY = frozenset(_EXPORTS.values())
 
-__all__ = [
-    "AlgebraFormatError",
-    "Anti",
-    "BasisSplit",
-    "Comm",
-    "Envelope",
-    "EnvelopeMonomial",
-    "ExprSum",
-    "ExprSyntaxError",
-    "FElement",
-    "GeneratorTable",
-    "GrowthReport",
-    "IdentityTemplate",
-    "IdentityVerdict",
-    "InvalidLieAlgebra",
-    "Leaf",
-    "MLMonomial",
-    "MetabelianLieAlgebra",
-    "NotJordanElement",
-    "NotLieElement",
-    "PermMonomial",
-    "PermPolynomial",
-    "Prod",
-    "RewriteRule",
-    "Slot",
-    "Span",
-    "Subspace",
-    "associator",
-    "bn_basis",
-    "canonicalize",
-    "check_identity",
-    "cohn_witness",
-    "dimension",
-    "dynkin",
-    "enumerate_basis",
-    "expand_bn",
-    "expand_node",
-    "f_comb",
-    "head",
-    "ideal_component",
-    "is_lie",
-    "jordan_express",
-    "left_normed",
-    "lie_express",
-    "lie_span_oracle",
-    "load_algebra",
-    "ml_basis",
-    "parse_envelope_expr",
-    "parse_expr",
-    "parse_template",
-    "parse_word",
-    "sj_closure_oracle",
-    "sj_span",
-    "span_solve",
-    "split_basis",
-    "to_bn",
-    "verify_J_identities",
-    "verify_perm_plus_identities",
-]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):

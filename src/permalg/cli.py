@@ -48,7 +48,7 @@ def _poly_json(p: PermPolynomial) -> list[dict]:
 
 
 def _parse_or_usage(parser, *args):
-    # ExprSyntaxError and UnboundSlotError are ValueErrors
+    # ExprSyntaxError, UnboundSlotError and check_identity's slot limit are ValueErrors
     try:
         return parser(*args)
     except ValueError as exc:
@@ -182,9 +182,7 @@ def check_identity_cmd(template_text: str, polarized: bool, as_json: bool) -> No
     from .parser import parse_template
 
     template = _parse_or_usage(parse_template, template_text)
-    if template.arity > 6:
-        raise click.UsageError("templates with more than 6 slots are not supported")
-    verdict = check_identity(template, "polarized" if polarized else "multilinear")
+    verdict = _parse_or_usage(check_identity, template, "polarized" if polarized else "multilinear")
     data = {
         "template": template_text,
         "mode": verdict.mode,

@@ -29,13 +29,17 @@ has coefficient sum ``2^(m-1)``, so the ``f``-element of a degree-``n``
 word expands to ``2^(n-3)`` times that word.  Every component of degree
 ``>= 3`` is thus expressible through anticommutators without linear
 algebra, and the ``f``-elements are a basis.
+
+Slices are values computed per call: ``_sj_rows`` gives the echelon rows
+of a multidegree slice in closed form (a letter, the anticommutator of
+two letters, or from degree 3 on every word), and nothing is kept between
+calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .expr import (
@@ -80,6 +84,7 @@ __all__ = [
     "verify_perm_plus_identities",
 ]
 
+_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
@@ -239,32 +244,32 @@ def _word_terms(mono: PermMonomial, coeff: Fraction) -> list[tuple[Fraction, Nod
     return _f_terms(coeff / 2 ** (mono.degree - 3), mono.head, mono.tail)
 
 
-@lru_cache(maxsize=None)
-def _sj_component(md: tuple[int, ...]) -> Subspace:
-    """Witness-carrying span of one multidegree slice of the anticommutator
-    subalgebra: a letter, the anticommutator of two letters, or from
-    degree 3 on the whole component, one word per row with its ``f``-element
-    witness.  :func:`sj_closure_oracle` rebuilds it by closure."""
-    k = len(md)
-    n = sum(md)
-    space = Subspace(enumerate_basis(k, n, md))
+def _sj_rows(md: tuple[int, ...]) -> list[tuple[PermPolynomial, list[tuple[Fraction, Node]]]]:
+    """Echelon rows of one multidegree slice of the anticommutator
+    subalgebra, in pivot order, each with its witness as ``(coeff, node)``
+    terms: a letter; the anticommutator of two letters, scaled to lead 1;
+    or from degree 3 on the whole component, one word per row with its
+    ``f``-element witness.  :func:`sj_closure_oracle` rebuilds the slice
+    by closure."""
     word = letters(md)
-    if n == 1:
-        space.add(PermPolynomial.generator(word[0]), ExprSum.of(Leaf(word[0])))
-    elif n == 2:
+    if len(word) == 1:
+        return [(PermPolynomial.generator(word[0]), [(_ONE, Leaf(word[0]))])]
+    if len(word) == 2:
         lo, hi = word
-        u, v = PermPolynomial.generator(lo), PermPolynomial.generator(hi)
-        space.add(u * v + v * u, ExprSum.of(Anti(Leaf(hi), Leaf(lo))))
-    else:
-        for m in space.monomials:
-            space.add(PermPolynomial.from_monomial(m), ExprSum(_word_terms(m, Fraction(1))))
-    return space
+        if lo == hi:  # {x,x} = 2*x*x
+            return [(PermPolynomial.from_word(word), [(_HALF, Anti(Leaf(lo), Leaf(lo)))])]
+        row = PermPolynomial.from_word((lo, hi)) + PermPolynomial.from_word((hi, lo))
+        return [(row, [(_ONE, Anti(Leaf(hi), Leaf(lo)))])]
+    return [
+        (PermPolynomial.from_monomial(m), _word_terms(m, _ONE))
+        for m in enumerate_basis(len(md), len(word), md)
+    ]
 
 
 def sj_closure_oracle(multidegree: Sequence[int]) -> Subspace:
     """One multidegree slice of the anticommutator subalgebra, by closing
     lower slices under the product: an independent check of
-    :func:`_sj_component` that does not use the ``2^(n-3)`` law.
+    :func:`_sj_rows` that does not use the ``2^(n-3)`` law.
 
     A slice stops growing once it has full rank; the closure only adds, so
     nothing it would add later can change it.
@@ -301,9 +306,8 @@ def sj_span(k: int, n: int) -> Subspace:
         raise ValueError("need k >= 1 and n >= 1")
     space = Subspace(enumerate_basis(k, n))
     for md in multidegrees(k, n):
-        part = _sj_component(md)
-        for p, w in zip(part.basis(), part.expressions):
-            space.add(p, w)
+        for row, witness in _sj_rows(md):
+            space.add(row, ExprSum(witness))
     return space
 
 
@@ -318,12 +322,13 @@ class NotJordanElement(ValueError):
 def jordan_express(g: PermPolynomial) -> ExprSum:
     """An anticommutator expression whose expansion equals ``g`` exactly.
 
-    Works one multidegree component at a time.  A letter is itself.  A
-    degree-2 component needs the symmetric part only; antisymmetric content
-    raises :class:`NotJordanElement`.  From degree 3 on every component
-    succeeds: by the ``2^(n-3)`` law of this module a word ``w`` of degree
-    ``n`` is ``f(w) / 2^(n-3)``, so ``sum c_w w`` is
-    ``sum c_w / 2^(n-3) * f(w)`` with no linear algebra.
+    Works one multidegree component at a time, with no linear algebra.  A
+    letter is itself.  A degree-2 slice is the single row ``{x_a,x_b}``
+    scaled to lead 1, so a degree-2 component must be its coefficient at
+    the row's lead word times the row; anything else raises
+    :class:`NotJordanElement`.  From degree 3 on every component succeeds:
+    by the ``2^(n-3)`` law of this module a word ``w`` of degree ``n`` is
+    ``f(w) / 2^(n-3)``, so ``sum c_w w`` is ``sum c_w / 2^(n-3) * f(w)``.
     """
     if g.is_zero:
         return ExprSum.zero()
@@ -334,10 +339,13 @@ def jordan_express(g: PermPolynomial) -> ExprSum:
         if n == 1:
             terms += [(c, Leaf(m.head)) for m, c in comp.items()]
         elif n == 2:
-            witness = _sj_component(md).witness_for(comp, ExprSum.zero())
-            if witness is None:
+            # the slice is one row; comp must be a multiple of it
+            ((row, witness),) = _sj_rows(md)
+            lead, _ = row.terms()[0]
+            c = comp.coefficient(lead)
+            if comp != c * row:
                 raise NotJordanElement(comp)
-            terms += [(c, node) for node, c in witness.terms]
+            terms += [(c * a, node) for a, node in witness]
         else:
             for m, c in comp.items():
                 terms += _word_terms(m, c)
@@ -379,6 +387,7 @@ def ideal_component(
         by_mdeg.setdefault(md, []).append(g)
 
     memo: dict[tuple[int, ...], Subspace] = {}
+    sj_basis: dict[tuple[int, ...], list[PermPolynomial]] = {}  # anticommutator slices
 
     def slice_of(md: tuple[int, ...]) -> Subspace:
         if md in memo:
@@ -400,9 +409,10 @@ def ideal_component(
                     space.add(p * letter)
         else:
             for delta, rest in sub_multidegrees(md):
-                mult = _sj_component(delta)
+                if delta not in sj_basis:
+                    sj_basis[delta] = [s for s, _ in _sj_rows(delta)]
                 for p in slice_of(rest).basis():
-                    for s in mult.basis():
+                    for s in sj_basis[delta]:
                         space.add(p * s + s * p)
         return space
 
@@ -462,7 +472,7 @@ def cohn_witness() -> CohnWitnessReport:
     target = (2, 1)
     ideal_slice = ideal_component("jordan", gens, target)
     perm_slice = ideal_component("perm", gens, target)
-    sj_slice = _sj_component(target)
+    sj_slice = Subspace(enumerate_basis(2, 3, target), [row for row, _ in _sj_rows(target)])
     b = (wrap(x).prod(x)).anti(y).expand()  # x*x*y + y*x*x
     return CohnWitnessReport(
         witness=b,

@@ -10,13 +10,14 @@ brute-force bracket closure, independently of that criterion.
 The closure works one multidegree slice at a time and brackets each lower
 slice with one letter: a Lie subalgebra generated by a set is spanned by
 the left-normed brackets of its elements, so one-letter brackets of the
-lower slices reach every bracket of the slice.
+lower slices reach every bracket of the slice.  Slices are computed per
+call: a call of ``lie_span_oracle`` builds the lower slices it needs in a
+dict of its own and keeps nothing once it returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import NamedTuple, Sequence
 
@@ -163,8 +164,7 @@ def ml_basis(
     return sorted(out)
 
 
-@lru_cache(maxsize=None)
-def _lie_component(md: tuple[int, ...]) -> Subspace:
+def _lie_component(md: tuple[int, ...], memo: dict[tuple[int, ...], Subspace]) -> Subspace:
     """Bracket-closure span of one multidegree slice, built inductively.
 
     The slice is spanned by ``[u, x_i]`` for ``u`` in the slice of
@@ -173,10 +173,13 @@ def _lie_component(md: tuple[int, ...]) -> Subspace:
     as ``[[u, v], w] - [[u, w], v]``), and a left-normed bracket ends in one
     letter.  Bracketing pairs of lower slices over every split spans the
     same subspace, so the echelon rows are the same, at many more products.
+    Slices already built are looked up in ``memo``, and new ones stored there.
     """
+    if md in memo:
+        return memo[md]
     k = len(md)
     n = sum(md)
-    space = Subspace(enumerate_basis(k, n, md))
+    space = memo[md] = Subspace(enumerate_basis(k, n, md))
     if n == 1:
         gen = md.index(1) + 1
         space.add(PermPolynomial.generator(gen))
@@ -185,7 +188,7 @@ def _lie_component(md: tuple[int, ...]) -> Subspace:
         if not e:
             continue
         x = PermPolynomial.generator(i + 1)
-        for u in _lie_component(md[:i] + (e - 1,) + md[i + 1 :]).basis():
+        for u in _lie_component(md[:i] + (e - 1,) + md[i + 1 :], memo).basis():
             space.add(u * x - x * u)
     return space
 
@@ -196,15 +199,14 @@ def lie_span_oracle(
     """Degree-``n`` slice of the commutator subalgebra, by brute-force closure."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
+    memo: dict[tuple[int, ...], Subspace] = {}
     if multidegree is not None:
         md = tuple(multidegree)
         if len(md) != k or sum(md) != n:
             raise ValueError("multidegree must have length k and total n")
-        # a copy: the memoised slice is shared by every later call
-        component = _lie_component(md)
-        return Subspace(component.monomials, component.basis())
+        return _lie_component(md, memo)
     space = Subspace(enumerate_basis(k, n))
     for md in multidegrees(k, n):
-        for p in _lie_component(md).basis():
+        for p in _lie_component(md, memo).basis():
             space.add(p)
     return space

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .linalg import Span, rref
-from .perm import accumulate, exact, format_linear
+from .perm import accumulate, exact
 
 __all__ = [
     "AlgebraFormatError",
@@ -168,10 +168,6 @@ class MetabelianLieAlgebra:
                 if r:
                     report.metabelian_violations.append(((a, b, c, d), r))
         return report
-
-    def vector_str(self, v: Vec) -> str:
-        items = sorted(v.items())
-        return format_linear((c, self.labels[i - 1]) for i, c in items)
 
     def __repr__(self) -> str:
         return f"MetabelianLieAlgebra(dim={self.dim}, labels={self.labels})"

@@ -244,20 +244,6 @@ class PermPolynomial:
     def max_generator(self) -> int:
         return max((max(m.word()) for m in self._terms), default=0)
 
-    def max_degree(self) -> int:
-        return max((m.degree for m in self._terms), default=0)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {m.degree for m in self._terms}
-        return len(degrees) <= 1
-
-    def homogeneous_components(self) -> dict[int, "PermPolynomial"]:
-        """Split by total degree; keys ascending."""
-        buckets: dict[int, dict[PermMonomial, Fraction]] = {}
-        for m, c in self._terms.items():
-            buckets.setdefault(m.degree, {})[m] = c
-        return {d: PermPolynomial._of(buckets[d]) for d in sorted(buckets)}
-
     def multidegree_components(self, k: int | None = None) -> dict[tuple[int, ...], "PermPolynomial"]:
         """Split by exponent vector over generators ``1..k``; keys ascending."""
         if k is None:

@@ -22,7 +22,7 @@ from permalg.jordan import (
     verify_perm_plus_identities,
 )
 from permalg.linalg import Subspace
-from permalg.perm import PermPolynomial, dimension, enumerate_basis
+from permalg.perm import PermPolynomial, dimension, enumerate_basis, multidegrees
 
 x = PermPolynomial.from_word
 
@@ -43,14 +43,14 @@ def test_sj_span_dimensions():
     assert sj_span(3, 2).dim == 6  # k(k+1)/2
     assert sj_span(1, 5).dim == 1
     # multilinear degree-3 slice is everything
-    from permalg.jordan import _sj_component
+    from permalg.jordan import _sj_rows
 
-    assert _sj_component((1, 1, 1)).dim == 3
+    assert len(_sj_rows((1, 1, 1))) == 3
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_closed_form_slices_match_closure_oracle(k):
-    from permalg.jordan import _sj_component
+    from permalg.jordan import _sj_rows
 
     for n in range(1, 8):
         for md in (md for md in product(range(n + 1), repeat=k) if sum(md) == n):
@@ -61,10 +61,10 @@ def test_closed_form_slices_match_closure_oracle(k):
                     word = PermPolynomial.from_monomial(m)
                     assert FElement(m.head, m.tail).expand() == 2 ** (n - 3) * word
                 assert oracle.dim == len(oracle.monomials)
-            closed = _sj_component(md)
-            assert closed.basis() == oracle.basis()
-            for row, witness in zip(closed.basis(), closed.expressions):
-                assert witness.expand() == row
+            closed = _sj_rows(md)
+            assert [row for row, _ in closed] == oracle.basis()
+            for row, witness in closed:
+                assert ExprSum(witness).expand() == row
 
 
 def test_sj_span_witnesses_expand_to_rows():
@@ -94,6 +94,27 @@ def test_jordan_express_examples():
     with pytest.raises(NotJordanElement) as err:
         jordan_express(x((1, 2)))
     assert err.value.component == x((1, 2))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_jordan_express_degree_two_exhaustive(k):
+    """Every coefficient vector in {-2..2} on the words of every degree-2
+    multidegree: the closed form fails exactly where the closure oracle
+    finds no witness, and otherwise gives the oracle's witness."""
+    for md in multidegrees(k, 2):
+        monos = enumerate_basis(k, 2, md)
+        oracle = sj_closure_oracle(md)
+        for coeffs in product(range(-2, 3), repeat=len(monos)):
+            g = PermPolynomial(zip(monos, coeffs))
+            expected = oracle.witness_for(g, ExprSum.zero())
+            if expected is None:
+                with pytest.raises(NotJordanElement) as err:
+                    jordan_express(g)
+                assert err.value.component == g
+            else:
+                got = jordan_express(g)
+                assert str(got) == str(expected)
+                assert got.expand() == g
 
 
 def test_jordan_express_mixed_degrees():
