@@ -1,4 +1,5 @@
-"""Per-layer timings of the slice closures and the row echelon.
+"""Per-layer timings of the slice closures, the row echelon and the
+coordinates read off its witnesses.
 
 Run from the repository root (not part of the default test run, which
 collects ``tests/`` only)::
@@ -9,12 +10,19 @@ The library keeps no slices between calls, so every round is cold: it
 pays for every lower slice it needs.
 """
 
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
+from permalg.envelope import Envelope
 from permalg.jordan import ideal_component, sj_span
 from permalg.lie import lie_span_oracle, ml_basis
-from permalg.linalg import Subspace
+from permalg.linalg import Subspace, span_solve
+from permalg.metabelian import load_algebra
 from permalg.perm import PermPolynomial, enumerate_basis, multidegrees
+
+ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
 
 def run(benchmark, fn, args, rounds):
@@ -33,8 +41,37 @@ def test_lie_span_oracle_4_5(benchmark):
 
 
 def test_sj_span_3_5(benchmark):
+    """Witness arithmetic: every row carries an ``ExprSum`` witness."""
     space = run(benchmark, sj_span, (3, 5), 20)
     assert space.dim == len(space.monomials)
+
+
+def test_span_solve_dependent_degree_5(benchmark):
+    """Coordinates over the 5 words of a degree-5 component from 9
+    vectors, 4 of which depend on earlier ones and get coordinate 0."""
+    words = enumerate_basis(5, 5, (1,) * 5)
+
+    def poly(*coeffs):
+        return PermPolynomial(zip(words, map(Fraction, coeffs)))
+
+    a, b, c = poly(1, 2, 3, 4, 6), poly(0, 1, -1, 2, 5), poly(3, 0, 1, 1, -2)
+    w0, w4 = poly(1, 0, 0, 0, 0), poly(0, 0, 0, 0, 1)
+    vectors = [a, a.scale(2), b, a - b.scale(Fraction(3, 2)), c, w0, c + w0, b + c + w0, w4]
+    target = poly(7, -1, 3, 0, 5)
+    coords = run(benchmark, span_solve, (vectors, target), 200)
+    assert [coords[j] for j in (1, 3, 6, 7)] == [0] * 4
+    rebuilt = PermPolynomial.zero()
+    for v, x in zip(vectors, coords):
+        rebuilt = rebuilt + v.scale(x)
+    assert rebuilt == target
+
+
+def test_envelope_skew2(benchmark):
+    """``Envelope`` set-up on an algebra whose ``split_basis`` changes the
+    basis, so the adapted coordinates are read off witnesses."""
+    algebra = load_algebra(ALGEBRAS / "skew2.json")
+    env = run(benchmark, Envelope, (algebra,), 200)
+    assert env.split.changed_basis
 
 
 def test_ideal_component_jordan_2_2_1(benchmark):

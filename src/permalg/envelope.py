@@ -210,21 +210,12 @@ class Envelope:
         return accumulate({}, ((EnvelopeMonomial(i), c) for i, c in sorted(v.items())))
 
     def rules(self) -> list[RewriteRule]:
-        out = []
-        for y in range(1, self.y_count + 1):
-            for z in self.z_indices:
-                image = self.dotted(self.algebra.bracket_basis(y, z))
-                out.append(RewriteRule(EnvelopeMonomial(y, (z,)), tuple(sorted(image.items()))))
-        for j in self.z_indices:
-            for i in self.z_indices:
-                if i <= j:
-                    continue
-                reduct = accumulate(
-                    {EnvelopeMonomial(j, (i,)): _ONE},
-                    self.dotted(self.algebra.bracket_basis(i, j)).items(),
-                )
-                out.append(RewriteRule(EnvelopeMonomial(i, (j,)), tuple(sorted(reduct.items()))))
-        return out
+        """The length-two rules: every ``y' z``, then ``z_i' z_j`` for
+        ``i > j`` with ``z_j`` outer; each reduct is one :meth:`_absorb` step."""
+        zs = self.z_indices
+        redexes = [EnvelopeMonomial(y, (z,)) for y in range(1, self.y_count + 1) for z in zs]
+        redexes += [EnvelopeMonomial(i, (j,)) for j in zs for i in zs if i > j]
+        return [RewriteRule(m, tuple(sorted(self._absorb(m, m.tail[0]).items()))) for m in redexes]
 
     def rule_str(self, rule: RewriteRule, unicode: bool = False) -> str:
         return (

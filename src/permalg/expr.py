@@ -3,10 +3,11 @@
 Trees have five node kinds: generator leaves, template slots, associative
 products, commutators ``[a,b] = ab - ba`` and anticommutators
 ``{a,b} = ab + ba``.  Sums and scalar multiples are not tree nodes; they
-live in :class:`ExprSum`, a formal rational combination of trees, and all
-product helpers expand bilinearly over it.  Identity checking substitutes
-generators for slots and expands: because the tree operations are defined
-in every perm algebra, an identity holds in all of them exactly when the
+live in :class:`ExprSum`, a formal rational combination of trees whose
+terms are ordered only when printed, and all product helpers expand
+bilinearly over it.  Identity checking substitutes generators for slots
+and expands: because the tree operations are defined in every perm
+algebra, an identity holds in all of them exactly when the
 distinct-generator substitution expands to zero.
 """
 
@@ -14,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .perm import PermPolynomial, accumulate, exact, format_linear
+from .perm import Combination, PermPolynomial, accumulate, exact
 
 __all__ = [
     "Anti",
@@ -69,7 +70,7 @@ class Anti:
 
 Node = Union[Leaf, Slot, Prod, Comm, Anti]
 
-_BINARY = (Prod, Comm, Anti)
+_ONE = Fraction(1)
 
 
 class UnboundSlotError(ValueError):
@@ -110,105 +111,67 @@ def substitute_node(e: Node, mapping: Mapping[int, Node]) -> Node:
     return type(e)(substitute_node(e.left, mapping), substitute_node(e.right, mapping))
 
 
-def node_size(e: Node) -> int:
-    if isinstance(e, (Leaf, Slot)):
-        return 1
-    return node_size(e.left) + node_size(e.right)
+_TAGS = {Prod: 2, Comm: 3, Anti: 4}
 
 
 def node_key(e: Node):
-    """Deterministic structural sort key (size first, then shape)."""
+    """Deterministic structural sort key (size first, then shape); a key's
+    first entry is the tree's leaf count."""
     if isinstance(e, Leaf):
         return (1, 0, e.index)
     if isinstance(e, Slot):
         return (1, 1, e.index)
-    tag = {Prod: 2, Comm: 3, Anti: 4}[type(e)]
-    return (node_size(e), tag, node_key(e.left), node_key(e.right))
+    left, right = node_key(e.left), node_key(e.right)
+    return (left[0] + right[0], _TAGS[type(e)], left, right)
 
 
 def _slot_name(i: int) -> str:
     return chr(ord("a") + i - 1) if 1 <= i <= 26 else f"s{i}"
 
 
-def node_str(e: Node, name: Callable[[int], str] | None = None) -> str:
-    name = name or (lambda i: f"x{i}")
+def node_str(e: Node) -> str:
     if isinstance(e, Leaf):
-        return name(e.index)
+        return f"x{e.index}"
     if isinstance(e, Slot):
         return _slot_name(e.index)
     if isinstance(e, Comm):
-        return f"[{node_str(e.left, name)},{node_str(e.right, name)}]"
+        return f"[{node_str(e.left)},{node_str(e.right)}]"
     if isinstance(e, Anti):
-        return f"{{{node_str(e.left, name)},{node_str(e.right, name)}}}"
+        return f"{{{node_str(e.left)},{node_str(e.right)}}}"
     # associative product: keep left-normed chains flat
-    left = node_str(e.left, name)
-    right = node_str(e.right, name)
+    left = node_str(e.left)
+    right = node_str(e.right)
     if isinstance(e.right, Prod):
         right = f"({right})"
     return f"{left}*{right}"
 
 
-class ExprSum:
-    """Formal rational combination of expression trees."""
+class ExprSum(Combination):
+    """Formal rational combination of expression trees; its terms are
+    ordered by :func:`node_key` when printed or read through ``terms()``."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+
+    _key = staticmethod(node_key)
+    _text = staticmethod(node_str)
 
     def __init__(self, terms: Iterable[tuple[Fraction | int, Node]] = ()):
-        data = accumulate({}, ((node, exact(coeff)) for coeff, node in terms))
-        self._terms = tuple(sorted(data.items(), key=lambda kv: node_key(kv[0])))
+        self._terms = accumulate({}, ((node, exact(coeff)) for coeff, node in terms))
 
     @classmethod
     def of(cls, node: Node) -> "ExprSum":
-        return cls(((Fraction(1), node),))
-
-    @classmethod
-    def zero(cls) -> "ExprSum":
-        return cls()
-
-    @property
-    def terms(self) -> tuple[tuple[Node, Fraction], ...]:
-        return self._terms
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ExprSum):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._terms)
-
-    def __add__(self, other: "ExprSum") -> "ExprSum":
-        if not isinstance(other, ExprSum):
-            return NotImplemented
-        return ExprSum(
-            [(c, n) for n, c in self._terms] + [(c, n) for n, c in other._terms]
-        )
-
-    def __sub__(self, other: "ExprSum") -> "ExprSum":
-        if not isinstance(other, ExprSum):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "ExprSum":
-        return ExprSum((-c, n) for n, c in self._terms)
-
-    def __rmul__(self, coeff) -> "ExprSum":
-        if isinstance(coeff, (int, Fraction)):
-            return ExprSum((Fraction(coeff) * c, n) for n, c in self._terms)
-        return NotImplemented
+        return cls._of({node: _ONE})
 
     def _combine(self, other: "ExprSum", ctor) -> "ExprSum":
-        return ExprSum(
-            (ca * cb, ctor(na, nb))
-            for na, ca in self._terms
-            for nb, cb in other._terms
+        return ExprSum._of(
+            accumulate(
+                {},
+                (
+                    (ctor(na, nb), ca * cb)
+                    for na, ca in self._terms.items()
+                    for nb, cb in other._terms.items()
+                ),
+            )
         )
 
     def prod(self, other: "ExprSum") -> "ExprSum":
@@ -221,25 +184,21 @@ class ExprSum:
         return self._combine(wrap(other), Anti)
 
     def substitute(self, mapping: Mapping[int, Node]) -> "ExprSum":
-        return ExprSum((c, substitute_node(n, mapping)) for n, c in self._terms)
+        return ExprSum._of(
+            accumulate({}, ((substitute_node(n, mapping), c) for n, c in self._terms.items()))
+        )
 
     def slots(self) -> frozenset[int]:
         out: frozenset[int] = frozenset()
-        for n, _ in self._terms:
+        for n in self._terms:
             out |= node_slots(n)
         return out
 
     def expand(self) -> PermPolynomial:
         out = PermPolynomial.zero()
-        for node, coeff in self._terms:
+        for node, coeff in self._terms.items():
             out = out + expand_node(node).scale(coeff)
         return out
-
-    def __str__(self) -> str:
-        return format_linear((c, node_str(n)) for n, c in self._terms)
-
-    def __repr__(self) -> str:
-        return f"ExprSum({self})"
 
 
 def wrap(x: "ExprSum | Node") -> ExprSum:
@@ -266,10 +225,9 @@ def left_normed(kind: type, leaves: Sequence[Node | int]) -> Node:
 class IdentityTemplate:
     """A candidate law ``lhs = rhs`` over slot variables."""
 
-    def __init__(self, lhs: "ExprSum | Node", rhs: "ExprSum | Node", name: str = ""):
+    def __init__(self, lhs: "ExprSum | Node", rhs: "ExprSum | Node"):
         self.lhs = wrap(lhs)
         self.rhs = wrap(rhs)
-        self.name = name
         used = self.lhs.slots() | self.rhs.slots()
         if not used:
             raise ValueError("template has no slots")

@@ -244,26 +244,31 @@ def _word_terms(mono: PermMonomial, coeff: Fraction) -> list[tuple[Fraction, Nod
     return _f_terms(coeff / 2 ** (mono.degree - 3), mono.head, mono.tail)
 
 
-def _sj_rows(md: tuple[int, ...]) -> list[tuple[PermPolynomial, list[tuple[Fraction, Node]]]]:
+def _sj_rows(md: tuple[int, ...]) -> list[PermPolynomial]:
     """Echelon rows of one multidegree slice of the anticommutator
-    subalgebra, in pivot order, each with its witness as ``(coeff, node)``
-    terms: a letter; the anticommutator of two letters, scaled to lead 1;
-    or from degree 3 on the whole component, one word per row with its
-    ``f``-element witness.  :func:`sj_closure_oracle` rebuilds the slice
-    by closure."""
+    subalgebra, in pivot order: the anticommutator of two distinct letters,
+    scaled to lead 1; otherwise the whole component, one word per row (a
+    letter, ``x*x = {x,x}/2``, or from degree 3 on every word).
+    :func:`_row_witness` gives a row's witness and
+    :func:`sj_closure_oracle` rebuilds the slice by closure."""
     word = letters(md)
-    if len(word) == 1:
-        return [(PermPolynomial.generator(word[0]), [(_ONE, Leaf(word[0]))])]
-    if len(word) == 2:
+    if len(word) == 2 and word[0] != word[1]:
         lo, hi = word
-        if lo == hi:  # {x,x} = 2*x*x
-            return [(PermPolynomial.from_word(word), [(_HALF, Anti(Leaf(lo), Leaf(lo)))])]
-        row = PermPolynomial.from_word((lo, hi)) + PermPolynomial.from_word((hi, lo))
-        return [(row, [(_ONE, Anti(Leaf(hi), Leaf(lo)))])]
-    return [
-        (PermPolynomial.from_monomial(m), _word_terms(m, _ONE))
-        for m in enumerate_basis(len(md), len(word), md)
-    ]
+        return [PermPolynomial.from_word((lo, hi)) + PermPolynomial.from_word((hi, lo))]
+    return [PermPolynomial.from_monomial(m) for m in enumerate_basis(len(md), len(word), md)]
+
+
+def _row_witness(lead: PermMonomial) -> list[tuple[Fraction, Node]]:
+    """The witness, as ``(coeff, node)`` terms, of the :func:`_sj_rows` row
+    with lead word ``lead``: the letter itself, ``{x_b,x_a}`` for the row
+    led by ``x_a*x_b`` (halved when ``a = b``, as ``{x,x} = 2*x*x``), or
+    the word's ``f``-element over ``2^(n-3)``."""
+    if not lead.tail:
+        return [(_ONE, Leaf(lead.head))]
+    if lead.degree == 2:
+        (b,) = lead.tail
+        return [(_HALF if b == lead.head else _ONE, Anti(Leaf(b), Leaf(lead.head)))]
+    return _word_terms(lead, _ONE)
 
 
 def sj_closure_oracle(multidegree: Sequence[int]) -> Subspace:
@@ -306,8 +311,8 @@ def sj_span(k: int, n: int) -> Subspace:
         raise ValueError("need k >= 1 and n >= 1")
     space = Subspace(enumerate_basis(k, n))
     for md in multidegrees(k, n):
-        for row, witness in _sj_rows(md):
-            space.add(row, ExprSum(witness))
+        for row in _sj_rows(md):
+            space.add(row, ExprSum(_row_witness(row.terms()[0][0])))
     return space
 
 
@@ -340,12 +345,12 @@ def jordan_express(g: PermPolynomial) -> ExprSum:
             terms += [(c, Leaf(m.head)) for m, c in comp.items()]
         elif n == 2:
             # the slice is one row; comp must be a multiple of it
-            ((row, witness),) = _sj_rows(md)
+            (row,) = _sj_rows(md)
             lead, _ = row.terms()[0]
             c = comp.coefficient(lead)
             if comp != c * row:
                 raise NotJordanElement(comp)
-            terms += [(c * a, node) for a, node in witness]
+            terms += [(c * a, node) for a, node in _row_witness(lead)]
         else:
             for m, c in comp.items():
                 terms += _word_terms(m, c)
@@ -355,27 +360,29 @@ def jordan_express(g: PermPolynomial) -> ExprSum:
 # ---------------------------------------------------------------------------
 # truncated ideal slices and the exceptional-quotient witness
 
+# largest total degree of an ideal slice; the closure grows fast with it
+IDEAL_DEGREE_BOUND = 8
+
 
 def ideal_component(
     ambient: str,
     generators: Sequence[PermPolynomial],
     multidegree: Sequence[int],
-    *,
-    bound: int = 8,
 ) -> Subspace:
     """One multidegree slice of the ideal generated by ``generators``.
 
     ``ambient="perm"`` closes under one-letter products on both sides (the
     two-sided associative ideal); ``ambient="jordan"`` closes under the
     anticommutator with every slice of the anticommutator subalgebra.
-    Generators must each be homogeneous in every letter separately.
+    Generators must each be homogeneous in every letter separately, and
+    the target's total degree may not exceed ``IDEAL_DEGREE_BOUND``.
     """
     if ambient not in ("perm", "jordan"):
         raise ValueError(f"unknown ambient {ambient!r}")
     target = tuple(multidegree)
     k = len(target)
-    if sum(target) > bound:
-        raise ValueError(f"multidegree total {sum(target)} exceeds bound {bound}")
+    if sum(target) > IDEAL_DEGREE_BOUND:
+        raise ValueError(f"multidegree total {sum(target)} exceeds bound {IDEAL_DEGREE_BOUND}")
     by_mdeg: dict[tuple[int, ...], list[PermPolynomial]] = {}
     for g in generators:
         if g.is_zero:
@@ -410,7 +417,7 @@ def ideal_component(
         else:
             for delta, rest in sub_multidegrees(md):
                 if delta not in sj_basis:
-                    sj_basis[delta] = [s for s, _ in _sj_rows(delta)]
+                    sj_basis[delta] = _sj_rows(delta)
                 for p in slice_of(rest).basis():
                     for s in sj_basis[delta]:
                         space.add(p * s + s * p)
@@ -472,7 +479,7 @@ def cohn_witness() -> CohnWitnessReport:
     target = (2, 1)
     ideal_slice = ideal_component("jordan", gens, target)
     perm_slice = ideal_component("perm", gens, target)
-    sj_slice = Subspace(enumerate_basis(2, 3, target), [row for row, _ in _sj_rows(target)])
+    sj_slice = Subspace(enumerate_basis(2, 3, target), _sj_rows(target))
     b = (wrap(x).prod(x)).anti(y).expand()  # x*x*y + y*x*x
     return CohnWitnessReport(
         witness=b,

@@ -5,10 +5,12 @@ memberships and solves are exact; a float entry raises ``TypeError``.
 ``Span`` is an incremental reduced row echelon form that stores each row
 sparse, as ``{column: coefficient}`` keyed by its pivot.  The rows are
 fully reduced (each is 1 at its own pivot and 0 at every other pivot), so
-reducing a vector touches only the pivots in its support.  ``rref`` and
-``solve_coordinates`` are thin wrappers over it, and ``Subspace`` pins a
-span to a concrete homogeneous component of the free perm algebra via an
-ordered monomial axis.
+reducing a vector touches only the pivots in its support.  ``Subspace``
+pins a span to a concrete homogeneous component of the free perm algebra
+via an ordered monomial axis.  Coordinates are read off witnesses:
+``span_solve`` gives the ``j``-th vector the witness ``{j: 1}``, a
+:class:`~permalg.perm.Combination` whose terms are ordered only when
+printed, and returns the coefficients of the target's witness.
 """
 
 from __future__ import annotations
@@ -18,40 +20,14 @@ from collections import Counter
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
-from .perm import PermMonomial, PermPolynomial, accumulate, exact, mono_key
+from .perm import Combination, PermMonomial, PermPolynomial, accumulate, exact, mono_key
 
-__all__ = ["Span", "Subspace", "rref", "solve_coordinates", "span_solve"]
+__all__ = ["Span", "Subspace", "span_solve"]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 Vector = Sequence[Fraction] | Mapping[int, Fraction]
-
-
-def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns the nonzero rows and their pivot columns."""
-    rows = list(rows)
-    if not rows:
-        return [], []
-    span = Span(len(rows[0]))
-    for row in rows:
-        span.add(row)
-    return span.rows, span.pivots
-
-
-def solve_coordinates(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Exact solution of ``sum c_j * columns[j] = target``; free variables are 0."""
-    m = len(target)
-    n = len(columns)
-    aug = [[columns[j][i] for j in range(n)] + [target[i]] for i in range(m)]
-    rows, pivots = rref(aug)
-    sol = [_ZERO] * n
-    for row, p in zip(rows, pivots):
-        if p == n:
-            return None  # inconsistent
-        sol[p] = row[n]
-    return sol
 
 
 class Span:
@@ -140,7 +116,7 @@ class Span:
             return False
         if witness is not None:
             for p, c in used:
-                witness = witness - c * self._witnesses[p]
+                witness = witness + (-c) * self._witnesses[p]
         pivot = min(residue)
         lead = residue[pivot]
         if lead != 1:
@@ -152,7 +128,7 @@ class Span:
             if f:
                 accumulate(other, ((j, -f * x) for j, x in residue.items()))
                 if witness is not None:
-                    self._witnesses[q] = self._witnesses[q] - f * witness
+                    self._witnesses[q] = self._witnesses[q] + (-f) * witness
         self._rows[pivot] = residue
         insort(self._pivots, pivot)
         if witness is not None:
@@ -180,22 +156,15 @@ class Subspace:
     """
 
     def __init__(
-        self,
-        monomials: Sequence[PermMonomial],
-        polynomials: Iterable[PermPolynomial] = (),
-        witnesses: Iterable[Any] | None = None,
+        self, monomials: Sequence[PermMonomial], polynomials: Iterable[PermPolynomial] = ()
     ):
         self.monomials = tuple(monomials)
         self._index = {m: i for i, m in enumerate(self.monomials)}
         if len(self._index) != len(self.monomials):
             raise ValueError("duplicate monomials in axis")
         self._span = Span(len(self.monomials))
-        if witnesses is None:
-            for p in polynomials:
-                self.add(p)
-        else:
-            for p, w in zip(polynomials, witnesses, strict=True):
-                self.add(p, w)
+        for p in polynomials:
+            self.add(p)
 
     @property
     def dim(self) -> int:
@@ -211,9 +180,6 @@ class Subspace:
                 raise ValueError(f"monomial {m} outside this component")
             out[i] = c
         return out
-
-    def vector(self, poly: PermPolynomial) -> list[Fraction]:
-        return self._span._dense(self._coordinates(poly))
 
     def add(self, poly: PermPolynomial, witness: Any = None) -> bool:
         return self._span.add(self._coordinates(poly), witness)
@@ -258,7 +224,8 @@ def span_solve(
 ) -> list[Fraction] | None:
     """Exact coordinates of ``target`` in the span of ``vectors``, or None.
 
-    All inputs must lie in a single multidegree component; mixing components
+    A vector that depends on the ones before it gets coordinate 0.  All
+    inputs must lie in a single multidegree component; mixing components
     raises ``ValueError``.
     """
     monos: set[PermMonomial] = set()
@@ -266,7 +233,10 @@ def span_solve(
         monos |= v.support()
     monos |= target.support()
     _component_of(monos)
-    if not monos:
-        return [_ZERO] * len(vectors)
     axis = Subspace(sorted(monos, key=mono_key))
-    return solve_coordinates([axis.vector(v) for v in vectors], axis.vector(target))
+    for j, v in enumerate(vectors):
+        axis.add(v, Combination._of({j: _ONE}))
+    combo = axis.witness_for(target, Combination.zero())
+    if combo is None:
+        return None
+    return [combo.coefficient(j) for j in range(len(vectors))]

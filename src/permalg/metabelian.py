@@ -18,8 +18,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .linalg import Span, rref
-from .perm import accumulate, exact
+from .linalg import Span
+from .perm import Combination, accumulate, exact
 
 __all__ = [
     "AlgebraFormatError",
@@ -238,7 +238,7 @@ class BasisSplit:
     original: MetabelianLieAlgebra
     y_count: int
     new_in_old: tuple[tuple[Fraction, ...], ...]
-    _old_to_new: tuple[tuple[Fraction, ...], ...]
+    _unit_images: tuple[Combination, ...]  # original e_i over the adapted basis
 
     @property
     def y_indices(self) -> tuple[int, ...]:
@@ -260,22 +260,21 @@ class BasisSplit:
 
     def to_adapted(self, v: Vec) -> Vec:
         """Coordinates of an original-basis vector over the adapted basis."""
-        return _apply(self._old_to_new, v)
+        return _combine(self._unit_images, v)
 
 
 def _dense(v: Vec, dim: int) -> list[Fraction]:
     return [v.get(i, _ZERO) for i in range(1, dim + 1)]
 
 
-def _apply(matrix: Sequence[Sequence[Fraction]], v: Vec) -> Vec:
-    """The square ``matrix`` times the sparse vector ``v``, both indexed from 1."""
-    dense = _dense(v, len(matrix))
+def _combine(images: Sequence[Combination], v: Vec) -> Vec:
+    """``sum v_i * images[i - 1]`` in ascending adapted index."""
     out: Vec = {}
-    for r, row in enumerate(matrix, start=1):
-        c = sum(a * b for a, b in zip(row, dense))
-        if c:
-            out[r] = c
-    return out
+    for i, c in v.items():
+        if not 1 <= i <= len(images):
+            raise ValueError(f"basis index {i} outside 1..{len(images)}")
+        accumulate(out, ((r, c * x) for r, x in images[i - 1].items()))
+    return dict(sorted(out.items()))
 
 
 def split_basis(algebra: MetabelianLieAlgebra) -> BasisSplit:
@@ -321,16 +320,19 @@ def split_basis(algebra: MetabelianLieAlgebra) -> BasisSplit:
                 base += "_"
             labels.append(base)
 
-    # invert the matrix whose columns are the new rows: rref of [M | I]
-    transpose = [[new_rows[r][c] for r in range(n)] + units[c] for c in range(n)]
-    old_to_new = [row[n:] for row in rref(transpose)[0]]
+    # each original unit vector over the adapted basis, read off witnesses:
+    # the adapted vector r carries the witness {r: 1}
+    adapted_span = Span(n)
+    for r, row in enumerate(new_rows, start=1):
+        adapted_span.add(row, Combination._of({r: _ONE}))
+    images = tuple(adapted_span.witness_for(e, Combination.zero()) for e in units)
 
     brackets: dict[tuple[int, int], Vec] = {}
     for r in range(1, n + 1):
         for s in range(r + 1, n + 1):
             u = {i + 1: c for i, c in enumerate(new_rows[r - 1]) if c}
             v = {i + 1: c for i, c in enumerate(new_rows[s - 1]) if c}
-            w = _apply(old_to_new, algebra.bracket(u, v))
+            w = _combine(images, algebra.bracket(u, v))
             if w:
                 brackets[(r, s)] = w
     adapted = MetabelianLieAlgebra(n, labels, brackets)
@@ -339,5 +341,5 @@ def split_basis(algebra: MetabelianLieAlgebra) -> BasisSplit:
         original=algebra,
         y_count=len(y_rows),
         new_in_old=tuple(tuple(row) for row in new_rows),
-        _old_to_new=tuple(tuple(row) for row in old_to_new),
+        _unit_images=images,
     )

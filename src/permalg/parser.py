@@ -181,9 +181,9 @@ class _Parser:
             raise ExprSyntaxError("scalar without a monomial", at)
         # distribute over all factors at once: each choice of one term per
         # factor is one left-nested Prod chain, and one ExprSum holds them
-        # all, so the tree is hashed and keyed once instead of once a factor
+        # all, so each tree is hashed once instead of once a factor
         terms = []
-        for choice in itertools.product(*(f.terms for f in factors)):
+        for choice in itertools.product(*(f.items() for f in factors)):
             (node, c), *rest = choice
             c *= coeff
             for right, rc in rest:
@@ -280,7 +280,7 @@ def parse_template(text: str) -> IdentityTemplate:
     table = GeneratorTable(auto_indexed=False)
     lhs = _Parser(left_text, table, slot_mode=True, slots=slots).parse()
     rhs = _Parser(right_text, table, slot_mode=True, slots=slots).parse()
-    return IdentityTemplate(lhs, rhs, name=text.strip())
+    return IdentityTemplate(lhs, rhs)
 
 
 def parse_word(text: str, table: GeneratorTable | None = None) -> tuple[int, ...]:
@@ -290,7 +290,7 @@ def parse_word(text: str, table: GeneratorTable | None = None) -> tuple[int, ...
     one tree, so a long flat word is not a deeply nested input."""
     parser = _Parser(text, table or GeneratorTable())
     coeff, factors = parser.factors()
-    if parser.peek()[0] is not None or not factors or any(len(f.terms) != 1 for f in factors):
+    if parser.peek()[0] is not None or not factors or any(len(f) != 1 for f in factors):
         raise ExprSyntaxError("expected a single product word", 0)
     letters: list[int] = []
 
@@ -307,7 +307,7 @@ def parse_word(text: str, table: GeneratorTable | None = None) -> tuple[int, ...
         raise ExprSyntaxError("expected a plain product of generators", 0)
 
     for i, factor in enumerate(factors):
-        node, c = factor.terms[0]
+        ((node, c),) = factor.items()
         coeff *= c
         if i and isinstance(node, Prod):
             raise ExprSyntaxError("word must be left-normed", 0)
@@ -328,7 +328,7 @@ def parse_envelope_expr(
     table = GeneratorTable({lbl: i for i, lbl in enumerate(labels, start=1)}, auto_indexed=False)
     expr = _Parser(text, table, envelope=True).parse()
     out: list[tuple[Fraction, int, tuple[int, ...]]] = []
-    for node, coeff in expr.terms:
+    for node, coeff in expr.terms():
         letters: list[int] = []
 
         def flatten(n) -> None:

@@ -13,9 +13,10 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
-from typing import Hashable, ItemsView, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Any, Hashable, ItemsView, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 __all__ = [
+    "Combination",
     "PermMonomial",
     "PermPolynomial",
     "accumulate",
@@ -128,14 +129,101 @@ def format_linear(items: Iterable[tuple[Fraction, str]]) -> str:
     return " ".join(parts) if parts else "0"
 
 
-class PermPolynomial:
-    """Sparse rational combination of canonical monomials.
+class Combination:
+    """Sparse rational combination: a dict from key to ``Fraction``.
 
     Instances are immutable in use: every operation returns a fresh value,
-    zero coefficients are never stored, and the zero polynomial has no terms.
+    zero coefficients are never stored, and zero has no terms.  Equality
+    holds between values of the same class only, and a combination is not
+    hashable.  A subclass names its ordering and text through ``_key`` and
+    ``_text``; ``terms()`` and ``str`` order the terms, nothing else does.
     """
 
     __slots__ = ("_terms",)
+
+    _key = staticmethod(lambda key: key)
+    _text = staticmethod(str)
+
+    @classmethod
+    def _of(cls, data: dict) -> "Combination":
+        """Wrap ``data`` without checks.  The caller guarantees no zero
+        values and ``Fraction`` values (an ``int`` would make ``int / int``
+        a float), plus whatever the subclass's constructor checks."""
+        out = cls.__new__(cls)
+        out._terms = data
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls._of({})
+
+    def terms(self) -> list[tuple[Any, Fraction]]:
+        """Terms sorted by the class's ``_key``."""
+        key = self._key
+        return sorted(self._terms.items(), key=lambda kv: key(kv[0]))
+
+    def items(self) -> ItemsView[Any, Fraction]:
+        """Terms in no particular order, for callers that only index them."""
+        return self._terms.items()
+
+    def coefficient(self, key) -> Fraction:
+        return self._terms.get(key, _ZERO)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self._terms == other._terms
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __neg__(self):
+        return self._of({k: -c for k, c in self._terms.items()})
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._of(accumulate(dict(self._terms), other._terms.items()))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, coeff: Fraction | int):
+        c = exact(coeff)
+        if not c:
+            return self.zero()
+        return self._of({k: v * c for k, v in self._terms.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __str__(self) -> str:
+        text = self._text
+        return format_linear((c, text(k)) for k, c in self.terms())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class PermPolynomial(Combination):
+    """Sparse rational combination of canonical monomials."""
+
+    __slots__ = ()
+
+    _key = staticmethod(mono_key)
 
     def __init__(
         self,
@@ -144,19 +232,6 @@ class PermPolynomial:
     ):
         items = terms.items() if isinstance(terms, Mapping) else terms
         self._terms = accumulate({}, ((_canonical(m), exact(c)) for m, c in items))
-
-    @classmethod
-    def _of(cls, data: dict[PermMonomial, Fraction]) -> "PermPolynomial":
-        """Wrap ``data`` without checks.  The caller guarantees what the
-        public constructor checks: canonical monomials, no zero values, and
-        ``Fraction`` values (an ``int`` would make ``int / int`` a float)."""
-        out = cls.__new__(cls)
-        out._terms = data
-        return out
-
-    @classmethod
-    def zero(cls) -> "PermPolynomial":
-        return cls()
 
     @classmethod
     def generator(cls, i: int) -> "PermPolynomial":
@@ -170,55 +245,8 @@ class PermPolynomial:
     def from_monomial(cls, mono: PermMonomial, coeff: Fraction | int = 1) -> "PermPolynomial":
         return cls(((mono, coeff),))
 
-    def terms(self) -> list[tuple[PermMonomial, Fraction]]:
-        """Terms sorted in the printing/echelon order."""
-        return sorted(self._terms.items(), key=lambda kv: mono_key(kv[0]))
-
-    def items(self) -> ItemsView[PermMonomial, Fraction]:
-        """Terms in no particular order, for callers that only index them."""
-        return self._terms.items()
-
-    def coefficient(self, mono: PermMonomial) -> Fraction:
-        return self._terms.get(mono, _ZERO)
-
     def support(self) -> set[PermMonomial]:
         return set(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PermPolynomial):
-            return self._terms == other._terms
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __neg__(self) -> "PermPolynomial":
-        return PermPolynomial._of({m: -c for m, c in self._terms.items()})
-
-    def __add__(self, other: "PermPolynomial") -> "PermPolynomial":
-        if not isinstance(other, PermPolynomial):
-            return NotImplemented
-        return PermPolynomial._of(accumulate(dict(self._terms), other._terms.items()))
-
-    def __sub__(self, other: "PermPolynomial") -> "PermPolynomial":
-        if not isinstance(other, PermPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, coeff: Fraction | int) -> "PermPolynomial":
-        c = exact(coeff)
-        if not c:
-            return PermPolynomial()
-        return PermPolynomial._of({m: v * c for m, v in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, PermPolynomial):
@@ -236,11 +264,6 @@ class PermPolynomial:
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
     def max_generator(self) -> int:
         return max((max(m.word()) for m in self._terms), default=0)
 
@@ -252,12 +275,6 @@ class PermPolynomial:
         for m, c in self._terms.items():
             buckets.setdefault(m.multidegree(k), {})[m] = c
         return {md: PermPolynomial._of(buckets[md]) for md in sorted(buckets)}
-
-    def __str__(self) -> str:
-        return format_linear((c, str(m)) for m, c in self.terms())
-
-    def __repr__(self) -> str:
-        return f"PermPolynomial({self})"
 
 
 _ZERO = Fraction(0)

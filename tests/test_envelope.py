@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ from permalg.envelope import (
     split_basis,
 )
 from permalg.parser import parse_envelope_expr
+
+ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
 HEISENBERG = {
     "dim": 3,
@@ -90,6 +93,22 @@ def test_split_basis_examples():
     split_aff = split_basis(affine)
     assert split_aff.algebra.labels == ("e2", "e1")
     assert split_aff.y_count == 1
+
+
+def test_to_adapted_inverts_new_in_old(rng):
+    """Each adapted basis vector, written in original coordinates, maps
+    back to its own unit vector."""
+    stock = [load_algebra(p) for p in sorted(ALGEBRAS.glob("*.json"))]
+    assert len(stock) == 6
+    seeded = [random_metabelian(d, rng) for d in (1, 2, 3, 4, 5, 6) for _ in range(3)]
+    for algebra in stock + seeded:
+        split = split_basis(algebra)
+        for r, row in enumerate(split.new_in_old, start=1):
+            vec = {i: c for i, c in enumerate(row, start=1) if c}
+            assert split.to_adapted(vec) == {r: 1}
+        for outside in (0, algebra.dim + 1):
+            with pytest.raises(ValueError, match="outside"):
+                split.to_adapted({outside: Fraction(1)})
 
 
 def test_split_basis_change_when_needed():

@@ -73,7 +73,7 @@ def test_exprsum_expand_linear(items):
 def test_exprsum_combines_terms():
     t = Comm(Leaf(1), Leaf(2))
     s = ExprSum([(1, t), (2, t)])
-    assert s.terms == ((t, Fraction(3)),)
+    assert s.terms() == [(t, Fraction(3))]
     assert (s - s).is_zero
     with pytest.raises(TypeError, match="int or Fraction"):
         ExprSum([(0.5, t)])
@@ -162,5 +162,18 @@ def test_template_slot_validation():
 
 
 def test_exprsum_str_deterministic():
-    s = ExprSum([(Fraction(-1, 4), Anti(Anti(Leaf(1), Leaf(2)), Leaf(3))), (1, Leaf(2))])
-    assert str(s) == "x2 - 1/4*{{x1,x2},x3}"
+    terms = [
+        (Fraction(-1, 4), Anti(Anti(Leaf(1), Leaf(2)), Leaf(3))),
+        (1, Leaf(2)),
+        (3, Comm(Leaf(2), Leaf(1))),
+    ]
+    s = ExprSum(terms)
+    assert str(s) == "x2 + 3*[x2,x1] - 1/4*{{x1,x2},x3}"
+    # the terms are ordered when printed, whatever order they came in
+    backwards = ExprSum(reversed(terms))
+    assert backwards == s
+    assert str(backwards) == str(s)
+    assert backwards.terms() == s.terms()
+    parts = [ExprSum([t]) for t in terms]
+    assert parts[2] + parts[1] + parts[0] == s == parts[0] + parts[1] + parts[2]
+    assert str(parts[2] + parts[1] + parts[0]) == str(s)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from permalg.expr import Anti, ExprSum, Leaf, left_normed, wrap
 from permalg.jordan import (
+    IDEAL_DEGREE_BOUND,
     FElement,
     NotJordanElement,
     bn_basis,
@@ -50,7 +51,7 @@ def test_sj_span_dimensions():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_closed_form_slices_match_closure_oracle(k):
-    from permalg.jordan import _sj_rows
+    from permalg.jordan import _row_witness, _sj_rows
 
     for n in range(1, 8):
         for md in (md for md in product(range(n + 1), repeat=k) if sum(md) == n):
@@ -62,9 +63,9 @@ def test_closed_form_slices_match_closure_oracle(k):
                     assert FElement(m.head, m.tail).expand() == 2 ** (n - 3) * word
                 assert oracle.dim == len(oracle.monomials)
             closed = _sj_rows(md)
-            assert [row for row, _ in closed] == oracle.basis()
-            for row, witness in closed:
-                assert ExprSum(witness).expand() == row
+            assert closed == oracle.basis()
+            for row in closed:
+                assert ExprSum(_row_witness(row.terms()[0][0])).expand() == row
 
 
 def test_sj_span_witnesses_expand_to_rows():
@@ -163,6 +164,25 @@ def test_ideal_component_validation():
         ideal_component("weird", [], (1, 1))
     with pytest.raises(ValueError, match="bound"):
         ideal_component("perm", [], (5, 5))
+    at_bound = (IDEAL_DEGREE_BOUND - 1, 1)
+    assert ideal_component("perm", [], at_bound).dim == 0
+    message = f"multidegree total {IDEAL_DEGREE_BOUND + 1} exceeds bound {IDEAL_DEGREE_BOUND}"
+    with pytest.raises(ValueError, match=message):
+        ideal_component("jordan", [x((1, 2)) + x((2, 1))], (IDEAL_DEGREE_BOUND, 1))
+
+
+def test_ideal_component_builds_no_witnesses(monkeypatch):
+    """The anticommutator ideal uses only the rows of each slice, so it
+    builds no ``f``-element witness trees."""
+    import permalg.jordan as jordan
+
+    calls = []
+    build = jordan._word_terms
+    monkeypatch.setattr(jordan, "_word_terms", lambda *args: calls.append(args) or build(*args))
+    ideal_component("jordan", [x((1, 2)) + x((2, 1)), x((3, 3))], (2, 2, 1))
+    assert len(calls) == 0
+    sj_span(2, 3)  # the probe sees the witnesses sj_span does build
+    assert len(calls) == dimension(2, 3)
 
 
 def test_cohn_witness_report():

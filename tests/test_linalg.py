@@ -5,22 +5,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from permalg.linalg import Span, Subspace, rref, span_solve, solve_coordinates
+from permalg.linalg import Span, Subspace, span_solve
 from permalg.perm import PermPolynomial, enumerate_basis
 
 F = Fraction
 
 
 def test_rref_basic():
-    rows, pivots = rref([[F(2), F(4)], [F(1), F(2)], [F(0), F(1)]])
-    assert pivots == [0, 1]
-    assert rows == [[F(1), F(0)], [F(0), F(1)]]
+    span = Span(2)
+    for row in [[F(2), F(4)], [F(1), F(2)], [F(0), F(1)]]:
+        span.add(row)
+    assert span.pivots == [0, 1]
+    assert span.rows == [[F(1), F(0)], [F(0), F(1)]]
 
 
 def test_solve_coordinates():
-    cols = [[F(1), F(0)], [F(1), F(1)]]
-    assert solve_coordinates(cols, [F(3), F(1)]) == [F(2), F(1)]
-    assert solve_coordinates([[F(1), F(1)]], [F(1), F(2)]) is None
+    # the two words x1*x2 and x2*x1 of the component (1, 1) are the axes
+    x = PermPolynomial.from_word
+    cols = [x((1, 2)), x((1, 2)) + x((2, 1))]
+    assert span_solve(cols, x((1, 2), 3) + x((2, 1))) == [F(2), F(1)]
+    assert span_solve([x((1, 2)) + x((2, 1))], x((1, 2)) + x((2, 1), 2)) is None
 
 
 def test_span_solve_examples():
@@ -136,11 +140,13 @@ def test_span_rejects_float_entries():
     with pytest.raises(TypeError):
         witnessed.witness_for([F(1), 0.0], F(0))
     with pytest.raises(TypeError):
-        rref([[0.5, 1]])
+        Span(2).add([0.5, 1])
+    # the unchecked constructor lets a float through; span_solve refuses it
+    word = enumerate_basis(1, 1)[0]
     with pytest.raises(TypeError):
-        solve_coordinates([[0.1]], [0.2])
+        span_solve([PermPolynomial._of({word: 0.1})], PermPolynomial._of({word: 0.2}))
     with pytest.raises(TypeError):
-        solve_coordinates([[F(1)]], [0.2])
+        span_solve([PermPolynomial.generator(1)], PermPolynomial._of({word: 0.2}))
     assert span.dim == 1
 
 
