@@ -51,24 +51,34 @@ class Slot:
 
 
 @dataclass(frozen=True)
-class Prod:
+class _Binary:
+    """A node with two children.  Its hash is computed once, from its kind
+    and its children's hashes, so hashing never walks the tree."""
+
     left: "Node"
     right: "Node"
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((_TAGS[type(self)], self.left, self.right)))
 
-@dataclass(frozen=True)
-class Comm:
-    left: "Node"
-    right: "Node"
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
-class Anti:
-    left: "Node"
-    right: "Node"
+class Prod(_Binary):
+    pass
+
+
+class Comm(_Binary):
+    pass
+
+
+class Anti(_Binary):
+    pass
 
 
 Node = Union[Leaf, Slot, Prod, Comm, Anti]
+_TAGS = {Prod: 2, Comm: 3, Anti: 4}
 
 _ONE = Fraction(1)
 
@@ -109,9 +119,6 @@ def substitute_node(e: Node, mapping: Mapping[int, Node]) -> Node:
         except KeyError:
             raise UnboundSlotError(f"no substitution for slot {_slot_name(e.index)}") from None
     return type(e)(substitute_node(e.left, mapping), substitute_node(e.right, mapping))
-
-
-_TAGS = {Prod: 2, Comm: 3, Anti: 4}
 
 
 def node_key(e: Node):

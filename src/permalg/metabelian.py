@@ -5,7 +5,9 @@ constants (``load_algebra`` reads the JSON form).  ``validate`` checks the
 Jacobi identity on basis triples and the metabelian law on basis
 quadruples, and ``split_basis`` reorders (and, when it must, changes) the
 basis so the derived subalgebra comes first, which is the form the
-rewriting system in :mod:`permalg.envelope` is stated in.
+rewriting system in :mod:`permalg.envelope` is stated in.  Vectors are
+sparse ``{basis index: coefficient}`` dicts; a ``Span`` takes them as
+they are, since its columns are the vectors' own keys.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
 
 Vec = dict[int, Fraction]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -77,6 +78,8 @@ class MetabelianLieAlgebra:
             raise AlgebraFormatError("dimension must be at least 1")
         self.dim = dim
         self.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(1, dim + 1))
+        if not all(isinstance(label, str) and label for label in self.labels):
+            raise AlgebraFormatError("labels must be non-empty strings")
         if len(self.labels) != dim:
             raise AlgebraFormatError(f"expected {dim} labels, got {len(self.labels)}")
         if len(set(self.labels)) != dim:
@@ -95,34 +98,34 @@ class MetabelianLieAlgebra:
     @classmethod
     def from_dict(cls, data: Mapping) -> "MetabelianLieAlgebra":
         try:
-            dim = int(data["dim"])
-        except (KeyError, TypeError, ValueError):
+            dim = _typed(data["dim"], int)
+        except (KeyError, TypeError):
             raise AlgebraFormatError("missing or bad 'dim'") from None
         labels = data.get("basis")
+        if labels is not None and type(labels) is not list:
+            raise AlgebraFormatError("'basis' must be a list of labels")
         entries = data.get("brackets", [])
         brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
         if not isinstance(entries, list):
             raise AlgebraFormatError("'brackets' must be a list")
         for entry in entries:
             try:
-                i, j = int(entry["i"]), int(entry["j"])
-            except (KeyError, TypeError, ValueError):
+                i, j = _typed(entry["i"], int), _typed(entry["j"], int)
+                values = _typed(entry.get("value", []), list)
+            except (KeyError, TypeError):
                 raise AlgebraFormatError(f"bad bracket entry {entry!r}") from None
             if i >= j:
                 raise AlgebraFormatError(f"bracket pair ({i},{j}) must have i < j")
             if (i, j) in brackets:
                 raise AlgebraFormatError(f"duplicate bracket pair ({i},{j})")
             items: list[tuple[int, Fraction]] = []
-            for item in entry.get("value", []):
+            for item in values:
                 try:
                     b, text = item
+                    b = _typed(b, int)
                 except (TypeError, ValueError):
                     raise AlgebraFormatError(f"bad bracket value item {item!r}") from None
-                try:
-                    coeff = _parse_rational(text)
-                except ValueError as exc:
-                    raise AlgebraFormatError(str(exc)) from None
-                items.append((int(b), coeff))
+                items.append((b, _parse_rational(text)))
             brackets[(i, j)] = accumulate({}, items)
         return cls(dim, labels, brackets)
 
@@ -173,19 +176,27 @@ class MetabelianLieAlgebra:
         return f"MetabelianLieAlgebra(dim={self.dim}, labels={self.labels})"
 
 
+def _typed(value, kind: type):
+    """``value`` when its type is exactly ``kind``, so a ``bool`` is not an
+    ``int``; anything else raises ``TypeError``."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def _parse_rational(text) -> Fraction:
-    if isinstance(text, int):
+    if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
-        raise ValueError(f"rational must be 'p' or 'p/q', got {text!r}")
+        raise AlgebraFormatError(f"rational must be 'p' or 'p/q', got {text!r}")
     s = text.strip()
     body = s[1:] if s[:1] == "-" else s
     if not body or not all(part.isdigit() and part for part in body.split("/", 1)):
-        raise ValueError(f"rational must be 'p' or 'p/q', got {text!r}")
+        raise AlgebraFormatError(f"rational must be 'p' or 'p/q', got {text!r}")
     try:
         return Fraction(s)
     except ZeroDivisionError:
-        raise ValueError(f"rational {text!r} has a zero denominator") from None
+        raise AlgebraFormatError(f"rational {text!r} has a zero denominator") from None
 
 
 def load_algebra(path: str | Path) -> MetabelianLieAlgebra:
@@ -237,7 +248,7 @@ class BasisSplit:
     algebra: MetabelianLieAlgebra
     original: MetabelianLieAlgebra
     y_count: int
-    new_in_old: tuple[tuple[Fraction, ...], ...]
+    new_in_old: tuple[Vec, ...]
     _unit_images: tuple[Combination, ...]  # original e_i over the adapted basis
 
     @property
@@ -252,19 +263,11 @@ class BasisSplit:
     def changed_basis(self) -> bool:
         """True when some adapted vector is not an original basis vector
         (pure reorderings do not count)."""
-        for row in self.new_in_old:
-            support = [c for c in row if c]
-            if len(support) != 1 or support[0] != 1:
-                return True
-        return False
+        return any(list(row.values()) != [1] for row in self.new_in_old)
 
     def to_adapted(self, v: Vec) -> Vec:
         """Coordinates of an original-basis vector over the adapted basis."""
         return _combine(self._unit_images, v)
-
-
-def _dense(v: Vec, dim: int) -> list[Fraction]:
-    return [v.get(i, _ZERO) for i in range(1, dim + 1)]
 
 
 def _combine(images: Sequence[Combination], v: Vec) -> Vec:
@@ -283,36 +286,28 @@ def split_basis(algebra: MetabelianLieAlgebra) -> BasisSplit:
     Original basis vectors lying in the derived subalgebra are preferred;
     only when they fail to span it are echelon rows of the bracket span
     adjoined (changing the basis, with fresh ``y<r>`` labels for the
-    synthesized vectors).
+    synthesized vectors).  The original basis vectors then complete it.
     """
     n = algebra.dim
-    units = [_dense({i: _ONE}, n) for i in range(1, n + 1)]
-    derived = Span(n)
+    units = [{i: _ONE} for i in range(1, n + 1)]
+    derived = Span()
     for pair in sorted(algebra.table):
-        derived.add(_dense(algebra.table[pair], n))
-    y_rows: list[list[Fraction]] = []
-    chosen = Span(n)
-    for e in units:
-        if derived.contains(e) and chosen.add(e):
-            y_rows.append(e)
-    for row in derived.rows:
-        if chosen.add(row):
-            y_rows.append(list(row))
-    z_rows: list[list[Fraction]] = []
-    completion = Span(n)
-    for row in y_rows:
-        completion.add(row)
-    for e in units:
-        if completion.add(e):
-            z_rows.append(e)
+        derived.add(algebra.table[pair])
+    # the r-th accepted vector carries the witness {r: 1}, so the witness of
+    # an original unit vector is its image over the adapted basis
+    chosen = Span()
+    new_rows: list[Vec] = []
+    for v in chain([e for e in units if derived.contains(e)], derived.rows, units):
+        if chosen.add(v, Combination._of({len(new_rows) + 1: _ONE})):
+            new_rows.append(v)
+    images = tuple(chosen.witness_for(e, Combination.zero()) for e in units)
 
-    new_rows = y_rows + z_rows
     labels: list[str] = []
     synth = 0
     for row in new_rows:
-        ones = [i for i, c in enumerate(row) if c]
-        if len(ones) == 1 and row[ones[0]] == 1:
-            labels.append(algebra.labels[ones[0]])
+        if list(row.values()) == [1]:  # the original basis vector e_i
+            (i,) = row
+            labels.append(algebra.labels[i - 1])
         else:
             synth += 1
             base = f"y{synth}"
@@ -320,26 +315,17 @@ def split_basis(algebra: MetabelianLieAlgebra) -> BasisSplit:
                 base += "_"
             labels.append(base)
 
-    # each original unit vector over the adapted basis, read off witnesses:
-    # the adapted vector r carries the witness {r: 1}
-    adapted_span = Span(n)
-    for r, row in enumerate(new_rows, start=1):
-        adapted_span.add(row, Combination._of({r: _ONE}))
-    images = tuple(adapted_span.witness_for(e, Combination.zero()) for e in units)
-
     brackets: dict[tuple[int, int], Vec] = {}
     for r in range(1, n + 1):
         for s in range(r + 1, n + 1):
-            u = {i + 1: c for i, c in enumerate(new_rows[r - 1]) if c}
-            v = {i + 1: c for i, c in enumerate(new_rows[s - 1]) if c}
-            w = _combine(images, algebra.bracket(u, v))
+            w = _combine(images, algebra.bracket(new_rows[r - 1], new_rows[s - 1]))
             if w:
                 brackets[(r, s)] = w
     adapted = MetabelianLieAlgebra(n, labels, brackets)
     return BasisSplit(
         algebra=adapted,
         original=algebra,
-        y_count=len(y_rows),
-        new_in_old=tuple(tuple(row) for row in new_rows),
+        y_count=derived.dim,
+        new_in_old=tuple(new_rows),
         _unit_images=images,
     )

@@ -116,13 +116,23 @@ def test_gk_command(runner):
     assert result.exit_code == 2
 
 
-def test_input_error_exit_codes(runner):
+def test_input_error_exit_codes(runner, tmp_path):
     result = runner.invoke(main, ["expand", "x1*x2 +"])
     assert result.exit_code == 2
     result = runner.invoke(main, ["expand", "foo"])
     assert result.exit_code == 2
     result = runner.invoke(main, ["envelope", "nf", "--algebra", "does-not-exist.json", "d(e1)"])
     assert result.exit_code == 2
+    for bad in ('{"dim": 3.7}', '{"dim": 2, "basis": ["x", ""]}', '{"dim": 2, "basis": [1, 2]}'):
+        path = tmp_path / "bad.json"
+        path.write_text(bad)
+        for args in (
+            ["envelope", "build", "--algebra", str(path), "--unicode"],
+            ["gk", "--algebra", str(path), "--max-deg", "4"],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, (bad, args, result.output)
+            assert "Traceback" not in result.output
     deep_bracket = "[" * 1200 + "x1" + ",x2]" * 1200
     deep_parens = "(" * 3000 + "x1" + ")" * 3000
     for args in (["expand", deep_bracket], ["is-lie", deep_bracket], ["expand", deep_parens]):

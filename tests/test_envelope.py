@@ -51,7 +51,35 @@ def test_validate_examples():
     assert report.metabelian_violations
 
 
+def bracket_entry(**changes):
+    return {"i": 1, "j": 2, "value": [[3, "1"]], **changes}
+
+
+# numbers that are not integers and labels that are not distinct non-empty
+# strings are refused, never truncated or split
+MALFORMED = [
+    ({**HEISENBERG, "dim": 3.7}, "'dim'"),
+    ({**HEISENBERG, "dim": "3"}, "'dim'"),
+    ({**HEISENBERG, "dim": True}, "'dim'"),
+    ({**HEISENBERG, "brackets": [bracket_entry(i=1.9)]}, "bad bracket entry"),
+    ({**HEISENBERG, "brackets": [bracket_entry(i=True)]}, "bad bracket entry"),
+    ({**HEISENBERG, "brackets": [bracket_entry(j=2.0)]}, "bad bracket entry"),
+    ({**HEISENBERG, "brackets": [bracket_entry(value=5)]}, "bad bracket entry"),
+    ({**HEISENBERG, "brackets": [bracket_entry(value=[[3.2, "1"]])]}, "bad bracket value item"),
+    ({**HEISENBERG, "brackets": [bracket_entry(value=[[True, "1"]])]}, "bad bracket value item"),
+    ({**HEISENBERG, "brackets": [bracket_entry(value=[[3, True]])]}, "rational"),
+    ({**HEISENBERG, "basis": "xyz"}, "'basis' must be a list"),
+    ({**HEISENBERG, "basis": [1, 2, 3]}, "non-empty strings"),
+    ({**HEISENBERG, "basis": ["x", "y", ""]}, "non-empty strings"),
+    ({**HEISENBERG, "basis": [["x"], ["y"], ["z"]]}, "non-empty strings"),
+    ({**HEISENBERG, "basis": ["x", "y", "y"]}, "unique"),
+]
+
+
 def test_from_dict_validation_errors():
+    for data, message in MALFORMED:
+        with pytest.raises(AlgebraFormatError, match=message):
+            MetabelianLieAlgebra.from_dict(data)
     with pytest.raises(AlgebraFormatError, match="i < j"):
         MetabelianLieAlgebra.from_dict(
             {"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 2, "j": 1, "value": []}]}
@@ -104,8 +132,7 @@ def test_to_adapted_inverts_new_in_old(rng):
     for algebra in stock + seeded:
         split = split_basis(algebra)
         for r, row in enumerate(split.new_in_old, start=1):
-            vec = {i: c for i, c in enumerate(row, start=1) if c}
-            assert split.to_adapted(vec) == {r: 1}
+            assert split.to_adapted(row) == {r: 1}
         for outside in (0, algebra.dim + 1):
             with pytest.raises(ValueError, match="outside"):
                 split.to_adapted({outside: Fraction(1)})

@@ -161,6 +161,21 @@ def test_template_slot_validation():
         IdentityTemplate(wrap(Slot(1)), wrap(Slot(1)).prod(Slot(2)))
 
 
+def test_deep_trees_hash_without_walking():
+    """A binary node hashes from its children's stored hashes, so building
+    a long chain one product at a time is linear and hashing a deep chain
+    does not recurse."""
+    chain = ExprSum.of(Leaf(1))
+    for _ in range(2000):
+        chain = chain.anti(Leaf(1))
+    assert len(chain) == 1
+    deep = left_normed(Anti, [1] * 5000)
+    assert hash(deep) == hash(left_normed(Anti, [1] * 5000))
+    assert hash(Prod(Leaf(1), Leaf(2))) == hash(Prod(Leaf(1), Leaf(2)))
+    assert Prod(Leaf(1), Leaf(2)) != Comm(Leaf(1), Leaf(2))
+    assert len({Prod(Leaf(1), Leaf(2)), Comm(Leaf(1), Leaf(2)), Anti(Leaf(1), Leaf(2))}) == 3
+
+
 def test_exprsum_str_deterministic():
     terms = [
         (Fraction(-1, 4), Anti(Anti(Leaf(1), Leaf(2)), Leaf(3))),

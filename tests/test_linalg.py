@@ -11,12 +11,21 @@ from permalg.perm import PermPolynomial, enumerate_basis
 F = Fraction
 
 
+def vec(*entries):
+    """Dense entries as the vector ``{column: entry}``, zeros kept."""
+    return dict(enumerate(entries))
+
+
+def dense(row, width):
+    return [row.get(j, F(0)) for j in range(width)]
+
+
 def test_rref_basic():
-    span = Span(2)
-    for row in [[F(2), F(4)], [F(1), F(2)], [F(0), F(1)]]:
+    span = Span()
+    for row in [vec(F(2), F(4)), vec(F(1), F(2)), vec(F(0), F(1))]:
         span.add(row)
     assert span.pivots == [0, 1]
-    assert span.rows == [[F(1), F(0)], [F(0), F(1)]]
+    assert span.rows == [{0: F(1)}, {1: F(1)}]
 
 
 def test_solve_coordinates():
@@ -71,18 +80,19 @@ def test_span_solve_exactness(vec_rows, coeff_list):
 
 
 def test_span_incremental_rref():
-    span = Span(3)
-    assert span.add([F(0), F(2), F(0)])
-    assert span.add([F(1), F(1), F(0)])
-    assert not span.add([F(1), F(3), F(0)])
+    span = Span()
+    assert span.add(vec(F(0), F(2), F(0)))
+    assert span.add(vec(F(1), F(1), F(0)))
+    assert not span.add(vec(F(1), F(3), F(0)))
     assert span.pivots == [0, 1]
-    for row, p in zip(span.rows, span.pivots):
+    rows = [dense(row, 3) for row in span.rows]
+    for row, p in zip(rows, span.pivots):
         assert row[p] == 1
-        for other, q in zip(span.rows, span.pivots):
+        for other, q in zip(rows, span.pivots):
             if q != p:
                 assert other[p] == 0
-    assert span.contains([F(5), F(-1), F(0)])
-    assert not span.contains([F(0), F(0), F(1)])
+    assert span.contains(vec(F(5), F(-1), F(0)))
+    assert not span.contains(vec(F(0), F(0), F(1)))
 
 
 def test_span_witness_combination():
@@ -97,17 +107,17 @@ def test_span_witness_combination():
         def __rmul__(self, c):
             return W(c * a for a in self)
 
-    span = Span(2)
-    span.add([F(2), F(0)], W((F(1), F(0))))
-    span.add([F(1), F(1)], W((F(0), F(1))))
-    combo = span.witness_for([F(3), F(1)], W((F(0), F(0))))
+    span = Span()
+    span.add(vec(F(2), F(0)), W((F(1), F(0))))
+    span.add(vec(F(1), F(1)), W((F(0), F(1))))
+    combo = span.witness_for(vec(F(3), F(1)), W((F(0), F(0))))
     # combo should rebuild [3,1] from the original vectors
     rebuilt = [
         combo[0] * F(2) + combo[1] * F(1),
         combo[0] * F(0) + combo[1] * F(1),
     ]
     assert rebuilt == [F(3), F(1)]
-    assert span.witness_for([F(0), F(1)], W((F(0), F(0)))) is not None
+    assert span.witness_for(vec(F(0), F(1)), W((F(0), F(0)))) is not None
 
 
 def test_subspace_pivots_increasing():
@@ -124,23 +134,41 @@ def test_subspace_pivots_increasing():
         assert sub.contains(p)
 
 
+def test_subspace_refuses_words_outside_its_component():
+    x = PermPolynomial.from_word
+    sub = Subspace(enumerate_basis(2, 2, (1, 1)))  # the words x1*x2 and x2*x1
+    assert sub.add(x((1, 2)) + x((2, 1)), F(1))
+    outside = x((1, 2)) + x((1, 1))
+    with pytest.raises(ValueError, match=r"x1\*x1 outside"):
+        sub.add(outside, F(1))
+    with pytest.raises(ValueError, match=r"x1\*x1 outside"):
+        sub.witness_for(outside, F(0))
+    assert not sub.contains(outside)
+    assert not sub.contains(x((1, 1)))
+    assert sub.contains(x((1, 2), 3) + x((2, 1), 3))
+    assert sub.witness_for(x((1, 2), 3) + x((2, 1), 3), F(0)) == 3
+    assert sub.dim == 1
+    with pytest.raises(ValueError, match="duplicate"):
+        Subspace(enumerate_basis(2, 2, (1, 1))[:1] * 2)
+
+
 def test_span_rejects_float_entries():
     """A float is not the number it was written as; every entry point that
     takes a vector refuses one, zero included."""
-    span = Span(2)
+    span = Span()
     with pytest.raises(TypeError):
-        span.add([0.1, 0])
+        span.add(vec(0.1, 0))
     with pytest.raises(TypeError):
         span.add({0: 0.25})
-    assert span.add([F(1), 0])
+    assert span.add(vec(F(1), 0))
     with pytest.raises(TypeError):
-        span.contains([0.5, 0])
-    witnessed = Span(2)
-    witnessed.add([F(1), 0], F(1))
+        span.contains(vec(0.5, 0))
+    witnessed = Span()
+    witnessed.add(vec(F(1), 0), F(1))
     with pytest.raises(TypeError):
-        witnessed.witness_for([F(1), 0.0], F(0))
+        witnessed.witness_for({0: F(1), 1: 0.0}, F(0))
     with pytest.raises(TypeError):
-        Span(2).add([0.5, 1])
+        Span().add(vec(0.5, 1))
     # the unchecked constructor lets a float through; span_solve refuses it
     word = enumerate_basis(1, 1)[0]
     with pytest.raises(TypeError):
@@ -151,27 +179,31 @@ def test_span_rejects_float_entries():
 
 
 def test_span_rejects_vectors_off_its_axis():
-    span = Span(2)
-    with pytest.raises(ValueError):
-        span.add([F(1)])
-    with pytest.raises(ValueError):
-        span.add({2: F(1)})
+    """Columns are keys that compare with each other; a vector with a
+    column that does not compare with the span's is refused before the
+    span changes."""
+    span = Span()
     assert span.add({1: 3})
-    assert span.rows == [[F(0), F(1)]]
+    with pytest.raises(TypeError):
+        span.add({"x1": F(1)})
+    with pytest.raises(TypeError):
+        span.add({0: F(1), "x1": F(1)})
+    assert span.rows == [{1: F(1)}]
+    assert span.pivots == [1]
 
 
 def test_span_witnesses_on_every_row_or_none():
-    plain = Span(2)
-    plain.add([F(1), F(0)])
+    plain = Span()
+    plain.add(vec(F(1), F(0)))
     with pytest.raises(ValueError, match="every row or on none"):
-        plain.add([F(0), F(1)], F(1))
+        plain.add(vec(F(0), F(1)), F(1))
     with pytest.raises(ValueError, match="no witnesses"):
-        plain.witness_for([F(1), F(0)], F(0))
-    witnessed = Span(2)
-    witnessed.add([F(2), F(0)], F(1))
+        plain.witness_for(vec(F(1), F(0)), F(0))
+    witnessed = Span()
+    witnessed.add(vec(F(2), F(0)), F(1))
     with pytest.raises(ValueError, match="every row or on none"):
-        witnessed.add([F(0), F(1)])
-    assert witnessed.witness_for([F(1), F(0)], F(0)) == F(1, 2)
+        witnessed.add(vec(F(0), F(1)))
+    assert witnessed.witness_for(vec(F(1), F(0)), F(0)) == F(1, 2)
     assert (plain.dim, witnessed.dim) == (1, 1)
 
 
@@ -204,7 +236,7 @@ class SpanMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.span = Span(WIDTH)
+        self.span = Span()
         self.added: list[list[Fraction]] = []
 
     def rebuild(self, combo):
@@ -213,28 +245,31 @@ class SpanMachine(RuleBasedStateMachine):
             out = [a + c * b for a, b in zip(out, self.added[i])]
         return out
 
-    @rule(vec=vectors)
-    def add(self, vec):
-        before, inside = self.span.dim, self.span.contains(vec)
-        self.added.append(vec)
-        grew = self.span.add(vec, Combo({len(self.added) - 1: F(1)}))
+    @rule(entries=vectors)
+    def add(self, entries):
+        vector = vec(*entries)
+        before, inside = self.span.dim, self.span.contains(vector)
+        self.added.append(entries)
+        grew = self.span.add(vector, Combo({len(self.added) - 1: F(1)}))
         assert grew is not inside
         assert self.span.dim == before + grew
-        assert self.span.contains(vec)
+        assert self.span.contains(vector)
 
     @precondition(lambda self: self.added)
-    @rule(vec=vectors)
-    def witness(self, vec):
-        combo = self.span.witness_for(vec, Combo())
-        if self.span.contains(vec):
-            assert self.rebuild(combo) == vec
+    @rule(entries=vectors)
+    def witness(self, entries):
+        combo = self.span.witness_for(vec(*entries), Combo())
+        if self.span.contains(vec(*entries)):
+            assert self.rebuild(combo) == entries
         else:
             assert combo is None
 
     @invariant()
     def reduced_echelon(self):
-        rows, pivots = self.span.rows, self.span.pivots
+        rows = [dense(row, WIDTH) for row in self.span.rows]
+        pivots = self.span.pivots
         assert len(rows) == len(pivots) == self.span.dim
+        assert all(all(row.values()) for row in self.span.rows)  # no stored zeros
         assert all(a < b for a, b in zip(pivots, pivots[1:]))
         for row, p in zip(rows, pivots):
             assert not any(row[:p])
@@ -244,7 +279,7 @@ class SpanMachine(RuleBasedStateMachine):
     def witnesses_map_to_rows(self):
         if self.added:
             for row, combo in zip(self.span.rows, self.span.witnesses, strict=True):
-                assert self.rebuild(combo) == row
+                assert self.rebuild(combo) == dense(row, WIDTH)
 
 
 SpanMachine.TestCase.settings = settings(max_examples=25, stateful_step_count=10, deadline=None)

@@ -35,11 +35,12 @@ def to_fractions(matrix):
 def test_rref_and_span_match_sympy(rows):
     reduced, pivots = to_sympy(rows).rref()
     expected = to_fractions(reduced)[: len(pivots)]
-    span = Span(len(rows[0]))
+    width = len(rows[0])
+    span = Span()
     for row in rows:
-        span.add(row)
+        span.add(dict(enumerate(row)))
     assert span.dim == len(pivots)
-    assert span.rows == expected
+    assert [[row.get(j, 0) for j in range(width)] for row in span.rows] == expected
     assert span.pivots == list(pivots)
 
 

@@ -30,3 +30,19 @@ def test_script_runs(argv):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout
+
+
+def test_layer_benchmarks_run():
+    """``benchmarks/`` stays runnable against the current API: every case
+    runs once with timing switched off."""
+    pytest.importorskip("pytest_benchmark")
+    src = str(REPO / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "benchmarks", "-q", "--benchmark-disable", "-p", "no:cacheprovider"],
+        capture_output=True,
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout.decode() + proc.stderr.decode()
