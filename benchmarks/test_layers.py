@@ -1,5 +1,5 @@
-"""Per-layer timings of the slice closures, the row echelon and the
-coordinates read off its witnesses.
+"""Per-layer timings of the slice closures, the row echelon, the
+coordinates read off its witnesses and expression-tree expansion.
 
 Run from the repository root (not part of the default test run, which
 collects ``tests/`` only)::
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from permalg.envelope import Envelope
-from permalg.jordan import ideal_component, sj_span
+from permalg.jordan import ideal_component, jordan_express, sj_span, verify_J_identities
 from permalg.lie import lie_span_oracle, ml_basis
 from permalg.linalg import Subspace, span_solve
 from permalg.metabelian import load_algebra
@@ -89,3 +89,18 @@ def test_span_add_whole_degree(benchmark):
     rows = [p for md in multidegrees(4, 5) for p in lie_span_oracle(4, 5, md).basis()]
     space = benchmark(Subspace, monomials, rows)
     assert space.dim == len(rows)
+
+
+@pytest.mark.parametrize("n, rounds", [(4, 200), (8, 100)])
+def test_expand_jordan_express_word(benchmark, n, rounds):
+    """The exactness check of ``jordan_express`` on the word ``x1*...*xn``:
+    its three anticommutator trees expanded back into the word basis."""
+    word = PermPolynomial.from_word(tuple(range(1, n + 1)))
+    expr = jordan_express(word)
+    assert run(benchmark, expr.expand, (), rounds) == word
+
+
+def test_verify_J_identities(benchmark):
+    """Six laws of the ``f``-calculus by ``check_identity`` plus two frozen
+    expansions."""
+    assert run(benchmark, verify_J_identities, (), 50).ok

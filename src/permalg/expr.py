@@ -9,15 +9,31 @@ bilinearly over it.  Identity checking substitutes generators for slots
 and expands: because the tree operations are defined in every perm
 algebra, an identity holds in all of them exactly when the
 distinct-generator substitution expands to zero.
+
+Expansion is a closed form.  By the perm law a product of two words is
+the word with the first factor's head and the letters of both, so every
+node of a tree expands to words on the tree's letters and is known by its
+head vector, a map from head letter to integer coefficient.  With ``s(t)``
+the coefficient sum of ``t``,
+
+    Prod(l, r) = s(r)*l,   Comm(l, r) = s(r)*l - s(l)*r,
+    Anti(l, r) = s(r)*l + s(l)*r,
+
+and a leaf ``x_i`` is ``{i: 1}``.  One post-order pass over an explicit
+stack evaluates every node in integers, so a tree of any depth expands;
+the root's head ``h`` stands for the word with head ``h`` and the other
+letters sorted.  Multiplying the words out one product at a time gives
+the same answer and survives only as a test oracle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .perm import Combination, PermPolynomial, accumulate, exact
+from .perm import Combination, PermMonomial, PermPolynomial, accumulate, exact
 
 __all__ = [
     "Anti",
@@ -87,19 +103,66 @@ class UnboundSlotError(ValueError):
     pass
 
 
+def _head_vector(root: Node, slots: Sequence[int] | None) -> tuple[dict[int, int], list[int]]:
+    """The root's head vector (zeros allowed) and the tree's letters, from
+    one post-order pass.  A slot ``i`` is the letter ``slots[i - 1]``.
+
+    The stack holds nodes still to visit and, below a binary node's
+    children, the node's class as a marker that both children's values are
+    on ``values`` and can be combined.  A value is ``(vector, sum)``, and
+    each vector belongs to one value only, so a node updates its left
+    child's in place."""
+    letters: list[int] = []
+    values: list[tuple[dict[int, int], int]] = []
+    todo: list = [root]
+    while todo:
+        item = todo.pop()
+        kind = type(item)
+        if kind is Leaf:
+            i = item.index
+        elif kind is Slot:
+            if slots is None or not 1 <= item.index <= len(slots):
+                raise UnboundSlotError(f"unbound template slot {_slot_name(item.index)}")
+            i = slots[item.index - 1]
+        elif kind is type:
+            rv, rs = values.pop()
+            vec, ls = values.pop()
+            if rs != 1:
+                for h in vec:
+                    vec[h] *= rs
+            b = 0 if item is Prod else -ls if item is Comm else ls
+            if b:
+                for h, c in rv.items():
+                    vec[h] = vec.get(h, 0) + b * c
+            values.append((vec, (ls + b) * rs))
+            continue
+        else:
+            todo += (kind, item.right, item.left)
+            continue
+        letters.append(i)
+        values.append(({i: 1}, 1))
+    return values[0][0], letters
+
+
+def _expand(terms: Iterable[tuple[Node, Fraction]], slots: Sequence[int] | None = None) -> PermPolynomial:
+    """``sum coeff * node`` in the word basis, accumulated into one dict:
+    each root head ``h`` with value ``c`` is the word ``h`` followed by the
+    other letters sorted, with coefficient ``coeff * c``."""
+    out: dict[PermMonomial, Fraction] = {}
+    for node, coeff in terms:
+        vec, found = _head_vector(node, slots)
+        word = sorted(found)
+        words = []
+        for h, c in vec.items():
+            i = bisect_left(word, h)
+            words.append((PermMonomial(h, tuple(word[:i] + word[i + 1 :])), coeff * c))
+        accumulate(out, words)
+    return PermPolynomial._of(out)
+
+
 def expand_node(e: Node) -> PermPolynomial:
-    """Multiply the tree out into the canonical word basis."""
-    if isinstance(e, Leaf):
-        return PermPolynomial.generator(e.index)
-    if isinstance(e, Slot):
-        raise UnboundSlotError(f"unbound template slot {_slot_name(e.index)}")
-    l = expand_node(e.left)
-    r = expand_node(e.right)
-    if isinstance(e, Prod):
-        return l * r
-    if isinstance(e, Comm):
-        return l * r - r * l
-    return l * r + r * l
+    """The tree in the canonical word basis, by its head vector."""
+    return _expand(((e, _ONE),))
 
 
 def node_slots(e: Node) -> frozenset[int]:
@@ -202,10 +265,7 @@ class ExprSum(Combination):
         return out
 
     def expand(self) -> PermPolynomial:
-        out = PermPolynomial.zero()
-        for node, coeff in self._terms.items():
-            out = out + expand_node(node).scale(coeff)
-        return out
+        return _expand(self._terms.items())
 
 
 def wrap(x: "ExprSum | Node") -> ExprSum:
@@ -290,8 +350,7 @@ def check_identity(template: IdentityTemplate, mode: str = "multilinear") -> Ide
     if mode == "polarized":
         patterns += [p for p in set_partition_patterns(template.arity) if p != patterns[0]]
     for pattern in patterns:
-        mapping = {slot: Leaf(gen) for slot, gen in enumerate(pattern, start=1)}
-        residual = diff.substitute(mapping).expand()
+        residual = _expand(diff.items(), pattern)
         if residual:
             return IdentityVerdict(False, mode, pattern, residual)
     return IdentityVerdict(True, mode)

@@ -61,6 +61,7 @@ from .perm import (
     PermPolynomial,
     accumulate,
     enumerate_basis,
+    exact,
     letters,
     multidegrees,
     sub_multidegrees,
@@ -569,7 +570,6 @@ def to_bn(word: Sequence[int]) -> list[tuple[Fraction, FElement]]:
 
 
 def expand_bn(combination: Iterable[tuple[Fraction, FElement]]) -> PermPolynomial:
-    out = PermPolynomial.zero()
-    for coeff, fe in combination:
-        out = out + fe.expand().scale(coeff)
-    return out
+    return ExprSum(
+        (exact(coeff) * c, node) for coeff, fe in combination for node, c in fe.expr().items()
+    ).expand()

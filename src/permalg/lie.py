@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import NamedTuple, Sequence
 
-from .expr import Comm, ExprSum, Leaf, left_normed, node_str
+from .expr import Comm, ExprSum, Leaf, expand_node, left_normed, node_str
 from .linalg import Subspace
 from .perm import (
     PermMonomial,
@@ -118,14 +118,7 @@ class MLMonomial(NamedTuple):
         return left_normed(Comm, self.letters())
 
     def expand(self) -> PermPolynomial:
-        # collapses to [x_first, x_second] * rest (see dynkin)
-        bracket = PermPolynomial.from_word((self.first, self.second)) - PermPolynomial.from_word(
-            (self.second, self.first)
-        )
-        out = bracket
-        for i in self.rest:
-            out = out * PermPolynomial.generator(i)
-        return out
+        return expand_node(self.expr())
 
     def __str__(self) -> str:
         return node_str(self.expr())

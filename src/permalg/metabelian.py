@@ -74,6 +74,8 @@ class MetabelianLieAlgebra:
         labels: Sequence[str] | None = None,
         brackets: Mapping[tuple[int, int], Mapping[int, Fraction | int]] | None = None,
     ):
+        if type(dim) is not int:
+            raise AlgebraFormatError(f"dimension must be an integer, got {dim!r}")
         if dim < 1:
             raise AlgebraFormatError("dimension must be at least 1")
         self.dim = dim
@@ -86,6 +88,8 @@ class MetabelianLieAlgebra:
             raise AlgebraFormatError("labels must be unique")
         self.table: dict[tuple[int, int], Vec] = {}
         for (i, j), value in (brackets or {}).items():
+            if not all(type(x) is int for x in (i, j, *value)):
+                raise AlgebraFormatError(f"bracket ({i!r},{j!r}) -> {list(value)!r} needs integer indices")
             if not (1 <= i < j <= dim):
                 raise AlgebraFormatError(f"bracket pair ({i},{j}) must satisfy 1 <= i < j <= dim")
             for b in value:

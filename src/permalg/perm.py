@@ -76,9 +76,10 @@ def canonicalize(word: Sequence[int]) -> PermMonomial:
 def exact(coeff: Fraction | int) -> Fraction | int:
     """``coeff`` itself when it is an ``int`` or a ``Fraction``; anything
     else (a float, say, whose binary value is not the number it was written
-    as) raises ``TypeError``.  Adding or multiplying either kind with a
+    as, or a ``bool``, which is an ``int`` to Python but not a number to a
+    reader) raises ``TypeError``.  Adding or multiplying either kind with a
     ``Fraction`` gives a ``Fraction``, so no conversion is needed."""
-    if not isinstance(coeff, (int, Fraction)):
+    if not isinstance(coeff, (int, Fraction)) or coeff.__class__ is bool:
         raise TypeError(f"coefficients must be int or Fraction, got {type(coeff).__name__}")
     return coeff
 

@@ -29,6 +29,15 @@ def test_normalize_and_expand(runner):
     assert out.strip() == "2*x1*x2*x3*x4 + 2*x2*x1*x3*x4 + 2*x3*x1*x2*x4 + 2*x4*x1*x2*x3"
 
 
+def test_long_flat_word(runner):
+    """A flat product parses to a left-nested tree; expansion walks it with
+    a stack of its own, so a 3000-letter word works."""
+    word = "*".join(["x2"] + ["x3", "x1"] * 1500)
+    expected = "*".join(["x2"] + ["x1"] * 1500 + ["x3"] * 1500)
+    for command in ("normalize", "expand"):
+        assert invoke(runner, command, word).strip() == expected
+
+
 def test_is_lie_exit_codes(runner):
     out = invoke(runner, "is-lie", "x2*x1*x3 - x1*x2*x3")
     assert out.strip() == "Lie element: [[x2,x1],x3]"

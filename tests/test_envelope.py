@@ -105,6 +105,19 @@ def test_from_dict_validation_errors():
         MetabelianLieAlgebra(2, brackets={(1, 2): {2: 0.5}})
 
 
+def test_constructor_rejects_bools():
+    # a bool is an int to Python; as a dimension, index or coefficient it is a mistake
+    with pytest.raises(AlgebraFormatError, match="dimension must be an integer"):
+        MetabelianLieAlgebra(True)
+    with pytest.raises(AlgebraFormatError, match="dimension must be an integer"):
+        MetabelianLieAlgebra(3.0)
+    for brackets in ({(True, 2): {2: 1}}, {(1, True): {1: 1}}, {(1, 2): {True: 1}}):
+        with pytest.raises(AlgebraFormatError, match="integer indices"):
+            MetabelianLieAlgebra(2, brackets=brackets)
+    with pytest.raises(TypeError, match="int or Fraction"):
+        MetabelianLieAlgebra(2, brackets={(1, 2): {2: True}})
+
+
 def test_envelope_rejects_invalid():
     with pytest.raises(InvalidLieAlgebra):
         Envelope(MetabelianLieAlgebra.from_dict(SL2))

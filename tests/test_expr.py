@@ -20,7 +20,48 @@ from permalg.expr import (
     set_partition_patterns,
     wrap,
 )
-from permalg.perm import PermPolynomial
+from permalg.perm import PermMonomial, PermPolynomial
+
+
+def expand_fold_oracle(e, mapping=None):
+    """The tree multiplied out one product at a time, with slot ``i``
+    replaced by ``mapping[i]``: the independent check of the head-vector
+    expansion."""
+    if isinstance(e, Leaf):
+        return PermPolynomial.generator(e.index)
+    if isinstance(e, Slot):
+        return expand_fold_oracle(mapping[e.index])
+    l = expand_fold_oracle(e.left, mapping)
+    r = expand_fold_oracle(e.right, mapping)
+    if isinstance(e, Prod):
+        return l * r
+    if isinstance(e, Comm):
+        return l * r - r * l
+    return l * r + r * l
+
+
+def fold_sum(terms, mapping=None):
+    out = PermPolynomial.zero()
+    for c, node in terms:
+        out = out + expand_fold_oracle(node, mapping).scale(c)
+    return out
+
+
+def assert_stored_exact(p):
+    assert all(type(c) is Fraction and c != 0 for _, c in p.items())
+
+
+def all_trees(word):
+    """Every tree whose leaves, read left to right, are ``word``: each
+    bracketing shape with each node kind at each inner node."""
+    if len(word) == 1:
+        yield Leaf(word[0])
+        return
+    for k in range(1, len(word)):
+        for left in all_trees(word[:k]):
+            for right in all_trees(word[k:]):
+                for kind in (Prod, Comm, Anti):
+                    yield kind(left, right)
 
 
 def leaves(max_index=4):
@@ -47,6 +88,108 @@ def test_expand_examples():
     assert expand_node(nested) == expected
     metab = Comm(Comm(Leaf(1), Leaf(2)), Comm(Leaf(3), Leaf(4)))
     assert expand_node(metab).is_zero
+
+
+def test_expansion_matches_fold_exhaustively():
+    """Every shape and node kind on every identification pattern of up to
+    4 leaves, and on the all-distinct and all-equal patterns of 5."""
+    words = [p for n in range(1, 5) for p in set_partition_patterns(n)]
+    words += [(1, 2, 3, 4, 5), (1, 1, 1, 1, 1)]
+    count = 0
+    for word in words:
+        for tree in all_trees(word):
+            got = expand_node(tree)
+            assert got == expand_fold_oracle(tree), tree
+            assert_stored_exact(got)
+            count += 1
+    assert count == 1 + 3 * 2 + 9 * 2 * 5 + 27 * 5 * 15 + 2 * 81 * 14
+
+
+def test_vanishing_trees_store_nothing():
+    x1, x2 = Leaf(1), Leaf(2)
+    for tree in (Comm(x1, x1), Prod(Comm(x1, x1), x2), Prod(x2, Comm(x1, x1)), Comm(Anti(x1, x2), Anti(x2, x1))):
+        assert expand_node(tree).is_zero
+        assert not expand_node(tree).items()
+    assert ExprSum([(Fraction(1, 3), Comm(x1, x2)), (Fraction(1, 3), Comm(x2, x1))]).expand().is_zero
+
+
+def test_deep_chain_expands():
+    """A 5000-deep left-normed anticommutator expands without recursion to
+    ``W(a1) + W(a2) + sum_{j>=3} 2^(j-2) W(aj)``, with ``W(h)`` the word with
+    head ``h`` and all the letters."""
+    word = [1, 2, 3] * 1666 + [1, 2]
+    expected: dict[int, int] = {}
+    for j, h in enumerate(word, start=1):
+        expected[h] = expected.get(h, 0) + (1 if j <= 2 else 1 << (j - 2))
+    rest = sorted(word)
+    got = expand_node(left_normed(Anti, word))
+    assert got == PermPolynomial(
+        (PermMonomial(h, tuple(rest[: rest.index(h)] + rest[rest.index(h) + 1 :])), c)
+        for h, c in expected.items()
+    )
+    assert_stored_exact(got)
+    same = expand_node(left_normed(Anti, [1] * 5000))
+    assert same.terms() == [(PermMonomial(1, (1,) * 4999), Fraction(2**4999))]
+
+
+def slot_trees():
+    return st.recursive(
+        st.one_of(leaves(3), st.integers(1, 3).map(Slot)),
+        lambda sub: st.tuples(st.sampled_from([Prod, Comm, Anti]), sub, sub).map(
+            lambda t: t[0](t[1], t[2])
+        ),
+        max_leaves=12,
+    )
+
+
+def mirrored(e):
+    """The same element spelled differently: every anticommutator's
+    children swapped."""
+    if isinstance(e, (Leaf, Slot)):
+        return e
+    left, right = mirrored(e.left), mirrored(e.right)
+    return Anti(right, left) if isinstance(e, Anti) else type(e)(left, right)
+
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(
+    st.lists(st.tuples(fractions, slot_trees()), max_size=4),
+    st.lists(st.tuples(fractions, slot_trees()), max_size=2),
+    st.fixed_dictionaries({i: st.one_of(leaves(4), trees()) for i in (1, 2, 3)}),
+)
+def test_expansion_matches_fold_on_random_trees(terms, cancelled, mapping):
+    """Trees of up to 12 leaves with repeated letters and substituted slots;
+    the ``cancelled`` terms come back negated and mirrored, so their
+    expansions cancel without their trees being equal."""
+    items = terms + cancelled + [(-c, mirrored(t)) for c, t in cancelled]
+    got = ExprSum(items).substitute(mapping).expand()
+    assert got == fold_sum(terms, mapping)
+    assert_stored_exact(got)
+
+
+@given(
+    st.lists(st.tuples(fractions, slot_trees()), min_size=1, max_size=3),
+    st.lists(st.tuples(fractions, slot_trees()), max_size=2),
+)
+def test_check_identity_matches_fold(lhs, extra):
+    """``check_identity`` reads the slots' letters off each pattern; the
+    oracle substitutes them.  The right side is the left mirrored plus
+    ``extra``, so the template holds whenever ``extra`` expands to zero."""
+    lhs = lhs + [(1, left_normed(Prod, [Slot(1), Slot(2), Slot(3)]))]
+    rhs = [(c, mirrored(t)) for c, t in lhs] + extra
+    verdict = check_identity(IdentityTemplate(ExprSum(lhs), ExprSum(rhs)), "polarized")
+    diff = [(-c, t) for c, t in extra]
+    patterns = [(1, 2, 3)] + [p for p in set_partition_patterns(3) if p != (1, 2, 3)]
+    for pattern in patterns:
+        residual = fold_sum(diff, {i: Leaf(g) for i, g in enumerate(pattern, start=1)})
+        if residual:
+            assert verdict.counterexample == pattern
+            assert verdict.residual == residual
+            assert_stored_exact(verdict.residual)
+            return
+    assert verdict.holds
 
 
 def test_expand_unbound_slot():

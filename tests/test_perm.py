@@ -83,7 +83,7 @@ def test_add_scale_examples():
     assert doubled == PermPolynomial.from_word((1, 2), 2)
 
 
-@pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", None])
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", None, True, False])
 def test_inexact_coefficients_rejected(bad):
     with pytest.raises(TypeError, match="int or Fraction"):
         PermPolynomial.from_word((1, 2), bad)
