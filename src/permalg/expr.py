@@ -134,6 +134,7 @@ def _head_vector(root: Node, slots: Sequence[int] | None) -> tuple[dict[int, int
             if b:
                 for h, c in rv.items():
                     vec[h] = vec.get(h, 0) + b * c
+            # the node's sum: ls*rs for Prod, 0 for Comm, 2*ls*rs for Anti
             values.append((vec, (ls + b) * rs))
             continue
         else:
@@ -144,10 +145,13 @@ def _head_vector(root: Node, slots: Sequence[int] | None) -> tuple[dict[int, int
     return values[0][0], letters
 
 
-def _expand(terms: Iterable[tuple[Node, Fraction]], slots: Sequence[int] | None = None) -> PermPolynomial:
+def _expand(
+    terms: Iterable[tuple[Node, Fraction]], slots: Sequence[int] | None = None
+) -> PermPolynomial:
     """``sum coeff * node`` in the word basis, accumulated into one dict:
     each root head ``h`` with value ``c`` is the word ``h`` followed by the
-    other letters sorted, with coefficient ``coeff * c``."""
+    other letters sorted, with coefficient ``coeff * c`` (``accumulate``
+    drops the zeros)."""
     out: dict[PermMonomial, Fraction] = {}
     for node, coeff in terms:
         vec, found = _head_vector(node, slots)

@@ -89,7 +89,9 @@ class MetabelianLieAlgebra:
         self.table: dict[tuple[int, int], Vec] = {}
         for (i, j), value in (brackets or {}).items():
             if not all(type(x) is int for x in (i, j, *value)):
-                raise AlgebraFormatError(f"bracket ({i!r},{j!r}) -> {list(value)!r} needs integer indices")
+                raise AlgebraFormatError(
+                    f"bracket ({i!r},{j!r}) -> {list(value)!r} needs integer indices"
+                )
             if not (1 <= i < j <= dim):
                 raise AlgebraFormatError(f"bracket pair ({i},{j}) must satisfy 1 <= i < j <= dim")
             for b in value:
