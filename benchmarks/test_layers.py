@@ -1,5 +1,6 @@
 """Per-layer timings of the slice closures, the row echelon, the
-coordinates read off its witnesses and expression-tree expansion.
+coordinates read off its witnesses and the expression-tree walks
+(expansion, printing, equality).
 
 Run from the repository root (not part of the default test run, which
 collects ``tests/`` only)::
@@ -104,3 +105,20 @@ def test_verify_J_identities(benchmark):
     """Six laws of the ``f``-calculus by ``check_identity`` plus two frozen
     expansions."""
     assert run(benchmark, verify_J_identities, (), 50).ok
+
+
+@pytest.mark.parametrize("n, rounds", [(8, 200), (3000, 5)])
+def test_print_jordan_witness(benchmark, n, rounds):
+    """``str`` of the ``jordan_express`` witness of ``x2*x1*...*x1``: the
+    terms sorted by ``node_key`` and printed by ``node_str``."""
+    witness = jordan_express(PermPolynomial.from_word((2,) + (1,) * (n - 1)))
+    text = run(benchmark, str, (witness,), rounds)
+    assert text.count("{") == 3 * (n - 1)
+
+
+def test_tree_equality(benchmark):
+    """``==`` on two separately built, equal witnesses of ``x1*...*x8``:
+    every pair of trees hashes alike, so each is walked to its leaves."""
+    word = PermPolynomial.from_word(tuple(range(1, 9)))
+    a, b = jordan_express(word), jordan_express(word)
+    assert run(benchmark, a.__eq__, (b,), 500)

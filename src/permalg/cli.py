@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 mathematical negative (not a Lie element, an
 identity that fails, an invalid algebra, a nontrivial overlap), 2 input
-error, including input nested too deeply to process.  ``--json`` switches
+error.  Expression trees are walked on explicit stacks, so a word of any
+length works; only the expression parser and the JSON reader recurse, and
+input nested too deeply for them is an input error too.  ``--json`` switches
 every command to a stable machine-readable report; ``PERMALG_OUTPUT=json``
 makes that the default.
 """
@@ -23,6 +25,7 @@ from . import __version__
 # ``permalg.perm``).
 if TYPE_CHECKING:
     from .envelope import Envelope
+    from .metabelian import MetabelianLieAlgebra
     from .perm import PermPolynomial
 
 _JSON_DEFAULT = os.environ.get("PERMALG_OUTPUT", "text").strip().lower() == "json"
@@ -48,21 +51,29 @@ def _poly_json(p: PermPolynomial) -> list[dict]:
 
 
 def _parse_or_usage(parser, *args):
-    # ExprSyntaxError, UnboundSlotError and check_identity's slot limit are ValueErrors
+    # ExprSyntaxError, UnboundSlotError and check_identity's slot limit are
+    # ValueErrors; the recursive-descent parser is the one walk that recurses
     try:
         return parser(*args)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
+    except RecursionError:
+        raise click.UsageError("input is nested too deeply") from None
+
+
+def _algebra_or_usage(path: str) -> MetabelianLieAlgebra:
+    from .metabelian import AlgebraFormatError, load_algebra
+
+    try:
+        return load_algebra(path)
+    except (AlgebraFormatError, OSError) as exc:
+        raise click.UsageError(str(exc)) from None
 
 
 def _load_or_usage(path: str) -> Envelope:
-    from .envelope import Envelope
-    from .metabelian import AlgebraFormatError, InvalidLieAlgebra, load_algebra
+    from .envelope import Envelope, InvalidLieAlgebra
 
-    try:
-        algebra = load_algebra(path)
-    except (AlgebraFormatError, OSError) as exc:
-        raise click.UsageError(str(exc)) from None
+    algebra = _algebra_or_usage(path)
     try:
         return Envelope(algebra)
     except InvalidLieAlgebra as exc:
@@ -70,18 +81,7 @@ def _load_or_usage(path: str) -> Envelope:
         sys.exit(1)
 
 
-class _Main(click.Group):
-    """Maps input nested beyond the interpreter's recursion limit, which any
-    command's parser or tree walk can hit, to a usage error."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except RecursionError:
-            raise click.UsageError("input is nested too deeply", ctx) from None
-
-
-@click.group(cls=_Main)
+@click.group()
 @click.version_option(__version__, prog_name="permalg")
 def main() -> None:
     """Exact computer algebra for free perm algebras."""
@@ -383,12 +383,8 @@ def envelope_nf(path: str, expression: str, use_unicode: bool, as_json: bool) ->
 def envelope_check(path: str, seed: int, words: int, as_json: bool) -> None:
     """Validate the algebra, reduce all overlaps, and verify the embedding."""
     from .envelope import Envelope
-    from .metabelian import AlgebraFormatError, load_algebra
 
-    try:
-        algebra = load_algebra(path)
-    except (AlgebraFormatError, OSError) as exc:
-        raise click.UsageError(str(exc)) from None
+    algebra = _algebra_or_usage(path)
     report = algebra.validate()
     if not report.ok:
         data = {

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate as running_totals, combinations_with_replacement
 from math import ceil, comb, log
 from typing import Iterable, NamedTuple, Sequence
 
@@ -226,18 +226,15 @@ class Envelope:
     # -- reduction
 
     def is_normal(self, m: EnvelopeMonomial) -> bool:
-        if any(self.is_y(t) for t in m.tail):
-            return False
-        if self.is_y(m.dot):
-            return not m.tail
-        return not m.tail or m.dot <= m.tail[0]
+        return self._step(m, "leftmost") is None
 
     def _absorb(self, m: EnvelopeMonomial, letter: int) -> EnvElement:
         """One step of the length-two rule of the dot and the plain
         ``letter`` of ``m``: a dotted Y letter ``y`` becomes ``[y,letter]'``;
         a dotted Z letter ``z_i`` with ``letter = z_j`` becomes
         ``z_j' z_i + [z_i,z_j]'``.  The other plain letters ride along."""
-        rest = _drop_one(m.tail, letter)
+        i = m.tail.index(letter)
+        rest = m.tail[:i] + m.tail[i + 1 :]
         moved = {} if self.is_y(m.dot) else {EnvelopeMonomial(letter, tuple(sorted(rest + (m.dot,)))): _ONE}
         bracket = sorted(self.algebra.bracket_basis(m.dot, letter).items())
         return accumulate(moved, ((EnvelopeMonomial(b, rest), c) for b, c in bracket))
@@ -351,11 +348,7 @@ class Envelope:
             raise ValueError("need dmax >= 4")
         degrees = tuple(range(1, dmax + 1))
         per_degree = tuple(self.degree_count(n) for n in degrees)
-        cumulative = []
-        total = 0
-        for c in per_degree:
-            total += c
-            cumulative.append(total)
+        cumulative = tuple(running_totals(per_degree))
         start = max(2, ceil(dmax / 2))
         window = list(range(start, dmax + 1))
         logs = {d: log(cumulative[d - 1]) for d in range(1, dmax + 1)}
@@ -365,7 +358,7 @@ class Envelope:
         return GrowthReport(
             degrees=degrees,
             per_degree=per_degree,
-            cumulative=tuple(cumulative),
+            cumulative=cumulative,
             window=(start, dmax),
             loglog_slope=raw,
             slope=intercept,
@@ -437,9 +430,3 @@ class Envelope:
                 ]
             accumulate(out, ((env_monomial(dot, tail), c) for c, dot, tail in parts))
         return out
-
-
-def _drop_one(tail: tuple[int, ...], letter: int) -> tuple[int, ...]:
-    out = list(tail)
-    out.remove(letter)
-    return tuple(out)

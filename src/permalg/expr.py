@@ -19,11 +19,15 @@ the coefficient sum of ``t``,
     Prod(l, r) = s(r)*l,   Comm(l, r) = s(r)*l - s(l)*r,
     Anti(l, r) = s(r)*l + s(l)*r,
 
-and a leaf ``x_i`` is ``{i: 1}``.  One post-order pass over an explicit
-stack evaluates every node in integers, so a tree of any depth expands;
-the root's head ``h`` stands for the word with head ``h`` and the other
-letters sorted.  Multiplying the words out one product at a time gives
-the same answer and survives only as a test oracle.
+and a leaf ``x_i`` is ``{i: 1}``.  One :func:`fold` evaluates every node
+in integers, and the root's head ``h`` stands for the word with head
+``h`` and the other letters sorted.  Multiplying the words out one
+product at a time gives the same answer and survives only as a test
+oracle.
+
+A tree is walked by :func:`fold`, one post-order pass over an explicit
+stack, and the sort key and ``==`` keep stacks of their own; nothing
+recurses, so trees of any depth expand, print, substitute and compare.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from functools import reduce
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .perm import Combination, PermMonomial, PermPolynomial, accumulate, exact
 
@@ -49,6 +54,7 @@ __all__ = [
     "associator",
     "check_identity",
     "expand_node",
+    "fold",
     "left_normed",
     "node_slots",
     "node_str",
@@ -59,42 +65,70 @@ __all__ = [
 @dataclass(frozen=True)
 class Leaf:
     index: int
+    _size, _tag = 1, 0  # leaf count and kind, as a binary node has them
 
 
 @dataclass(frozen=True)
 class Slot:
     index: int
+    _size, _tag = 1, 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class _Binary:
-    """A node with two children.  Its hash is computed once, from its kind
-    and its children's hashes, so hashing never walks the tree."""
+    """A node with two children.  Its hash and leaf count are computed once,
+    from its kind and its children's, so neither walks the tree."""
 
     left: "Node"
     right: "Node"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((_TAGS[type(self)], self.left, self.right)))
+    def __init__(self, left: "Node", right: "Node") -> None:
+        # the instance is frozen, so the fields go straight into its dict
+        d = self.__dict__
+        d["left"], d["right"] = left, right
+        d["_hash"] = hash((self._tag, left, right))
+        d["_size"] = left._size + right._size
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        """Walks both trees in pairs on a stack: a pair of one node twice is
+        equal, and one of different kinds or hashes is not."""
+        if type(other) is not type(self):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if isinstance(a, _Binary):
+                if a._hash != b._hash:
+                    return False
+                todo += ((a.right, b.right), (a.left, b.left))
+            elif a.index != b.index:
+                return False
+        return True
+
+    def __repr__(self) -> str:
+        return fold(self, repr, lambda n, l, r: f"{type(n).__name__}(left={l}, right={r})")
+
 
 class Prod(_Binary):
-    pass
+    _tag = 2
 
 
 class Comm(_Binary):
-    pass
+    _tag = 3
 
 
 class Anti(_Binary):
-    pass
+    _tag = 4
 
 
 Node = Union[Leaf, Slot, Prod, Comm, Anti]
-_TAGS = {Prod: 2, Comm: 3, Anti: 4}
 
 _ONE = Fraction(1)
 
@@ -103,59 +137,64 @@ class UnboundSlotError(ValueError):
     pass
 
 
-def _head_vector(root: Node, slots: Sequence[int] | None) -> tuple[dict[int, int], list[int]]:
-    """The root's head vector (zeros allowed) and the tree's letters, from
-    one post-order pass.  A slot ``i`` is the letter ``slots[i - 1]``.
-
-    The stack holds nodes still to visit and, below a binary node's
-    children, the node's class as a marker that both children's values are
-    on ``values`` and can be combined.  A value is ``(vector, sum)``, and
-    each vector belongs to one value only, so a node updates its left
-    child's in place."""
-    letters: list[int] = []
-    values: list[tuple[dict[int, int], int]] = []
+def fold(root: Node, leaf: Callable, binary: Callable):
+    """The tree's value, bottom-up: ``leaf(node)`` at each leaf and slot,
+    ``binary(node, left, right)`` at each binary node.  The stack holds the
+    nodes still to visit and, below a node's children, the node under a
+    ``None`` marker: both children's values are then on top of ``values``."""
+    values: list = []
     todo: list = [root]
     while todo:
-        item = todo.pop()
-        kind = type(item)
-        if kind is Leaf:
-            i = item.index
-        elif kind is Slot:
-            if slots is None or not 1 <= item.index <= len(slots):
-                raise UnboundSlotError(f"unbound template slot {_slot_name(item.index)}")
-            i = slots[item.index - 1]
-        elif kind is type:
-            rv, rs = values.pop()
-            vec, ls = values.pop()
-            if rs != 1:
-                for h in vec:
-                    vec[h] *= rs
-            b = 0 if item is Prod else -ls if item is Comm else ls
-            if b:
-                for h, c in rv.items():
-                    vec[h] = vec.get(h, 0) + b * c
-            # the node's sum: ls*rs for Prod, 0 for Comm, 2*ls*rs for Anti
-            values.append((vec, (ls + b) * rs))
-            continue
+        node = todo.pop()
+        if node is None:
+            right = values.pop()
+            values[-1] = binary(todo.pop(), values[-1], right)
+        elif isinstance(node, _Binary):
+            todo += (node, None, node.right, node.left)
         else:
-            todo += (kind, item.right, item.left)
-            continue
-        letters.append(i)
-        values.append(({i: 1}, 1))
-    return values[0][0], letters
+            values.append(leaf(node))
+    return values[0]
 
 
 def _expand(
     terms: Iterable[tuple[Node, Fraction]], slots: Sequence[int] | None = None
 ) -> PermPolynomial:
-    """``sum coeff * node`` in the word basis, accumulated into one dict:
-    each root head ``h`` with value ``c`` is the word ``h`` followed by the
-    other letters sorted, with coefficient ``coeff * c`` (``accumulate``
-    drops the zeros)."""
+    """``sum coeff * node`` in the word basis.  Each tree folds to its
+    root's head vector (zeros allowed) and collects its letters; a slot
+    ``i`` is the letter ``slots[i - 1]``.  A node's value is ``(vector,
+    sum)``, and each vector belongs to one value only, so a node updates
+    its left child's in place.  A root head ``h`` with value ``c`` is the
+    word ``h`` followed by the other letters sorted, with coefficient
+    ``coeff * c``; all terms accumulate into one dict, dropping zeros."""
+    letters: list[int] = []
+
+    def leaf(node: Leaf | Slot) -> tuple[dict[int, int], int]:
+        i = node.index
+        if type(node) is Slot:
+            if slots is None or not 1 <= i <= len(slots):
+                raise UnboundSlotError(f"unbound template slot {_slot_name(i)}")
+            i = slots[i - 1]
+        letters.append(i)
+        return {i: 1}, 1
+
+    def binary(node: Node, left, right) -> tuple[dict[int, int], int]:
+        (vec, ls), (rv, rs) = left, right
+        if rs != 1:
+            for h in vec:
+                vec[h] *= rs
+        kind = type(node)
+        b = 0 if kind is Prod else -ls if kind is Comm else ls
+        if b:
+            for h, c in rv.items():
+                vec[h] = vec.get(h, 0) + b * c
+        # the node's sum: ls*rs for Prod, 0 for Comm, 2*ls*rs for Anti
+        return vec, (ls + b) * rs
+
     out: dict[PermMonomial, Fraction] = {}
     for node, coeff in terms:
-        vec, found = _head_vector(node, slots)
-        word = sorted(found)
+        letters.clear()
+        vec, _ = fold(node, leaf, binary)
+        word = sorted(letters)
         words = []
         for h, c in vec.items():
             i = bisect_left(word, h)
@@ -170,54 +209,55 @@ def expand_node(e: Node) -> PermPolynomial:
 
 
 def node_slots(e: Node) -> frozenset[int]:
-    if isinstance(e, Leaf):
-        return frozenset()
-    if isinstance(e, Slot):
-        return frozenset((e.index,))
-    return node_slots(e.left) | node_slots(e.right)
+    return fold(
+        e, lambda n: frozenset((n.index,) if type(n) is Slot else ()), lambda n, l, r: l | r
+    )
 
 
 def substitute_node(e: Node, mapping: Mapping[int, Node]) -> Node:
-    if isinstance(e, Leaf):
-        return e
-    if isinstance(e, Slot):
+    def leaf(n: Leaf | Slot) -> Node:
+        if type(n) is Leaf:
+            return n
         try:
-            return mapping[e.index]
+            return mapping[n.index]
         except KeyError:
-            raise UnboundSlotError(f"no substitution for slot {_slot_name(e.index)}") from None
-    return type(e)(substitute_node(e.left, mapping), substitute_node(e.right, mapping))
+            raise UnboundSlotError(f"no substitution for slot {_slot_name(n.index)}") from None
+
+    return fold(e, leaf, lambda n, left, right: type(n)(left, right))
 
 
-def node_key(e: Node):
-    """Deterministic structural sort key (size first, then shape); a key's
-    first entry is the tree's leaf count."""
-    if isinstance(e, Leaf):
-        return (1, 0, e.index)
-    if isinstance(e, Slot):
-        return (1, 1, e.index)
-    left, right = node_key(e.left), node_key(e.right)
-    return (left[0] + right[0], _TAGS[type(e)], left, right)
+def node_key(e: Node) -> tuple[int, ...]:
+    """Deterministic structural sort key, size first: the tree in pre-order
+    as one flat tuple, ``(leaf count, kind)`` at each binary node and
+    ``(1, kind, index)`` at each leaf.  Keys of different trees differ
+    before either ends, so they order as nested keys would."""
+    key: list[int] = []
+    todo = [e]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, _Binary):
+            key += (n._size, n._tag)
+            todo += (n.right, n.left)
+        else:
+            key += (1, n._tag, n.index)
+    return tuple(key)
 
 
 def _slot_name(i: int) -> str:
     return chr(ord("a") + i - 1) if 1 <= i <= 26 else f"s{i}"
 
 
-def node_str(e: Node) -> str:
-    if isinstance(e, Leaf):
-        return f"x{e.index}"
-    if isinstance(e, Slot):
-        return _slot_name(e.index)
-    if isinstance(e, Comm):
-        return f"[{node_str(e.left)},{node_str(e.right)}]"
-    if isinstance(e, Anti):
-        return f"{{{node_str(e.left)},{node_str(e.right)}}}"
+def _node_text(n: Node, left: str, right: str) -> str:
+    if type(n) is Comm:
+        return f"[{left},{right}]"
+    if type(n) is Anti:
+        return f"{{{left},{right}}}"
     # associative product: keep left-normed chains flat
-    left = node_str(e.left)
-    right = node_str(e.right)
-    if isinstance(e.right, Prod):
-        right = f"({right})"
-    return f"{left}*{right}"
+    return f"{left}*({right})" if type(n.right) is Prod else f"{left}*{right}"
+
+
+def node_str(e: Node) -> str:
+    return fold(e, lambda n: f"x{n.index}" if type(n) is Leaf else _slot_name(n.index), _node_text)
 
 
 class ExprSum(Combination):
@@ -263,10 +303,7 @@ class ExprSum(Combination):
         )
 
     def slots(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for n in self._terms:
-            out |= node_slots(n)
-        return out
+        return frozenset().union(*map(node_slots, self._terms))
 
     def expand(self) -> PermPolynomial:
         return _expand(self._terms.items())
@@ -284,13 +321,9 @@ def associator(a: "ExprSum | Node", b: "ExprSum | Node", c: "ExprSum | Node") ->
 
 def left_normed(kind: type, leaves: Sequence[Node | int]) -> Node:
     """Fold letters into a left-normed chain of the given binary node kind."""
-    nodes = [Leaf(x) if isinstance(x, int) else x for x in leaves]
-    if not nodes:
+    if not leaves:
         raise ValueError("need at least one letter")
-    acc = nodes[0]
-    for n in nodes[1:]:
-        acc = kind(acc, n)
-    return acc
+    return reduce(kind, (Leaf(x) if isinstance(x, int) else x for x in leaves))
 
 
 class IdentityTemplate:
@@ -324,17 +357,12 @@ class IdentityVerdict:
 
 
 def set_partition_patterns(n: int) -> Iterator[tuple[int, ...]]:
-    """Restricted-growth strings of length ``n``: one generator pattern per
-    way of identifying slot variables."""
-
-    def rec(prefix: list[int], top: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in range(1, top + 2):
-            yield from rec(prefix + [v], max(top, v))
-
-    yield from rec([1], 1) if n else iter(())
+    """Restricted-growth strings of length ``n``, in lexicographic order:
+    one generator pattern per way of identifying slot variables."""
+    patterns = [(1,)] if n else []
+    for _ in range(n - 1):
+        patterns = [p + (v,) for p in patterns for v in range(1, max(p) + 2)]
+    return iter(patterns)
 
 
 def check_identity(template: IdentityTemplate, mode: str = "multilinear") -> IdentityVerdict:

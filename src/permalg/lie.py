@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import NamedTuple, Sequence
 
-from .expr import Comm, ExprSum, Leaf, expand_node, left_normed, node_str
+from .expr import Comm, ExprSum, expand_node, left_normed, node_str
 from .linalg import Subspace
 from .perm import (
     PermMonomial,
@@ -60,12 +60,9 @@ def dynkin(f: PermPolynomial) -> PermPolynomial:
     """
     out: list[tuple[PermMonomial, Fraction]] = []
     for m, c in f.items():
-        if not m.tail:
-            out.append((m, c))
-            continue
-        swapped = PermMonomial(m.tail[0], tuple(sorted((m.head,) + m.tail[1:])))
         out.append((m, c))
-        out.append((swapped, -c))
+        if m.tail:
+            out.append((PermMonomial(m.tail[0], tuple(sorted((m.head,) + m.tail[1:]))), -c))
     return PermPolynomial(out)
 
 
@@ -87,13 +84,8 @@ def lie_express(f: PermPolynomial) -> ExprSum:
     defect = f - dynkin(head(f))
     if defect:
         raise NotLieElement(defect)
-    terms = []
-    for m, c in head(f).items():
-        if not m.tail:
-            terms.append((c, Leaf(m.head)))
-        else:
-            terms.append((c, left_normed(Comm, m.word())))
-    return ExprSum(terms)
+    # a one-letter word is the leaf itself
+    return ExprSum((c, left_normed(Comm, m.word())) for m, c in head(f).items())
 
 
 class MLMonomial(NamedTuple):

@@ -184,12 +184,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, width={len(self.monomials)})"
 
 
-def _component_of(monomials: Iterable[PermMonomial]) -> None:
-    """Raise ``ValueError`` unless the words share one letter multiset."""
-    if len({tuple(sorted(m.word())) for m in monomials}) > 1:
-        raise ValueError("mixed homogeneous components")
-
-
 def span_solve(
     vectors: Sequence[PermPolynomial], target: PermPolynomial
 ) -> list[Fraction] | None:
@@ -202,7 +196,8 @@ def span_solve(
     monos = target.support()
     for v in vectors:
         monos |= v.support()
-    _component_of(monos)
+    if len({tuple(sorted(m.word())) for m in monos}) > 1:
+        raise ValueError("mixed homogeneous components")
     span = Span()
     for j, v in enumerate(vectors):
         span.add(v, Combination._of({j: _ONE}))

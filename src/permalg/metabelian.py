@@ -155,25 +155,26 @@ class MetabelianLieAlgebra:
         )
 
     def validate(self) -> LieValidationReport:
+        """Jacobi on the triples that hold a pair with a nonzero bracket,
+        the metabelian law on pairs of such pairs; every other triple and
+        quadruple brackets to zero.  Both lists ascend by index tuple."""
         report = LieValidationReport()
-        for i in range(1, self.dim + 1):
-            for j in range(i + 1, self.dim + 1):
-                for k in range(j + 1, self.dim + 1):
-                    r = accumulate(
-                        {},
-                        chain.from_iterable(
-                            self.bracket(self.bracket_basis(p, q), {t: _ONE}).items()
-                            for p, q, t in ((i, j, k), (j, k, i), (k, i, j))
-                        ),
-                    )
-                    if r:
-                        report.jacobi_violations.append(((i, j, k), r))
-        pairs = [(i, j) for i in range(1, self.dim + 1) for j in range(i + 1, self.dim + 1)]
-        for a, b in pairs:
-            for c, d in pairs:
-                if (a, b) > (c, d):
-                    continue
-                r = self.bracket(self.bracket_basis(a, b), self.bracket_basis(c, d))
+        basis = range(1, self.dim + 1)
+        triples = {tuple(sorted((*pair, t))) for pair in self.table for t in basis if t not in pair}
+        for i, j, k in sorted(triples):
+            r = accumulate(
+                {},
+                chain.from_iterable(
+                    self.bracket(self.bracket_basis(p, q), {t: _ONE}).items()
+                    for p, q, t in ((i, j, k), (j, k, i), (k, i, j))
+                ),
+            )
+            if r:
+                report.jacobi_violations.append(((i, j, k), r))
+        pairs = sorted(self.table)
+        for n, (a, b) in enumerate(pairs):
+            for c, d in pairs[n:]:
+                r = self.bracket(self.table[(a, b)], self.table[(c, d)])
                 if r:
                     report.metabelian_violations.append(((a, b, c, d), r))
         return report
@@ -211,6 +212,8 @@ def load_algebra(path: str | Path) -> MetabelianLieAlgebra:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise AlgebraFormatError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise AlgebraFormatError("invalid JSON: input is nested too deeply") from None
     return MetabelianLieAlgebra.from_dict(data)
 
 

@@ -14,15 +14,18 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .expr import (
     ExprSum,
     IdentityTemplate,
     Leaf,
+    Node,
     Prod,
     Slot,
     associator,
+    fold,
 )
 
 __all__ = [
@@ -283,36 +286,42 @@ def parse_template(text: str) -> IdentityTemplate:
     return IdentityTemplate(lhs, rhs)
 
 
-def parse_word(text: str, table: GeneratorTable | None = None) -> tuple[int, ...]:
-    """Parse a plain left-normed product word and return its letters.
+def _letters(node: Node, message: str, left_normed: bool = False) -> list[int]:
+    """The generators of a product tree, left to right.  Any other node is
+    the error ``message``, and with ``left_normed`` so is a product whose
+    right factor is a product; a subtree's value is its letters or its
+    first error in reading order, raised at the root."""
 
-    The factors are read one at a time instead of being multiplied into
-    one tree, so a long flat word is not a deeply nested input."""
+    def binary(n: Node, left, right):
+        if type(n) is not Prod:
+            return message
+        if type(left) is str:
+            return left
+        if left_normed and type(n.right) is Prod:
+            return "word must be left-normed"
+        if type(right) is str:
+            return right
+        left += right
+        return left
+
+    out = fold(node, lambda n: [n.index] if type(n) is Leaf else message, binary)
+    if type(out) is str:
+        raise ExprSyntaxError(out, 0)
+    return out
+
+
+def parse_word(text: str, table: GeneratorTable | None = None) -> tuple[int, ...]:
+    """Parse a plain left-normed product word and return its letters.  The
+    factors, one term each, multiply into one left-nested tree, so a
+    parenthesized product after the first factor is a right factor that is
+    a product."""
     parser = _Parser(text, table or GeneratorTable())
     coeff, factors = parser.factors()
     if parser.peek()[0] is not None or not factors or any(len(f) != 1 for f in factors):
         raise ExprSyntaxError("expected a single product word", 0)
-    letters: list[int] = []
-
-    def flatten(n) -> None:
-        if isinstance(n, Leaf):
-            letters.append(n.index)
-            return
-        if isinstance(n, Prod):
-            flatten(n.left)
-            if isinstance(n.right, Prod):
-                raise ExprSyntaxError("word must be left-normed", 0)
-            flatten(n.right)
-            return
-        raise ExprSyntaxError("expected a plain product of generators", 0)
-
-    for i, factor in enumerate(factors):
-        ((node, c),) = factor.items()
-        coeff *= c
-        if i and isinstance(node, Prod):
-            raise ExprSyntaxError("word must be left-normed", 0)
-        flatten(node)
-    if coeff != 1:
+    ((node, c),) = reduce(ExprSum.prod, factors).items()
+    letters = _letters(node, "expected a plain product of generators", left_normed=True)
+    if coeff * c != 1:
         raise ExprSyntaxError("expected a word without a coefficient", 0)
     return tuple(letters)
 
@@ -329,19 +338,7 @@ def parse_envelope_expr(
     expr = _Parser(text, table, envelope=True).parse()
     out: list[tuple[Fraction, int, tuple[int, ...]]] = []
     for node, coeff in expr.terms():
-        letters: list[int] = []
-
-        def flatten(n) -> None:
-            if isinstance(n, Leaf):
-                letters.append(n.index)
-                return
-            if isinstance(n, Prod):
-                flatten(n.left)
-                flatten(n.right)
-                return
-            raise ExprSyntaxError("envelope expressions use products only", 0)
-
-        flatten(node)
+        letters = _letters(node, "envelope expressions use products only")
         dotted = [i - _DOT_OFFSET for i in letters if i > _DOT_OFFSET]
         plain = [i for i in letters if i <= _DOT_OFFSET]
         if len(dotted) != 1:

@@ -5,6 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from permalg.cli import main
+from permalg.jordan import jordan_express
+from permalg.perm import PermPolynomial
 
 ALGEBRAS = str(Path(__file__).resolve().parent.parent / "algebras")
 
@@ -30,12 +32,29 @@ def test_normalize_and_expand(runner):
 
 
 def test_long_flat_word(runner):
-    """A flat product parses to a left-nested tree; expansion walks it with
-    a stack of its own, so a 3000-letter word works."""
+    """A flat product parses to a left-nested tree, and every walk over a
+    tree keeps a stack of its own, so 3000-letter words expand, print,
+    compare and substitute."""
     word = "*".join(["x2"] + ["x3", "x1"] * 1500)
     expected = "*".join(["x2"] + ["x1"] * 1500 + ["x3"] * 1500)
     for command in ("normalize", "expand"):
         assert invoke(runner, command, word).strip() == expected
+    assert invoke(runner, "expand", f"{word} - {word}").strip() == "0"
+    flat = "*".join(["x2"] + ["x1"] * 3000)
+    out = invoke(runner, "jordan-express", flat).strip()
+    assert out.startswith("-1/") and "*{{x2,x1},{" in out
+    g = PermPolynomial.from_word((2,) + (1,) * 3000)
+    assert jordan_express(g).expand() == g
+    bracket = "[" * 3001 + "x2" + ",x1]" * 3001
+    assert invoke(runner, "lie-express", "*".join(["[x2,x1]"] + ["x1"] * 3000)).strip() == bracket
+    assert invoke(runner, "is-lie", "*".join(["[x2,x1]"] + ["x1"] * 3000)).strip() == (
+        f"Lie element: {bracket}"
+    )
+    power = "*".join(["a"] * 2000)
+    assert invoke(runner, "check-identity", "--template", f"{power} = {power}").strip() == "holds"
+    dotted = "*".join(["d(e2)"] + ["e1"] * 2000)
+    out = invoke(runner, "envelope", "nf", "--algebra", f"{ALGEBRAS}/heisenberg.json", dotted)
+    assert out.strip() == "*".join(["d(e1)"] + ["e1"] * 1999 + ["e2"])
 
 
 def test_is_lie_exit_codes(runner):
@@ -148,6 +167,25 @@ def test_input_error_exit_codes(runner, tmp_path):
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert "nested too deeply" in result.output
+        # the usage line names the subcommand the input was given to
+        assert f" {args[0]} [OPTIONS]" in result.output
+
+
+def test_deeply_nested_json_is_an_input_error(runner, tmp_path):
+    """JSON nested beyond the decoder's recursion limit is a malformed
+    algebra file: exit 2 with a message, no traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    for args in (
+        ["envelope", "build", "--algebra", str(path), "--deg", "2"],
+        ["envelope", "check", "--algebra", str(path)],
+        ["gk", "--algebra", str(path), "--max-deg", "4"],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, (args, result.output)
+        assert "nested too deeply" in result.output
+        assert "Traceback" not in result.output
+        assert not isinstance(result.exception, RecursionError)
 
 
 def test_json_flag_stable_within_process(runner):

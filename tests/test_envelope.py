@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,75 @@ def test_validate_examples():
     assert not report.ok
     assert not report.jacobi_violations  # sl2 is a Lie algebra
     assert report.metabelian_violations
+
+
+def validate_all_pairs_oracle(algebra):
+    """``validate`` over every basis triple and every pair of basis pairs:
+    the independent check of the version that visits only the brackets
+    that can be nonzero."""
+    one = Fraction(1)
+    jacobi, metabelian = [], []
+    n = algebra.dim
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                r = {}
+                for p, q, t in ((i, j, k), (j, k, i), (k, i, j)):
+                    for b, c in algebra.bracket(algebra.bracket_basis(p, q), {t: one}).items():
+                        r[b] = r.get(b, 0) + c
+                r = {b: c for b, c in r.items() if c}
+                if r:
+                    jacobi.append(((i, j, k), r))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for x, (a, b) in enumerate(pairs):
+        for c, d in pairs[x:]:
+            r = algebra.bracket(algebra.bracket_basis(a, b), algebra.bracket_basis(c, d))
+            if r:
+                metabelian.append(((a, b, c, d), r))
+    return jacobi, metabelian
+
+
+def random_brackets(dim, rng):
+    """Seeded structure constants with no law imposed, so most fail."""
+    brackets = {}
+    for i in range(1, dim + 1):
+        for j in range(i + 1, dim + 1):
+            if rng.random() < 0.3:
+                brackets[(i, j)] = {rng.randint(1, dim): rng.randint(-2, 2) for _ in range(2)}
+    return MetabelianLieAlgebra(dim, brackets=brackets)
+
+
+def test_validate_matches_all_pairs_oracle(rng):
+    algebras = [load_algebra(p) for p in sorted(ALGEBRAS.glob("*.json"))]
+    algebras += [MetabelianLieAlgebra.from_dict(SL2), abelian(5)]
+    algebras += [random_metabelian(d, rng) for d in range(1, 8) for _ in range(6)]
+    algebras += [random_brackets(d, rng) for d in range(2, 7) for _ in range(12)]
+    invalid = 0
+    for algebra in algebras:
+        report = algebra.validate()
+        jacobi, metabelian = validate_all_pairs_oracle(algebra)
+        assert report.jacobi_violations == jacobi
+        assert report.metabelian_violations == metabelian
+        invalid += not report.ok
+    assert invalid >= 30
+
+
+def test_validate_skips_zero_brackets(monkeypatch):
+    """An abelian algebra has no nonzero bracket, so validating it brackets
+    nothing, whatever its dimension."""
+    calls = 0
+    bracket = MetabelianLieAlgebra.bracket
+
+    def counting(self, u, v):
+        nonlocal calls
+        calls += 1
+        return bracket(self, u, v)
+
+    monkeypatch.setattr(MetabelianLieAlgebra, "bracket", counting)
+    assert MetabelianLieAlgebra(60).validate().ok
+    assert calls == 0
+    assert heisenberg().validate().ok
+    assert calls == 3 + 1  # the triple (1, 2, 3) and the pair of pairs ((1, 2), (1, 2))
 
 
 def bracket_entry(**changes):
@@ -280,6 +350,26 @@ def test_gk_estimates():
     assert g.cumulative[-1] == sum(g.per_degree)
     with pytest.raises(ValueError):
         heis.gk_estimate(3)
+
+
+def test_is_normal_is_basis_membership():
+    """A monomial is normal exactly when ``basis_degree`` lists it, on every
+    monomial of degree at most 4 of each valid stock algebra."""
+    checked = 0
+    for path in sorted(ALGEBRAS.glob("*.json")):
+        algebra = load_algebra(path)
+        if not algebra.validate().ok:
+            continue
+        env = Envelope(algebra)
+        letters = range(1, env.dim + 1)
+        for n in range(1, 5):
+            basis = set(env.basis_degree(n))
+            for dot in letters:
+                for tail in combinations_with_replacement(letters, n - 1):
+                    m = EnvelopeMonomial(dot, tail)
+                    assert env.is_normal(m) == (m in basis), (path.name, m)
+                    checked += 1
+    assert checked == 164  # 5 valid stock algebras, of dimension 1, 2, 2, 3 and 3
 
 
 def test_embed_check_examples():
