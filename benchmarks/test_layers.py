@@ -20,7 +20,7 @@ from permalg.envelope import Envelope
 from permalg.jordan import ideal_component, jordan_express, sj_span, verify_J_identities
 from permalg.lie import lie_span_oracle, ml_basis
 from permalg.linalg import Subspace, span_solve
-from permalg.metabelian import load_algebra
+from permalg.metabelian import MetabelianLieAlgebra, load_algebra
 from permalg.perm import PermPolynomial, enumerate_basis, multidegrees
 
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
@@ -75,12 +75,29 @@ def test_envelope_skew2(benchmark):
     assert env.split.changed_basis
 
 
-def test_ideal_component_jordan_2_2_1(benchmark):
-    """The anticommutator ideal of ``{x1,x2}`` and ``x3*x3`` at ``(2, 2, 1)``."""
+def test_envelope_abelian_500(benchmark):
+    """``Envelope`` set-up on the 500-dimensional abelian algebra: an empty
+    ``table``, so ``split_basis`` brackets no pair of adapted rows."""
+    env = run(benchmark, Envelope, (MetabelianLieAlgebra(500),), 5)
+    assert env.split.y_count == 0
+
+
+@pytest.mark.parametrize("ambient", ["perm", "jordan"])
+def test_ideal_component_2_2_1(benchmark, ambient):
+    """The ideal of ``{x1,x2}`` and ``x3*x3`` at ``(2, 2, 1)``."""
     x = PermPolynomial.from_word
     gens = [x((1, 2)) + x((2, 1)), x((3, 3))]
-    space = run(benchmark, ideal_component, ("jordan", gens, (2, 2, 1)), 20)
+    space = run(benchmark, ideal_component, (ambient, gens, (2, 2, 1)), 20)
     assert 0 < space.dim <= len(space.monomials)
+
+
+def test_ideal_component_jordan_40_3(benchmark):
+    """The anticommutator ideal of ``{x1,x2}`` and ``x2*x2`` at ``(40, 3)``:
+    both generators sit far below the target, so the slice is whole."""
+    x = PermPolynomial.from_word
+    gens = [x((1, 2)) + x((2, 1)), x((2, 2))]
+    space = run(benchmark, ideal_component, ("jordan", gens, (40, 3)), 20)
+    assert space.dim == len(space.monomials) == 2
 
 
 def test_span_add_whole_degree(benchmark):

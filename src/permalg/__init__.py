@@ -49,7 +49,6 @@ _EXPORTS = {
             "f_comb",
             "ideal_component",
             "jordan_express",
-            "sj_closure_oracle",
             "sj_span",
             "to_bn",
             "verify_J_identities",

@@ -85,6 +85,10 @@ def _load_or_usage(path: str) -> Envelope:
 @click.version_option(__version__, prog_name="permalg")
 def main() -> None:
     """Exact computer algebra for free perm algebras."""
+    # exact numbers print in full however long; Python 3.10.7+ caps
+    # int-to-str at 4300 digits by default (3.10.0-3.10.6 has no cap)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 def _emit_expansion(expression: str, as_json: bool) -> None:

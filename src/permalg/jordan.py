@@ -1,8 +1,8 @@
 """Anticommutator-side analysis of the free perm algebra.
 
 Covers the degree-four laws of the anticommutator product, constructive
-expression of word polynomials through anticommutators, degree-truncated
-ideal slices in both the associative and the anticommutator ambient, the
+expression of word polynomials through anticommutators, ideal slices in
+closed form in both the associative and the anticommutator ambient, the
 two-generator exceptional-quotient witness in the sense of Cohn, and the
 ``f``-combination normal form for the abstract anticommutator calculus.
 
@@ -30,10 +30,46 @@ word expands to ``2^(n-3)`` times that word.  Every component of degree
 ``>= 3`` is thus expressible through anticommutators without linear
 algebra, and the ``f``-elements are a basis.
 
+The ideal law.  A slice of the free perm algebra at multidegree ``md`` is
+``Q^(supp md)``: a polynomial there is known by its head vector, and
+``W(h)`` is the slice's word with head ``h``.  Write ``s(p)`` for the
+coefficient sum of ``p`` and ``p^`` for ``p`` with letters appended, which
+keeps its head vector.  For a letter ``x`` and homogeneous ``p``, ``t``,
+
+    x*p = s(p)*W(x),    p*x = p^,    {p,t} = s(t)*p^ + s(p)*t^.
+
+Take a generator ``g`` of multidegree ``gamma <= md`` with ``s = s(g)`` and
+let ``d = md - gamma``.  The ideal is the sum of its generators' ideals,
+and a generator with ``gamma`` not below ``md`` reaches nothing there.
+
+- perm: the two-sided ideal of ``g`` is spanned by ``g``, ``u*g``, ``g*v``
+  and ``u*g*v`` over words ``u``, ``v``, and both products with a word
+  ``u`` on the left are ``s*W(head u)``.  So the slice gets ``g^`` and,
+  when ``s != 0`` and ``|d| >= 1``, ``W(h)`` for every letter ``h`` of ``d``.
+- jordan: the product is commutative, so the ideal of ``g`` is spanned by
+  the chains ``{..{g,t_1},..,t_r}`` with each ``t_i`` a row of a slice of
+  the anticommutator subalgebra.  Scale each row to coefficient sum 1:
+  its head vector ``tau_i`` is then a unit ``W(h)``, or ``(W(a)+W(b))/2``
+  for the row ``{x_a,x_b}`` of two distinct letters.  Step ``i`` doubles
+  the sum, so by induction the chain is
+
+      g^ + s * sum_i 2^(i-1) * tau_i,
+
+  and its ``tau`` part has coefficient sum ``2^r - 1``.  If ``s = 0`` every
+  chain is ``g^``.  If ``d`` is one letter ``a``, the one chain is
+  ``g^ + s*W(a)``.  If ``|d| >= 2``, the chains of one-letter steps take
+  ``d``'s letters in every order, and swapping two adjacent steps ``a``,
+  ``b`` changes the chain by a multiple of ``s*(W(a) - W(b))``.  Modulo
+  these differences a chain of length 1 (sum 1) and one of length 2
+  (sum 3) differ by ``2*s*W(h)``, which separates ``g^`` from the ``W``.
+  So the slice gets ``g^`` and ``W(h)`` for every letter ``h`` of ``d``,
+  and these already hold every chain.
+
 Slices are values computed per call: ``_sj_rows`` gives the echelon rows
 of a multidegree slice in closed form (a letter, the anticommutator of
 two letters, or from degree 3 on every word), and nothing is kept between
-calls.
+calls.  The slice closures that check both closed forms live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -64,7 +100,6 @@ from .perm import (
     exact,
     letters,
     multidegrees,
-    sub_multidegrees,
 )
 
 __all__ = [
@@ -78,7 +113,6 @@ __all__ = [
     "f_comb",
     "ideal_component",
     "jordan_express",
-    "sj_closure_oracle",
     "sj_span",
     "to_bn",
     "verify_J_identities",
@@ -250,8 +284,8 @@ def _sj_rows(md: tuple[int, ...]) -> list[PermPolynomial]:
     subalgebra, in pivot order: the anticommutator of two distinct letters,
     scaled to lead 1; otherwise the whole component, one word per row (a
     letter, ``x*x = {x,x}/2``, or from degree 3 on every word).
-    :func:`_row_witness` gives a row's witness and
-    :func:`sj_closure_oracle` rebuilds the slice by closure."""
+    :func:`_row_witness` gives a row's witness; ``sj_closure_oracle`` in
+    ``tests/oracles.py`` rebuilds the slice by closure."""
     word = letters(md)
     if len(word) == 2 and word[0] != word[1]:
         lo, hi = word
@@ -270,39 +304,6 @@ def _row_witness(lead: PermMonomial) -> list[tuple[Fraction, Node]]:
         (b,) = lead.tail
         return [(_HALF if b == lead.head else _ONE, Anti(Leaf(b), Leaf(lead.head)))]
     return _word_terms(lead, _ONE)
-
-
-def sj_closure_oracle(multidegree: Sequence[int]) -> Subspace:
-    """One multidegree slice of the anticommutator subalgebra, by closing
-    lower slices under the product: an independent check of
-    :func:`_sj_rows` that does not use the ``2^(n-3)`` law.
-
-    A slice stops growing once it has full rank; the closure only adds, so
-    nothing it would add later can change it.
-    """
-    memo: dict[tuple[int, ...], Subspace] = {}
-
-    def close(md: tuple[int, ...]) -> Subspace:
-        if md in memo:
-            return memo[md]
-        space = memo[md] = Subspace(enumerate_basis(len(md), sum(md), md))
-        if sum(md) == 1:
-            gen = md.index(1) + 1
-            space.add(PermPolynomial.generator(gen), ExprSum.of(Leaf(gen)))
-            return space
-        for alpha, beta in sub_multidegrees(md):
-            if alpha > beta:
-                continue  # the product is symmetric; one orientation suffices
-            left = close(alpha)
-            right = close(beta)
-            for u, uw in zip(left.basis(), left.expressions):
-                for v, vw in zip(right.basis(), right.expressions):
-                    space.add(u * v + v * u, uw.anti(vw))
-                    if space.dim == len(space.monomials):
-                        return space
-        return space
-
-    return close(tuple(multidegree))
 
 
 def sj_span(k: int, n: int) -> Subspace:
@@ -359,10 +360,7 @@ def jordan_express(g: PermPolynomial) -> ExprSum:
 
 
 # ---------------------------------------------------------------------------
-# truncated ideal slices and the exceptional-quotient witness
-
-# largest total degree of an ideal slice; the closure grows fast with it
-IDEAL_DEGREE_BOUND = 8
+# ideal slices and the exceptional-quotient witness
 
 
 def ideal_component(
@@ -372,59 +370,39 @@ def ideal_component(
 ) -> Subspace:
     """One multidegree slice of the ideal generated by ``generators``.
 
-    ``ambient="perm"`` closes under one-letter products on both sides (the
-    two-sided associative ideal); ``ambient="jordan"`` closes under the
-    anticommutator with every slice of the anticommutator subalgebra.
-    Generators must each be homogeneous in every letter separately, and
-    the target's total degree may not exceed ``IDEAL_DEGREE_BOUND``.
+    ``ambient="perm"`` gives the two-sided associative ideal;
+    ``ambient="jordan"`` the ideal of the anticommutator subalgebra, closed
+    under the anticommutator with all of it.  Generators must each be
+    homogeneous in every letter separately.  The slice is read off the
+    ideal law of the module docstring, one generator at a time, with no
+    lower slice and no product: ``O(|generators| * k)`` vectors at any
+    degree.
     """
     if ambient not in ("perm", "jordan"):
         raise ValueError(f"unknown ambient {ambient!r}")
     target = tuple(multidegree)
     k = len(target)
-    if sum(target) > IDEAL_DEGREE_BOUND:
-        raise ValueError(f"multidegree total {sum(target)} exceeds bound {IDEAL_DEGREE_BOUND}")
-    by_mdeg: dict[tuple[int, ...], list[PermPolynomial]] = {}
+    space = Subspace(enumerate_basis(k, sum(target), target))
+    word = {m.head: m for m in space.monomials}  # W(h), the slice's word headed by h
     for g in generators:
         if g.is_zero:
             continue
         comps = g.multidegree_components(k)
         if len(comps) != 1:
             raise ValueError(f"inhomogeneous generator {g}")
-        md = next(iter(comps))
-        by_mdeg.setdefault(md, []).append(g)
-
-    memo: dict[tuple[int, ...], Subspace] = {}
-    sj_basis: dict[tuple[int, ...], list[PermPolynomial]] = {}  # anticommutator slices
-
-    def slice_of(md: tuple[int, ...]) -> Subspace:
-        if md in memo:
-            return memo[md]
-        space = Subspace(enumerate_basis(k, sum(md), md))
-        memo[md] = space
-        for g in by_mdeg.get(md, ()):
-            space.add(g)
-        if ambient == "perm":
-            for i in range(1, k + 1):
-                if md[i - 1] == 0:
-                    continue
-                lower_md = tuple(e - (1 if j == i - 1 else 0) for j, e in enumerate(md))
-                if sum(lower_md) == 0:
-                    continue
-                letter = PermPolynomial.generator(i)
-                for p in slice_of(lower_md).basis():
-                    space.add(letter * p)
-                    space.add(p * letter)
-        else:
-            for delta, rest in sub_multidegrees(md):
-                if delta not in sj_basis:
-                    sj_basis[delta] = _sj_rows(delta)
-                for p in slice_of(rest).basis():
-                    for s in sj_basis[delta]:
-                        space.add(p * s + s * p)
-        return space
-
-    return slice_of(target)
+        rest = [t - e for t, e in zip(target, next(iter(comps)))]
+        if min(rest) < 0:
+            continue  # no multiple of g reaches the target
+        lifted = PermPolynomial._of({word[m.head]: c for m, c in g.items()})
+        s = sum(c for _, c in g.items())
+        heads = [h for h, e in enumerate(rest, start=1) if e]
+        if s and ambient == "jordan" and sum(rest) == 1:
+            lifted += PermPolynomial.from_monomial(word[heads[0]], s)  # {g, x_a}
+        elif s:
+            for h in heads:
+                space.add(PermPolynomial.from_monomial(word[h]))
+        space.add(lifted)
+    return space
 
 
 @dataclass

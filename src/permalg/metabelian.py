@@ -324,12 +324,24 @@ def split_basis(algebra: MetabelianLieAlgebra) -> BasisSplit:
                 base += "_"
             labels.append(base)
 
+    # two adapted rows can bracket to nonzero only if they hold the two
+    # sides of a pair in ``table``
+    holders: dict[int, list[int]] = {}  # original index -> adapted rows holding it
+    for r, row in enumerate(new_rows, start=1):
+        for i in row:
+            holders.setdefault(i, []).append(r)
+    pairs = {
+        (min(r, s), max(r, s))
+        for i, j in algebra.table
+        for r in holders[i]
+        for s in holders[j]
+        if r != s
+    }
     brackets: dict[tuple[int, int], Vec] = {}
-    for r in range(1, n + 1):
-        for s in range(r + 1, n + 1):
-            w = _combine(images, algebra.bracket(new_rows[r - 1], new_rows[s - 1]))
-            if w:
-                brackets[(r, s)] = w
+    for r, s in sorted(pairs):
+        w = _combine(images, algebra.bracket(new_rows[r - 1], new_rows[s - 1]))
+        if w:
+            brackets[(r, s)] = w
     adapted = MetabelianLieAlgebra(n, labels, brackets)
     return BasisSplit(
         algebra=adapted,

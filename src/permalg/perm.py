@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Any, Hashable, ItemsView, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -28,7 +28,6 @@ __all__ = [
     "letters",
     "mono_key",
     "multidegrees",
-    "sub_multidegrees",
 ]
 
 K = TypeVar("K", bound=Hashable)
@@ -305,19 +304,6 @@ def multidegrees(k: int, n: int) -> Iterator[tuple[int, ...]]:
     for bars in combinations(range(n + k - 1), k - 1):
         edges = (-1, *bars, n + k - 1)
         yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
-
-
-def sub_multidegrees(
-    multidegree: Sequence[int],
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every split of ``multidegree`` into two nonzero exponent vectors, as
-    ordered pairs ``(alpha, multidegree - alpha)`` with ``alpha`` running
-    through ``itertools.product`` order."""
-    md = tuple(multidegree)
-    for alpha in product(*(range(e + 1) for e in md)):
-        beta = tuple(a - b for a, b in zip(md, alpha))
-        if any(alpha) and any(beta):
-            yield alpha, beta
 
 
 def enumerate_basis(

@@ -1,0 +1,122 @@
+"""Slice closures: the brute-force checks of the closed forms in
+``permalg.jordan``.
+
+Each closes lower multidegree slices under the product until nothing new
+appears, so it shares no law with the closed form it checks.  The work
+grows fast with the degree; keep the inputs small.
+"""
+
+from itertools import product
+from typing import Iterator, Sequence
+
+from permalg.expr import ExprSum, Leaf
+from permalg.jordan import _sj_rows
+from permalg.linalg import Subspace
+from permalg.perm import PermPolynomial, enumerate_basis
+
+
+def sub_multidegrees(
+    multidegree: Sequence[int],
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every split of ``multidegree`` into two nonzero exponent vectors, as
+    ordered pairs ``(alpha, multidegree - alpha)`` with ``alpha`` running
+    through ``itertools.product`` order."""
+    md = tuple(multidegree)
+    for alpha in product(*(range(e + 1) for e in md)):
+        beta = tuple(a - b for a, b in zip(md, alpha))
+        if any(alpha) and any(beta):
+            yield alpha, beta
+
+
+def sj_closure_oracle(multidegree: Sequence[int]) -> Subspace:
+    """One multidegree slice of the anticommutator subalgebra, by closing
+    lower slices under the product: an independent check of
+    ``permalg.jordan._sj_rows`` that does not use the ``2^(n-3)`` law.
+
+    A slice stops growing once it has full rank; the closure only adds, so
+    nothing it would add later can change it.
+    """
+    memo: dict[tuple[int, ...], Subspace] = {}
+
+    def close(md: tuple[int, ...]) -> Subspace:
+        if md in memo:
+            return memo[md]
+        space = memo[md] = Subspace(enumerate_basis(len(md), sum(md), md))
+        if sum(md) == 1:
+            gen = md.index(1) + 1
+            space.add(PermPolynomial.generator(gen), ExprSum.of(Leaf(gen)))
+            return space
+        for alpha, beta in sub_multidegrees(md):
+            if alpha > beta:
+                continue  # the product is symmetric; one orientation suffices
+            left = close(alpha)
+            right = close(beta)
+            for u, uw in zip(left.basis(), left.expressions):
+                for v, vw in zip(right.basis(), right.expressions):
+                    space.add(u * v + v * u, uw.anti(vw))
+                    if space.dim == len(space.monomials):
+                        return space
+        return space
+
+    return close(tuple(multidegree))
+
+
+def ideal_closure_oracle(
+    ambient: str,
+    generators: Sequence[PermPolynomial],
+    multidegree: Sequence[int],
+) -> Subspace:
+    """One multidegree slice of the ideal generated by ``generators``, by
+    closing every lower slice: an independent check of
+    ``permalg.jordan.ideal_component`` that does not use the head-vector law.
+
+    ``ambient="perm"`` closes under one-letter products on both sides (the
+    two-sided associative ideal); ``ambient="jordan"`` closes under the
+    anticommutator with every slice of the anticommutator subalgebra.
+    Generators must each be homogeneous in every letter separately.
+    """
+    if ambient not in ("perm", "jordan"):
+        raise ValueError(f"unknown ambient {ambient!r}")
+    target = tuple(multidegree)
+    k = len(target)
+    by_mdeg: dict[tuple[int, ...], list[PermPolynomial]] = {}
+    for g in generators:
+        if g.is_zero:
+            continue
+        comps = g.multidegree_components(k)
+        if len(comps) != 1:
+            raise ValueError(f"inhomogeneous generator {g}")
+        md = next(iter(comps))
+        by_mdeg.setdefault(md, []).append(g)
+
+    memo: dict[tuple[int, ...], Subspace] = {}
+    sj_basis: dict[tuple[int, ...], list[PermPolynomial]] = {}  # anticommutator slices
+
+    def slice_of(md: tuple[int, ...]) -> Subspace:
+        if md in memo:
+            return memo[md]
+        space = Subspace(enumerate_basis(k, sum(md), md))
+        memo[md] = space
+        for g in by_mdeg.get(md, ()):
+            space.add(g)
+        if ambient == "perm":
+            for i in range(1, k + 1):
+                if md[i - 1] == 0:
+                    continue
+                lower_md = tuple(e - (1 if j == i - 1 else 0) for j, e in enumerate(md))
+                if sum(lower_md) == 0:
+                    continue
+                letter = PermPolynomial.generator(i)
+                for p in slice_of(lower_md).basis():
+                    space.add(letter * p)
+                    space.add(p * letter)
+        else:
+            for delta, rest in sub_multidegrees(md):
+                if delta not in sj_basis:
+                    sj_basis[delta] = _sj_rows(delta)
+                for p in slice_of(rest).basis():
+                    for s in sj_basis[delta]:
+                        space.add(p * s + s * p)
+        return space
+
+    return slice_of(target)

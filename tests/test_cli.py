@@ -1,4 +1,6 @@
 import json
+import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -82,6 +84,26 @@ def test_check_identity(runner):
     result = runner.invoke(main, ["check-identity", "--template", "a*b = b*a"])
     assert result.exit_code == 1
     assert "witness" in result.output
+
+
+def test_dims_prints_exact_numbers_of_any_size(runner):
+    """A dimension past CPython's default 4300-digit int-to-str limit
+    prints in full, in text and in JSON.  The limit is process-wide, so it
+    is set to its default first and restored after."""
+    expected = 8000 * comb(8000 + 8000 - 2, 8000 - 1)
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    try:
+        if saved is not None:
+            sys.set_int_max_str_digits(4300)
+        text = invoke(runner, "dims", "--gens", "8000", "--deg", "8000")
+        payload = invoke(runner, "dims", "--gens", "8000", "--deg", "8000", "--json")
+        digits = str(expected)
+        assert len(digits) > 4300
+        assert text == f"dim of degree-8000 component on 8000 generators: {digits}\n"
+        assert json.loads(payload) == {"generators": 8000, "degree": 8000, "dimension": expected}
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 def test_dims_and_bn(runner):

@@ -231,6 +231,45 @@ def test_split_basis_change_when_needed():
     assert split.algebra.validate().ok
 
 
+def _all_pairs_table(split):
+    """The adapted table from the bracket of every pair of adapted rows."""
+    rows = split.new_in_old
+    table = {}
+    for r in range(1, len(rows) + 1):
+        for s in range(r + 1, len(rows) + 1):
+            w = split.to_adapted(split.original.bracket(rows[r - 1], rows[s - 1]))
+            if w:
+                table[(r, s)] = w
+    return table
+
+
+def test_split_basis_table_matches_all_pairs(rng):
+    """Bracketing only the rows that hold both sides of a ``table`` pair
+    gives the all-pairs table, in the same order."""
+    stock = [load_algebra(p) for p in sorted(ALGEBRAS.glob("*.json"))]
+    assert split_basis(load_algebra(ALGEBRAS / "skew2.json")).changed_basis
+    seeded = [random_metabelian(rng.randint(1, 8), rng) for _ in range(200)]
+    for algebra in stock + seeded:
+        split = split_basis(algebra)
+        assert list(split.algebra.table.items()) == list(_all_pairs_table(split).items())
+
+
+def test_split_basis_brackets_no_zero_pair(monkeypatch):
+    calls = 0
+    bracket = MetabelianLieAlgebra.bracket
+
+    def counting(self, u, v):
+        nonlocal calls
+        calls += 1
+        return bracket(self, u, v)
+
+    monkeypatch.setattr(MetabelianLieAlgebra, "bracket", counting)
+    split_basis(MetabelianLieAlgebra(500))
+    assert calls == 0
+    split_basis(heisenberg())
+    assert calls == 1
+
+
 def test_relations_heisenberg():
     env = Envelope(heisenberg())
     rendered = [env.rule_str(r) for r in env.rules()]

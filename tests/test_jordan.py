@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from permalg.expr import Anti, ExprSum, Leaf, left_normed, wrap
 from permalg.jordan import (
-    IDEAL_DEGREE_BOUND,
     FElement,
     NotJordanElement,
     bn_basis,
@@ -16,7 +15,6 @@ from permalg.jordan import (
     f_comb,
     ideal_component,
     jordan_express,
-    sj_closure_oracle,
     sj_span,
     to_bn,
     verify_J_identities,
@@ -24,6 +22,8 @@ from permalg.jordan import (
 )
 from permalg.linalg import Subspace
 from permalg.perm import PermPolynomial, dimension, enumerate_basis, multidegrees
+
+from oracles import ideal_closure_oracle, sj_closure_oracle
 
 x = PermPolynomial.from_word
 
@@ -162,13 +162,75 @@ def test_ideal_component_validation():
         ideal_component("perm", [mixed], (2, 1))
     with pytest.raises(ValueError, match="ambient"):
         ideal_component("weird", [], (1, 1))
-    with pytest.raises(ValueError, match="bound"):
-        ideal_component("perm", [], (5, 5))
-    at_bound = (IDEAL_DEGREE_BOUND - 1, 1)
-    assert ideal_component("perm", [], at_bound).dim == 0
-    message = f"multidegree total {IDEAL_DEGREE_BOUND + 1} exceeds bound {IDEAL_DEGREE_BOUND}"
-    with pytest.raises(ValueError, match=message):
-        ideal_component("jordan", [x((1, 2)) + x((2, 1))], (IDEAL_DEGREE_BOUND, 1))
+    # no degree bound: at (39, 1) the pair {x1,x2} (sum 2) brings both
+    # words, the zero-sum commutator only itself with the letters appended
+    assert ideal_component("perm", [], (39, 1)).dim == 0
+    pair = ideal_component("jordan", [x((1, 2)) + x((2, 1))], (39, 1))
+    assert pair.dim == len(pair.monomials) == 2
+    comm = ideal_component("jordan", [x((1, 2)) - x((2, 1))], (39, 1))
+    assert comm.basis() == [x((1, 1) + (1,) * 37 + (2,)) - x((2,) + (1,) * 39)]
+
+
+def _generators(k, max_degree):
+    """Every generator of degree <= ``max_degree`` on ``k`` letters with
+    coefficients in {-1, 0, 1, 2}: one-letter and zero-sum ones included."""
+    for n in range(1, max_degree + 1):
+        for md in multidegrees(k, n):
+            words = enumerate_basis(k, n, md)
+            for coeffs in product((-1, 0, 1, 2), repeat=len(words)):
+                yield PermPolynomial(zip(words, coeffs))
+
+
+@pytest.mark.parametrize("ambient", ["perm", "jordan"])
+@pytest.mark.parametrize("k, gen_degree, max_degree", [(1, 3, 8), (2, 2, 5), (3, 2, 4)])
+def test_ideal_component_matches_closure_single_generator(ambient, k, gen_degree, max_degree):
+    """The closed form against the closure on every small generator and
+    every target up to ``max_degree``, including targets the generator is
+    not below."""
+    for g in _generators(k, gen_degree):
+        for n in range(1, max_degree + 1):
+            for md in multidegrees(k, n):
+                got = ideal_component(ambient, [g], md).basis()
+                assert got == ideal_closure_oracle(ambient, [g], md).basis(), (g, md)
+
+
+@pytest.mark.parametrize("ambient", ["perm", "jordan"])
+def test_ideal_component_matches_closure_random(ambient, rng):
+    """Seeded sets of 0-3 generators, some forced to coefficient sum 0."""
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        n = rng.randint(1, 7 if k <= 2 else 5)
+        md = rng.choice(list(multidegrees(k, n)))
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            gmd = rng.choice(list(multidegrees(k, rng.randint(1, n))))
+            words = enumerate_basis(k, sum(gmd), gmd)
+            coeffs = [rng.randint(-2, 2) for _ in words]
+            if rng.random() < 0.3:
+                coeffs[-1] -= sum(coeffs)
+            gens.append(PermPolynomial(zip(words, coeffs)))
+        got = ideal_component(ambient, gens, md).basis()
+        assert got == ideal_closure_oracle(ambient, gens, md).basis(), (gens, md)
+
+
+@pytest.mark.parametrize(
+    "gens, md, dims",
+    [
+        # zero-sum: only the generator with the letters appended
+        ([x((1, 2)) - x((2, 1))], (2, 1, 1), (1, 1)),
+        # a letter: the whole slice on the associative side; on the
+        # anticommutator side, one letter short of it only x1*x2 + x2*x1
+        ([x((1,))], (1, 1), (2, 1)),
+        ([x((1,))], (2, 1), (2, 2)),
+        # x1^3 is not below (2, 3)
+        ([x((1, 1, 1))], (2, 3), (0, 0)),
+    ],
+)
+def test_ideal_component_edge_generators(gens, md, dims):
+    for ambient, dim in zip(("perm", "jordan"), dims):
+        got = ideal_component(ambient, gens, md)
+        assert got.dim == dim
+        assert got.basis() == ideal_closure_oracle(ambient, gens, md).basis()
 
 
 def test_ideal_component_builds_no_witnesses(monkeypatch):

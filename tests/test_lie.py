@@ -16,7 +16,9 @@ from permalg.lie import (
     ml_basis,
 )
 from permalg.linalg import Subspace
-from permalg.perm import PermPolynomial, enumerate_basis, multidegrees, sub_multidegrees
+from permalg.perm import PermPolynomial, enumerate_basis, multidegrees
+
+from oracles import sub_multidegrees
 
 x = PermPolynomial.from_word
 

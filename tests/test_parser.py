@@ -3,7 +3,7 @@ from functools import reduce
 
 import pytest
 
-from permalg import expr
+from permalg import parser
 from permalg.expr import Anti, Comm, ExprSum, Leaf, Prod, check_identity
 from permalg.parser import (
     ExprSyntaxError,
@@ -138,24 +138,21 @@ def test_parse_envelope_expr():
 
 
 def test_flat_product_parses_in_linear_work(monkeypatch):
-    calls = 0
-    node_key = expr.node_key
+    """A flat product of ``n`` letters builds its ``n - 1`` product nodes
+    once each."""
+    built = 0
 
-    def counting(e):
-        nonlocal calls
-        calls += 1
-        return node_key(e)
+    class CountingProd(Prod):
+        def __init__(self, left, right):
+            nonlocal built
+            built += 1
+            super().__init__(left, right)
 
-    monkeypatch.setattr(expr, "node_key", counting)
-
-    def work(n: int) -> int:
-        nonlocal calls
-        calls = 0
+    monkeypatch.setattr(parser, "Prod", CountingProd)
+    for n in (100, 200):
+        built = 0
         parse_expr("*".join(["x1"] * n))
-        return calls
-
-    small, large = work(100), work(200)
-    assert large <= 2 * small + 10, (small, large)
+        assert built == n - 1
 
 
 @pytest.mark.parametrize(

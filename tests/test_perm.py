@@ -13,8 +13,9 @@ from permalg.perm import (
     dimension,
     enumerate_basis,
     multidegrees,
-    sub_multidegrees,
 )
+
+from oracles import sub_multidegrees
 
 letters = st.integers(min_value=1, max_value=4)
 words = st.lists(letters, min_size=1, max_size=6)
