@@ -1,6 +1,6 @@
-"""Per-layer timings of the slice closures, the row echelon, the
-coordinates read off its witnesses and the expression-tree walks
-(expansion, printing, equality).
+"""Per-layer timings of the slice closures, the Lie sum test, ``to_bn``,
+the row echelon, the coordinates read off its witnesses and the
+expression-tree walks (expansion, printing, equality).
 
 Run from the repository root (not part of the default test run, which
 collects ``tests/`` only)::
@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 from permalg.envelope import Envelope
-from permalg.jordan import ideal_component, jordan_express, sj_span, verify_J_identities
-from permalg.lie import lie_span_oracle, ml_basis
+from permalg.jordan import ideal_component, jordan_express, sj_span, to_bn, verify_J_identities
+from permalg.lie import is_lie, lie_span_oracle, ml_basis
 from permalg.linalg import Subspace, span_solve
 from permalg.metabelian import MetabelianLieAlgebra, load_algebra
 from permalg.perm import PermPolynomial, enumerate_basis, multidegrees
@@ -39,6 +39,21 @@ def test_lie_slice_multilinear(benchmark, n, rounds):
 def test_lie_span_oracle_4_5(benchmark):
     space = run(benchmark, lie_span_oracle, (4, 5), 20)
     assert space.dim == len(ml_basis(4, 5))
+
+
+def test_is_lie_oracle_basis_4_5(benchmark):
+    """``is_lie`` on every row of the ``lie_span_oracle(4, 5)`` basis: one
+    coefficient sum per slice each."""
+    rows = lie_span_oracle(4, 5).basis()
+    assert run(benchmark, lambda: all(is_lie(p) for p in rows), (), 20)
+
+
+@pytest.mark.parametrize("n, rounds", [(2000, 20), (8000, 5)])
+def test_to_bn_two_letter_flat_word(benchmark, n, rounds):
+    """``to_bn`` of ``x2*x1^(n-1)``: two ``f``-elements of ``n - 1``
+    arguments, with ``n``-bit coefficients."""
+    combo = run(benchmark, to_bn, ((2,) + (1,) * (n - 1),), rounds)
+    assert [fe.head for _, fe in combo] == [1, 2]
 
 
 def test_sj_span_3_5(benchmark):

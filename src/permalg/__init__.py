@@ -57,8 +57,6 @@ _EXPORTS = {
         "lie": (
             "MLMonomial",
             "NotLieElement",
-            "dynkin",
-            "head",
             "is_lie",
             "lie_express",
             "lie_span_oracle",

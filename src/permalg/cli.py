@@ -386,19 +386,19 @@ def envelope_nf(path: str, expression: str, use_unicode: bool, as_json: bool) ->
 @_json_flag
 def envelope_check(path: str, seed: int, words: int, as_json: bool) -> None:
     """Validate the algebra, reduce all overlaps, and verify the embedding."""
-    from .envelope import Envelope
+    from .envelope import Envelope, InvalidLieAlgebra
 
     algebra = _algebra_or_usage(path)
-    report = algebra.validate()
-    if not report.ok:
+    try:
+        env = Envelope(algebra)
+    except InvalidLieAlgebra as exc:
         data = {
             "valid": False,
-            "jacobi_violations": [list(t) for t, _ in report.jacobi_violations],
-            "metabelian_violations": [list(t) for t, _ in report.metabelian_violations],
+            "jacobi_violations": [list(t) for t, _ in exc.report.jacobi_violations],
+            "metabelian_violations": [list(t) for t, _ in exc.report.metabelian_violations],
         }
         _emit(as_json, data, f"invalid algebra: {data}")
         sys.exit(1)
-    env = Envelope(algebra)
     comps = env.check_compositions()
     embed = env.embed_check()
     agreement = env.strategy_agreement(words=words, seed=seed)

@@ -95,7 +95,6 @@ from .linalg import Subspace
 from .perm import (
     PermMonomial,
     PermPolynomial,
-    accumulate,
     enumerate_basis,
     exact,
     letters,
@@ -503,10 +502,6 @@ class FElement(NamedTuple):
         return f"f(x{self.head};x{self.args[0]},{rest})"
 
 
-def f_element(head: int, args: Iterable[int]) -> FElement:
-    return FElement(head, tuple(sorted(args)))
-
-
 def bn_basis(k: int, n: int) -> list[FElement]:
     """All degree-``n`` ``f``-elements on ``k`` generators; the index set is
     the same head-plus-sorted-multiset scheme as the word basis, so the
@@ -527,24 +522,26 @@ def to_bn(word: Sequence[int]) -> list[tuple[Fraction, FElement]]:
     first ``j-1`` letters has coefficient sum ``2^(j-2)``, and a letter
     multiplied on the left of it becomes the head.  By the ``2^(n-3)`` law
     of this module ``W(h) = f(h; rest) / 2^(n-3)``, with ``rest`` the other
-    letters, so the combination follows in one pass.  It is the unique
-    ``f``-element combination that expands to the anticommutator reading
-    of the word.
+    letters, so the combination follows in one pass that sums the weights
+    per distinct head; each ``f``-element is then built once.  It is the
+    unique ``f``-element combination that expands to the anticommutator
+    reading of the word.
     """
     w = tuple(word)
     if len(w) < 3:
         raise ValueError("word must have length >= 3")
     if any(i < 1 for i in w):
         raise ValueError("generator indices are 1-based")
+    weights: dict[int, int] = {}
+    for j, h in enumerate(w):
+        weights[h] = weights.get(h, 0) + (1 << max(j - 1, 0))
     den = 1 << (len(w) - 3)
-    combo = accumulate(
-        {},
-        (
-            (f_element(h, w[:j] + w[j + 1 :]), Fraction(1 << max(j - 1, 0), den))
-            for j, h in enumerate(w)
-        ),
-    )
-    return [(combo[fe], fe) for fe in sorted(combo)]
+    ordered = sorted(w)
+    out = []
+    for h in sorted(weights):
+        i = ordered.index(h)
+        out.append((Fraction(weights[h], den), FElement(h, tuple(ordered[:i] + ordered[i + 1 :]))))
+    return out
 
 
 def expand_bn(combination: Iterable[tuple[Fraction, FElement]]) -> PermPolynomial:

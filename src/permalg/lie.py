@@ -1,41 +1,53 @@
 """Commutator-side analysis: the Lie-element criterion and its oracle.
 
 The commutator subalgebra of the free perm algebra generated by the
-letters is a free metabelian Lie algebra.  A polynomial is a commutator
-expression in the letters precisely when the composite of ``head`` (keep
-words whose first letter exceeds the second) and ``dynkin`` (left-normed
-bracketing) fixes it; ``lie_span_oracle`` rebuilds the same subspace by
-brute-force bracket closure, independently of that criterion.
+letters is a free metabelian Lie algebra.  Its multidegree slices have a
+closed form, read off the perm law ``abc = acb``:
 
-The closure works one multidegree slice at a time and brackets each lower
-slice with one letter: a Lie subalgebra generated by a set is spanned by
-the left-normed brackets of its elements, so one-letter brackets of the
-lower slices reach every bracket of the slice.  Slices are computed per
-call: a call of ``lie_span_oracle`` builds the lower slices it needs in a
-dict of its own and keeps nothing once it returns.
+- A slice ``md`` of the free perm algebra has one word per distinct letter
+  ``h`` of ``md``: ``W(h)``, the head ``h`` followed by the other letters
+  sorted.  The product of two words is one word, so the coefficient sum
+  ``s`` is multiplicative, ``s(uv) = s(u) s(v)``.
+- A commutator ``uv - vu`` of homogeneous elements therefore has sum 0,
+  and so has every element of degree >= 2 of the Lie subalgebra.
+- A left-normed bracket collapses onto plain right multiplication:
+  ``[[..[x_h, x_t1], ..], x_tm] = [x_h, x_t1] x_t2 ... x_tm``, which is
+  ``W(h) - W(t1)`` in the slice of its letters.  With ``a`` the least
+  letter of a slice of degree >= 2, the bracket ``[[x_h, x_a], ...]`` is
+  ``W(h) - W(a)`` for each ``h != a``.
+- These ``|supp md| - 1`` differences are independent and span the
+  zero-sum hyperplane of the slice, so they are a basis of its Lie part
+  (``ml_basis``), and an element is Lie exactly when no slice of degree
+  >= 2 has a nonzero coefficient sum (``is_lie``).  Degree-1 slices are
+  the letters themselves.
+- An element with coefficients ``c_h`` on ``W(h)`` differs from its Lie
+  part ``sum_{h != a} c_h (W(h) - W(a))`` by ``s W(a)`` per slice: the
+  defect ``NotLieElement`` carries.  It equals ``f - dynkin(head(f))``,
+  the projection that keeps the words whose head exceeds their first tail
+  letter and brackets them left-normed, because ``W(h)`` for ``h != a`` is
+  exactly a word whose first tail letter ``a`` is below its head.
+
+``lie_span_oracle`` rebuilds the Lie part by brute-force bracket closure,
+independently of this law.  The closure works one multidegree slice at a
+time and brackets each lower slice with one letter: a Lie subalgebra
+generated by a set is spanned by the left-normed brackets of its elements,
+so one-letter brackets of the lower slices reach every bracket of the
+slice.  Slices are computed per call: a call of ``lie_span_oracle`` builds
+the lower slices it needs in a dict of its own and keeps nothing once it
+returns.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import NamedTuple, Sequence
 
 from .expr import Comm, ExprSum, expand_node, left_normed, node_str
 from .linalg import Subspace
-from .perm import (
-    PermMonomial,
-    PermPolynomial,
-    enumerate_basis,
-    letters,
-    multidegrees,
-)
+from .perm import PermMonomial, PermPolynomial, accumulate, enumerate_basis, multidegrees
 
 __all__ = [
     "MLMonomial",
     "NotLieElement",
-    "dynkin",
-    "head",
     "is_lie",
     "lie_express",
     "lie_span_oracle",
@@ -43,36 +55,22 @@ __all__ = [
 ]
 
 
-def head(f: PermPolynomial) -> PermPolynomial:
-    """Keep degree-1 terms and words whose head exceeds the first tail letter."""
-    return PermPolynomial._of(
-        {m: c for m, c in f.items() if not m.tail or m.head > m.tail[0]}
-    )
-
-
-def dynkin(f: PermPolynomial) -> PermPolynomial:
-    """Left-normed bracketing of each word, expanded back into the word basis.
-
-    A word ``h t1 t2 ... tm`` maps to ``[[..[x_h, x_t1], ..], x_tm]``; in a
-    perm algebra a product annihilates commutators on its right, so the
-    bracket collapses to ``[x_h, x_t1] * x_t2 ... x_tm``, i.e. exactly two
-    words.  Length-1 words are fixed.
-    """
-    out: list[tuple[PermMonomial, Fraction]] = []
-    for m, c in f.items():
-        out.append((m, c))
-        if m.tail:
-            out.append((PermMonomial(m.tail[0], tuple(sorted((m.head,) + m.tail[1:]))), -c))
-    return PermPolynomial(out)
+def _defect(f: PermPolynomial) -> PermPolynomial:
+    """``s W(a)`` on each slice of degree >= 2, in one pass: each term is
+    keyed by its sorted letters, which is ``W(a)``'s word."""
+    sums = accumulate({}, ((tuple(sorted(m.word())), c) for m, c in f.items() if m.tail))
+    return PermPolynomial._of({PermMonomial(w[0], w[1:]): s for w, s in sums.items()})
 
 
 def is_lie(f: PermPolynomial) -> bool:
-    """Exact commutator-expressibility test: ``dynkin(head(f)) == f``."""
-    return dynkin(head(f)) == f
+    """Exact commutator-expressibility test: no slice of degree >= 2 has a
+    nonzero coefficient sum."""
+    return not _defect(f)
 
 
 class NotLieElement(ValueError):
-    """Raised with the defect ``f - dynkin(head(f))`` when ``f`` is not Lie."""
+    """Raised when ``f`` is not Lie, with the defect: the coefficient sum of
+    each slice of degree >= 2 times the word headed by its least letter."""
 
     def __init__(self, defect: PermPolynomial):
         super().__init__(f"not a Lie element; defect {defect}")
@@ -80,12 +78,15 @@ class NotLieElement(ValueError):
 
 
 def lie_express(f: PermPolynomial) -> ExprSum:
-    """Write a Lie element as a combination of left-normed commutator words."""
-    defect = f - dynkin(head(f))
+    """Write a Lie element as a combination of left-normed commutator words:
+    each word whose head exceeds its first tail letter, bracketed."""
+    defect = _defect(f)
     if defect:
         raise NotLieElement(defect)
     # a one-letter word is the leaf itself
-    return ExprSum((c, left_normed(Comm, m.word())) for m, c in head(f).items())
+    return ExprSum(
+        (c, left_normed(Comm, m.word())) for m, c in f.items() if not m.tail or m.head > m.tail[0]
+    )
 
 
 class MLMonomial(NamedTuple):
@@ -119,34 +120,16 @@ class MLMonomial(NamedTuple):
 def ml_basis(
     k: int, n: int, multidegree: Sequence[int] | None = None
 ) -> list[MLMonomial]:
-    """Free metabelian basis words of degree ``n`` on ``k`` generators."""
+    """Free metabelian basis words of degree ``n`` on ``k`` generators: the
+    words of ``enumerate_basis`` whose head exceeds their first tail letter,
+    read as brackets, in the same order."""
     if n < 2:
         raise ValueError("bracket words need degree >= 2")
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if multidegree is not None:
-        md = tuple(multidegree)
-        if len(md) != k:
-            raise ValueError(f"multidegree must have length {k}")
-        if sum(md) != n:
-            raise ValueError(f"multidegree total {sum(md)} != degree {n}")
-        word = letters(md)
-        second = word[0]  # the minimum letter
-        out = []
-        for first in sorted(set(word[1:])):
-            if first <= second:
-                continue
-            rest = list(word)
-            rest.remove(second)
-            rest.remove(first)
-            out.append(MLMonomial(first, second, tuple(rest)))
-        return out
-    out = []
-    for second in range(1, k + 1):
-        for first in range(second + 1, k + 1):
-            for rest in combinations_with_replacement(range(second, k + 1), n - 2):
-                out.append(MLMonomial(first, second, rest))
-    return sorted(out)
+    return [
+        MLMonomial(m.head, m.tail[0], m.tail[1:])
+        for m in enumerate_basis(k, n, multidegree)
+        if m.head > m.tail[0]
+    ]
 
 
 def _lie_component(md: tuple[int, ...], memo: dict[tuple[int, ...], Subspace]) -> Subspace:

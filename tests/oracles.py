@@ -1,18 +1,44 @@
-"""Slice closures: the brute-force checks of the closed forms in
-``permalg.jordan``.
+"""Independent checks of the closed forms in ``permalg.jordan`` and
+``permalg.lie``.
 
-Each closes lower multidegree slices under the product until nothing new
-appears, so it shares no law with the closed form it checks.  The work
-grows fast with the degree; keep the inputs small.
+The slice closures close lower multidegree slices under the product until
+nothing new appears, so they share no law with the closed form they check.
+The work grows fast with the degree; keep the inputs small.  ``head`` and
+``dynkin`` are the word-by-word projection onto the Lie part, which
+``permalg.lie`` replaces with coefficient sums per slice.
 """
 
+from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
 from permalg.expr import ExprSum, Leaf
 from permalg.jordan import _sj_rows
 from permalg.linalg import Subspace
-from permalg.perm import PermPolynomial, enumerate_basis
+from permalg.perm import PermMonomial, PermPolynomial, enumerate_basis
+
+
+def head(f: PermPolynomial) -> PermPolynomial:
+    """Keep degree-1 terms and words whose head exceeds the first tail letter."""
+    return PermPolynomial._of(
+        {m: c for m, c in f.items() if not m.tail or m.head > m.tail[0]}
+    )
+
+
+def dynkin(f: PermPolynomial) -> PermPolynomial:
+    """Left-normed bracketing of each word, expanded back into the word basis.
+
+    A word ``h t1 t2 ... tm`` maps to ``[[..[x_h, x_t1], ..], x_tm]``; in a
+    perm algebra a product annihilates commutators on its right, so the
+    bracket collapses to ``[x_h, x_t1] * x_t2 ... x_tm``, i.e. exactly two
+    words.  Length-1 words are fixed.
+    """
+    out: list[tuple[PermMonomial, Fraction]] = []
+    for m, c in f.items():
+        out.append((m, c))
+        if m.tail:
+            out.append((PermMonomial(m.tail[0], tuple(sorted((m.head,) + m.tail[1:]))), -c))
+    return PermPolynomial(out)
 
 
 def sub_multidegrees(

@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -8,7 +9,10 @@ from click.testing import CliRunner
 
 from permalg.cli import main
 from permalg.jordan import jordan_express
+from permalg.parser import parse_expr
 from permalg.perm import PermPolynomial
+
+from oracles import dynkin, head
 
 ALGEBRAS = str(Path(__file__).resolve().parent.parent / "algebras")
 
@@ -65,6 +69,36 @@ def test_is_lie_exit_codes(runner):
     result = runner.invoke(main, ["is-lie", "x1*x2"])
     assert result.exit_code == 1
     assert "defect" in result.output
+
+
+def test_is_lie_defect_matches_projection(runner, rng):
+    """The printed defect is ``f - dynkin(head(f))`` on seeded inputs."""
+    rejected = 0
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        f = sum(
+            (
+                PermPolynomial.from_word(
+                    [rng.randint(1, k) for _ in range(rng.randint(1, 4))],
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                )
+                for _ in range(rng.randint(1, 5))
+            ),
+            PermPolynomial.zero(),
+        )
+        if not f:
+            continue
+        text = str(f)
+        f = parse_expr(text).expand()  # a leading "-" negates the whole sum
+        defect = f - dynkin(head(f))
+        result = runner.invoke(main, ["is-lie", "--json", "--", text])
+        assert result.exit_code == (1 if defect else 0), text
+        data = json.loads(result.output)
+        assert data["is_lie"] is not bool(defect)
+        if defect:
+            assert data["defect"] == str(defect)
+            rejected += 1
+    assert 0 < rejected < 40
 
 
 def test_lie_express_and_jordan_express(runner):
@@ -156,6 +190,39 @@ def test_envelope_commands(runner):
     assert result.exit_code == 1
     result = runner.invoke(main, ["envelope", "build", "--algebra", f"{ALGEBRAS}/sl2.json", "--deg", "2"])
     assert result.exit_code == 1
+
+
+def test_envelope_check_validates_once(runner, monkeypatch):
+    from permalg.metabelian import MetabelianLieAlgebra
+
+    calls = []
+    validate = MetabelianLieAlgebra.validate
+
+    def counting(self):
+        calls.append(self.dim)
+        return validate(self)
+
+    monkeypatch.setattr(MetabelianLieAlgebra, "validate", counting)
+    invoke(runner, "envelope", "check", "--algebra", f"{ALGEBRAS}/heisenberg.json")
+    assert calls == [3]
+
+
+def test_envelope_check_invalid_report(runner):
+    violations = [[1, 2, 1, 3], [1, 2, 2, 3], [1, 3, 2, 3]]
+    result = runner.invoke(main, ["envelope", "check", "--algebra", f"{ALGEBRAS}/sl2.json"])
+    assert result.exit_code == 1
+    assert result.output == (
+        "invalid algebra: {'valid': False, 'jacobi_violations': [], "
+        f"'metabelian_violations': {violations}}}\n"
+    )
+    result = runner.invoke(main, ["envelope", "check", "--algebra", f"{ALGEBRAS}/sl2.json", "--json"])
+    assert result.exit_code == 1
+    assert json.loads(result.output) == {
+        "valid": False,
+        "jacobi_violations": [],
+        "metabelian_violations": violations,
+    }
+    assert result.output == json.dumps(json.loads(result.output), indent=2) + "\n"
 
 
 def test_gk_command(runner):

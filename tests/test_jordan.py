@@ -331,6 +331,35 @@ def test_to_bn_long_flat_word():
     assert to_bn((1,) * 1200) == [(Fraction(4), FElement(1, (1,) * 1199))]
 
 
+@pytest.mark.parametrize("n", [3, 4, 10, 1000])
+def test_to_bn_two_letter_flat_word_exact(n):
+    # x2*x1^(n-1): the head x2 weighs 1, the n-1 letters x1 weigh
+    # 1 + 2 + ... + 2^(n-2) = 2^(n-1) - 1, over the 2^(n-3) of the law
+    assert to_bn((2,) + (1,) * (n - 1)) == [
+        (Fraction(2 ** (n - 1) - 1, 2 ** (n - 3)), FElement(1, (1,) * (n - 2) + (2,))),
+        (Fraction(1, 2 ** (n - 3)), FElement(2, (1,) * (n - 1))),
+    ]
+
+
+def test_to_bn_builds_one_f_element_per_distinct_letter(monkeypatch):
+    import permalg.jordan as jordan
+
+    built = []
+
+    class Counting(FElement):
+        __slots__ = ()
+
+        def __new__(cls, *args):
+            built.append(args[0])
+            return super().__new__(cls, *args)
+
+    word = (2,) + (1,) * 3998 + (3,)
+    expected = to_bn(word)
+    monkeypatch.setattr(jordan, "FElement", Counting)
+    assert to_bn(word) == expected
+    assert built == [1, 2, 3]
+
+
 def test_felement_roundtrip_through_to_bn():
     # expanding an f-element and re-solving it via the triple-product route
     fe = FElement(2, (1, 3))

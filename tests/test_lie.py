@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -8,17 +9,15 @@ from permalg.expr import Comm, ExprSum, left_normed
 from permalg.lie import (
     MLMonomial,
     NotLieElement,
-    dynkin,
-    head,
     is_lie,
     lie_express,
     lie_span_oracle,
     ml_basis,
 )
 from permalg.linalg import Subspace
-from permalg.perm import PermPolynomial, enumerate_basis, multidegrees
+from permalg.perm import PermMonomial, PermPolynomial, enumerate_basis, multidegrees
 
-from oracles import sub_multidegrees
+from oracles import dynkin, head, sub_multidegrees
 
 x = PermPolynomial.from_word
 
@@ -97,6 +96,37 @@ def test_ml_basis_rejects_degree_one():
         ml_basis(2, 1)
 
 
+def test_ml_basis_rejects_bad_multidegree():
+    # a negative entry whose total still matches n must not slip through
+    with pytest.raises(ValueError):
+        ml_basis(3, 2, (2, 1, -1))
+    with pytest.raises(ValueError):
+        ml_basis(2, 3, (1, 1))
+    with pytest.raises(ValueError):
+        ml_basis(2, 3, (1, 1, 1))
+
+
+def test_ml_basis_is_the_filtered_word_basis():
+    """Each bracket word expands to ``W(h) - W(a)``, so the basis is the
+    words of the slice whose head is not the least letter, in word order,
+    and it spans what the bracket closure spans."""
+    for k in (1, 2, 3):
+        for n in range(2, 6):
+            for md in multidegrees(k, n):
+                basis = ml_basis(k, n, md)
+                words = enumerate_basis(k, n, md)
+                a = words[0].head
+                assert [m.expand() for m in basis] == [
+                    x(w.word()) - x((a,) + tuple(sorted((w.head,) + w.tail[1:])))
+                    for w in words
+                    if w.head != a
+                ]
+                oracle = lie_span_oracle(k, n, md)
+                assert oracle.dim == len(basis)
+                assert all(oracle.contains(m.expand()) for m in basis)
+            assert ml_basis(k, n) == sorted(m for md in multidegrees(k, n) for m in ml_basis(k, n, md))
+
+
 def test_ml_expansion_head_shape():
     m = MLMonomial(3, 1, (2,))
     assert m.expand() == x((3, 1, 2)) - x((1, 2, 3))
@@ -152,8 +182,6 @@ def test_oracle_matches_ml_basis_rank():
 def test_left_normed_collapse_law_exhaustive():
     """Brackets after the first collapse onto plain right multiplication,
     checked on every bracket word of degree <= 6 over three letters."""
-    from itertools import product
-
     for degree in range(2, 7):
         for word in product((1, 2, 3), repeat=degree):
             full = ExprSum.of(left_normed(Comm, word)).expand()
@@ -198,3 +226,54 @@ def test_one_letter_closure_matches_all_splits_closure():
 def test_oracle_multilinear_dimension_to_degree_8():
     for n in range(2, 9):
         assert lie_span_oracle(n, n, (1,) * n).dim == n - 1
+
+
+def _check_sum_law(f):
+    """``is_lie``, the defect and ``lie_express`` against the head/dynkin
+    projection."""
+    projected = dynkin(head(f))
+    assert is_lie(f) == (projected == f), f
+    if projected == f:
+        assert lie_express(f).expand() == f
+    else:
+        with pytest.raises(NotLieElement) as err:
+            lie_express(f)
+        assert err.value.defect == f - projected
+        assert str(err.value.defect) == str(f - projected)
+    return projected == f
+
+
+def test_sum_law_matches_projection_exhaustive():
+    """Every polynomial with coefficients in {-1, 0, 1} on one multidegree
+    slice, k <= 3 letters and degree n <= 4."""
+    lie = other = 0
+    for k in (1, 2, 3):
+        for n in range(1, 5):
+            for md in multidegrees(k, n):
+                words = enumerate_basis(k, n, md)
+                for coeffs in product((-1, 0, 1), repeat=len(words)):
+                    f = PermPolynomial(zip(words, coeffs))
+                    if _check_sum_law(f):
+                        lie += 1
+                    else:
+                        other += 1
+    assert lie and other
+
+
+def test_sum_law_matches_projection_random(rng):
+    """Seeded polynomials spanning several slices and degrees; half are
+    pushed onto the Lie part first so both answers occur."""
+    lie = 0
+    for _ in range(400):
+        k, top = rng.randint(1, 4), rng.randint(1, 5)
+        f = PermPolynomial(
+            (
+                PermMonomial(rng.randint(1, k), tuple(sorted(rng.randint(1, k) for _ in range(n - 1)))),
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+            )
+            for n in (rng.randint(1, top) for _ in range(rng.randint(0, 8)))
+        )
+        if rng.random() < 0.5:
+            f = dynkin(head(f))
+        lie += _check_sum_law(f)
+    assert 0 < lie < 400
