@@ -1,6 +1,7 @@
 """Per-layer timings of the slice closures, the Lie sum test, ``to_bn``,
-the row echelon, the coordinates read off its witnesses and the
-expression-tree walks (expansion, printing, equality).
+the row echelon, the coordinates read off its witnesses, the
+expression-tree walks (expansion, printing, equality) and the CLI (a
+whole ``python -m permalg`` child, and dispatch in process).
 
 Run from the repository root (not part of the default test run, which
 collects ``tests/`` only)::
@@ -11,6 +12,9 @@ The library keeps no slices between calls, so every round is cold: it
 pays for every lower slice it needs.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +27,8 @@ from permalg.linalg import Subspace, span_solve
 from permalg.metabelian import MetabelianLieAlgebra, load_algebra
 from permalg.perm import PermPolynomial, enumerate_basis, multidegrees
 
-ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
+REPO = Path(__file__).resolve().parent.parent
+ALGEBRAS = REPO / "algebras"
 
 
 def run(benchmark, fn, args, rounds):
@@ -154,3 +159,36 @@ def test_tree_equality(benchmark):
     word = PermPolynomial.from_word(tuple(range(1, 9)))
     a, b = jordan_express(word), jordan_express(word)
     assert run(benchmark, a.__eq__, (b,), 500)
+
+
+def test_cli_child_dims(benchmark):
+    """Wall time of one ``python -m permalg dims --gens 3 --deg 4 --json``
+    child: interpreter start, the ``permalg.cli`` and ``permalg.perm``
+    imports and the command.  Compare minima: the machine's other load
+    only adds to a round."""
+    argv = [sys.executable, "-m", "permalg", "dims", "--gens", "3", "--deg", "4", "--json"]
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = run(benchmark, lambda: subprocess.run(argv, capture_output=True, cwd=REPO, env=env), (), 20)
+    assert proc.returncode == 0 and b'"dimension": 30' in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--gens", "3", "--deg", "4", "--json"],
+        ["envelope", "nf", "--algebra", str(ALGEBRAS / "heisenberg.json"), "--json", "d(e2)*e1"],
+    ],
+    ids=["dims", "envelope-nf"],
+)
+def test_cli_inproc_dispatch(benchmark, argv):
+    """``CliRunner().invoke(main, argv)``, as perfbench's cli workload runs
+    it after every child: parsing, the command and output capture, with
+    the library already imported."""
+    from click.testing import CliRunner
+
+    from permalg.cli import main
+
+    runner = CliRunner()
+    result = benchmark.pedantic(runner.invoke, args=(main, argv), rounds=200, iterations=1, warmup_rounds=5)
+    assert result.exit_code == 0, result.output

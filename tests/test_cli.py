@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from math import comb
@@ -7,14 +9,17 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from permalg import cli
 from permalg.cli import main
-from permalg.jordan import jordan_express
+from permalg.jordan import bn_basis, jordan_express
 from permalg.parser import parse_expr
-from permalg.perm import PermPolynomial
+from permalg.perm import PermPolynomial, dimension
 
 from oracles import dynkin, head
 
-ALGEBRAS = str(Path(__file__).resolve().parent.parent / "algebras")
+REPO = Path(__file__).resolve().parent.parent
+ALGEBRAS = str(REPO / "algebras")
+CRITERION_10 = [g["args"] for g in json.loads((REPO / "tests" / "data" / "criterion10_json.json").read_text())]
 
 
 @pytest.fixture
@@ -148,6 +153,28 @@ def test_dims_and_bn(runner):
     assert data["count"] == 18
     result = runner.invoke(main, ["bn", "--gens", "2", "--deg", "2"])
     assert result.exit_code == 2
+
+
+def test_bn_sizes_the_basis_before_building_it(runner, monkeypatch):
+    """``bn`` counts the basis with ``dimension`` first and exits 2 with the
+    count above ``BN_LIMIT``, without calling ``bn_basis``."""
+    for k in range(1, 4):
+        for n in range(3, 6):
+            assert len(bn_basis(k, n)) == dimension(k, n)
+
+    def refuse(k, n):
+        raise AssertionError("bn_basis called")
+
+    monkeypatch.setattr("permalg.jordan.bn_basis", refuse)
+    result = runner.invoke(main, ["bn", "--gens", "30", "--deg", "30"])
+    assert result.exit_code == 2, result.output
+    assert str(dimension(30, 30)) in result.stderr
+    assert "Usage: main bn [OPTIONS]" in result.stderr
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "BN_LIMIT", 18)
+    assert json.loads(invoke(runner, "bn", "--gens", "3", "--deg", "3", "--json"))["count"] == 18
+    monkeypatch.setattr(cli, "BN_LIMIT", 17)
+    assert runner.invoke(main, ["bn", "--gens", "3", "--deg", "3"]).exit_code == 2
 
 
 def test_to_bn(runner):
@@ -286,3 +313,92 @@ def test_json_flag_stable_within_process(runner):
         {"coefficient": "1", "word": [1, 2]},
         {"coefficient": "1", "word": [2, 1]},
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [([*args, "--json"], 0) for args in CRITERION_10]
+    + [
+        (["is-lie", "x1*x2"], 1),
+        (["dims", "--gens", "x", "--deg", "2"], 2),
+        (["is-lie", "--", "-x2*x1 + x1*x2"], 1),
+    ],
+)
+def test_in_process_run_matches_the_child_process(runner, monkeypatch, argv, code):
+    """perfbench's cli check: ``CliRunner`` on ``main`` gives the stdout and
+    exit code of a ``python -m permalg`` child, and the same stderr up to
+    the program name."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PERMALG_OUTPUT"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "permalg", *argv],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env={**env, "PYTHONPATH": path},
+        timeout=120,
+    )
+    monkeypatch.chdir(REPO)
+    result = runner.invoke(main, argv)
+    assert (proc.returncode, result.exit_code) == (code, code), proc.stderr
+    assert result.stdout == proc.stdout
+    assert result.stderr == proc.stderr.replace("python -m permalg", "main")
+
+
+def test_option_syntax(runner):
+    """Options and the argument in any order, ``--name=value``, the last
+    of a repeated option wins, an option's value is taken verbatim even
+    when it starts with ``-``, and ``--`` comes before an argument that does."""
+    same = invoke(runner, "dims", "--gens", "3", "--deg", "2")
+    assert invoke(runner, "dims", "--deg=2", "--gens=3") == same
+    assert invoke(runner, "dims", "--gens", "2", "--deg", "2", "--gens", "3") == same
+    assert invoke(runner, "check-identity", "--template", "-[a,b] = [b,a]") == "holds\n"
+    heisenberg = f"--algebra={ALGEBRAS}/heisenberg.json"
+    assert invoke(runner, "envelope", "nf", heisenberg, "--", "-d(e1)") == "-d(e1)\n"
+    assert runner.invoke(main, ["envelope", "nf", "--", "-d(e1)", heisenberg]).exit_code == 2
+    assert invoke(runner, "--version") == "permalg, version 0.1.0\n"
+
+
+GROUP = "[OPTIONS] COMMAND [ARGS]..."
+
+
+@pytest.mark.parametrize(
+    "argv, usage, error",
+    [
+        (["dims", "--gens", "x", "--deg", "2"], "dims [OPTIONS]", "Invalid value for '--gens': 'x' is not a valid integer."),
+        (["dims", "--deg", "2"], "dims [OPTIONS]", "Missing option '--gens'."),
+        (["normalize"], "normalize [OPTIONS] EXPRESSION", "Missing argument 'EXPRESSION'."),
+        (["dims", "--jsn"], "dims [OPTIONS]", "No such option '--jsn'. Did you mean '--json'?"),
+        (["dims", "--hel"], "dims [OPTIONS]", "No such option '--hel'. (Did you mean one of: '--deg', '--help'?)"),
+        (["is-lie", "-x2*x1"], "is-lie [OPTIONS] EXPRESSION", "No such option '-x'."),
+        (["is-lie", "x1", "x2", "x3"], "is-lie [OPTIONS] EXPRESSION", "Got unexpected extra arguments (x2 x3)"),
+        (["dims", "--json=1"], None, "Option '--json' does not take a value."),
+        (["dims", "--gens"], None, "Option '--gens' requires an argument."),
+        (["foo"], GROUP, "No such command 'foo'."),
+        (["--"], GROUP, "Missing command."),
+        (["envelope", "nff"], f"envelope {GROUP}", "No such command 'nff'. Did you mean 'nf'?"),
+        (
+            ["envelope", "nf", "--algebra", "algebras", "d(e1)"],
+            "envelope nf [OPTIONS] EXPRESSION",
+            "Invalid value for '--algebra': File 'algebras' is a directory.",
+        ),
+        (
+            ["gk", "--max-deg", "4", "--algebra", "nope.json"],
+            "gk [OPTIONS]",
+            "Invalid value for '--algebra': File 'nope.json' does not exist.",
+        ),
+    ],
+)
+def test_usage_errors(runner, monkeypatch, argv, usage, error):
+    """Input errors exit 2 with click's text on stderr: the usage line of
+    the command the input was given to, a hint, then the error; a
+    malformed option gets the error line only."""
+    monkeypatch.chdir(REPO)
+    result = runner.invoke(main, argv)
+    assert (result.exit_code, result.stdout) == (2, "")
+    if usage is None:
+        assert result.stderr == f"Error: {error}\n"
+    else:
+        command = " ".join(["main", *usage.split("[OPTIONS]")[0].split()])
+        expected = f"Usage: main {usage}\nTry '{command} --help' for help.\n\nError: {error}\n"
+        assert result.stderr == expected

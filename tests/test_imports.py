@@ -3,7 +3,8 @@
 A ``permalg`` call is mostly interpreter start-up and imports, so the
 package exports its names lazily and ``permalg.cli`` imports library code
 inside the commands.  The child-process tests read ``python -X importtime``
-to see which modules a real run loaded.
+to see which modules a real run loaded.  The front end is the standard
+library only: no run loads click, which only the in-process tests use.
 """
 
 import os
@@ -41,7 +42,7 @@ TOP_LEVEL = [
 
 def _run(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
     """Run ``python -X importtime *args``; return the process and the
-    ``permalg`` modules it imported."""
+    ``permalg`` and ``click`` modules it imported."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args],
@@ -56,7 +57,11 @@ def _run(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
-    return proc, {m for m in imported if m == "permalg" or m.startswith("permalg.")}
+    return proc, {m for m in imported if m.partition(".")[0] in ("permalg", "click")}
+
+
+def _click(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m.partition(".")[0] == "click"}
 
 
 def test_library_module_list_is_found():
@@ -91,6 +96,26 @@ def test_command_loads_only_what_it_uses(argv, absent):
     assert proc.returncode == 0, proc.stderr
     assert loaded & LIBRARY, "the command ran no library code"
     assert not loaded & absent
+    assert not _click(loaded)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["-c", "import permalg.cli"],
+        ["-m", "permalg", "--help"],
+        ["-m", "permalg", "--version"],
+        ["-m", "permalg", "envelope", "--help"],
+        ["-m", "permalg", "dims", "--gens", "x", "--deg", "2"],
+        # the console script: pyproject's ``permalg.cli:main``
+        ["-c", "import permalg.cli; permalg.cli.main()", "--version"],
+    ],
+)
+def test_front_end_loads_no_click(args):
+    proc, loaded = _run(*args)
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "permalg.cli" in loaded
+    assert not _click(loaded)
 
 
 def test_entry_point_smoke():
