@@ -1,7 +1,8 @@
 """Per-layer timings of the slice closures, the Lie sum test, ``to_bn``,
 the row echelon, the coordinates read off its witnesses, the
-expression-tree walks (expansion, printing, equality) and the CLI (a
-whole ``python -m permalg`` child, and dispatch in process).
+expression-tree walks (expansion, printing, equality), the envelope
+normal form and the CLI (a whole ``python -m permalg`` child, and
+dispatch in process).
 
 Run from the repository root (not part of the default test run, which
 collects ``tests/`` only)::
@@ -13,18 +14,20 @@ pays for every lower slice it needs.
 """
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
-from permalg.envelope import Envelope
+from permalg.envelope import Envelope, EnvelopeMonomial, env_monomial
 from permalg.jordan import ideal_component, jordan_express, sj_span, to_bn, verify_J_identities
 from permalg.lie import is_lie, lie_span_oracle, ml_basis
 from permalg.linalg import Subspace, span_solve
-from permalg.metabelian import MetabelianLieAlgebra, load_algebra
+from permalg.metabelian import MetabelianLieAlgebra, load_algebra, random_metabelian
 from permalg.perm import PermPolynomial, enumerate_basis, multidegrees
 
 REPO = Path(__file__).resolve().parent.parent
@@ -100,6 +103,31 @@ def test_envelope_abelian_500(benchmark):
     ``table``, so ``split_basis`` brackets no pair of adapted rows."""
     env = run(benchmark, Envelope, (MetabelianLieAlgebra(500),), 5)
     assert env.split.y_count == 0
+
+
+def test_normal_form_abelian_7_degree_7(benchmark):
+    """``normal_form`` of the 1716-term sum of every degree-7 word on the
+    7-dimensional abelian algebra, each dotted at its greatest letter: each
+    term moves the dot to its least letter."""
+    env = Envelope(MetabelianLieAlgebra(7))
+    words = combinations_with_replacement(range(1, 8), 7)
+    element = {env_monomial(w[-1], w[:-1]): Fraction(1) for w in words}
+    assert len(element) == 1716
+    nf = run(benchmark, env.normal_form, (element,), 10)
+    assert len(nf) == 1716 and all(env.is_normal(m) for m in nf)
+
+
+def test_normal_form_random_7_degree_7(benchmark):
+    """``normal_form`` of the 6468-term sum of every degree-7 monomial on
+    ``random_metabelian(7, Random(3))``."""
+    env = Envelope(random_metabelian(7, random.Random(3)))
+    letters = range(1, 8)
+    element = {
+        EnvelopeMonomial(dot, tail): Fraction(1) for dot in letters for tail in combinations_with_replacement(letters, 6)
+    }
+    assert len(element) == 6468
+    nf = run(benchmark, env.normal_form, (element,), 10)
+    assert all(env.is_normal(m) for m in nf)
 
 
 @pytest.mark.parametrize("ambient", ["perm", "jordan"])
@@ -178,8 +206,9 @@ def test_cli_child_dims(benchmark):
     [
         ["dims", "--gens", "3", "--deg", "4", "--json"],
         ["envelope", "nf", "--algebra", str(ALGEBRAS / "heisenberg.json"), "--json", "d(e2)*e1"],
+        ["envelope", "check", "--algebra", str(ALGEBRAS / "heisenberg.json"), "--json"],
     ],
-    ids=["dims", "envelope-nf"],
+    ids=["dims", "envelope-nf", "envelope-check"],
 )
 def test_cli_inproc_dispatch(benchmark, argv):
     """``CliRunner().invoke(main, argv)``, as perfbench's cli workload runs

@@ -40,6 +40,7 @@ if TYPE_CHECKING:
 
 _JSON_DEFAULT = os.environ.get("PERMALG_OUTPUT", "text").strip().lower() == "json"
 BN_LIMIT = 10**6  # the most f-elements ``bn`` lists; a larger basis exits 2
+BUILD_LIMIT = 10**7  # the most basis letters ``envelope build`` prints; more exits 2
 
 
 class UsageError(Exception):
@@ -467,6 +468,9 @@ def envelope_build(path: str, d: int, use_unicode: bool, as_json: bool) -> None:
     if d < 1:
         raise UsageError("need --deg >= 1")
     env = _load_or_usage(path)
+    letters = env.letter_count(d)  # the output grows with the basis letters printed
+    if letters > BUILD_LIMIT:
+        raise UsageError(f"envelope build would print {letters} basis letters; the limit is {BUILD_LIMIT}")
     rules = env.rules()
     basis = env.basis_up_to(d)
     data = {
@@ -521,6 +525,8 @@ def envelope_check(path: str, seed: int, words: int, as_json: bool) -> None:
     """Validate the algebra, reduce all overlaps, and verify the embedding."""
     from .envelope import Envelope, InvalidLieAlgebra
 
+    if words < 0:
+        raise UsageError("need --words >= 0")
     algebra = _algebra_or_usage(path)
     try:
         env = Envelope(algebra)

@@ -1,21 +1,24 @@
-"""Independent checks of the closed forms in ``permalg.jordan`` and
-``permalg.lie``.
+"""Independent checks of the closed forms in ``permalg.jordan``,
+``permalg.lie`` and ``permalg.envelope``.
 
 The slice closures close lower multidegree slices under the product until
 nothing new appears, so they share no law with the closed form they check.
 The work grows fast with the degree; keep the inputs small.  ``head`` and
 ``dynkin`` are the word-by-word projection onto the Lie part, which
-``permalg.lie`` replaces with coefficient sums per slice.
+``permalg.lie`` replaces with coefficient sums per slice.  The envelope
+worklist always rewrites the largest pending monomial of the whole
+element, where ``Envelope.normal_form`` runs one chain per monomial.
 """
 
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
+from permalg.envelope import Envelope, EnvElement, EnvelopeMonomial, env_key
 from permalg.expr import ExprSum, Leaf
 from permalg.jordan import _sj_rows
 from permalg.linalg import Subspace
-from permalg.perm import PermMonomial, PermPolynomial, enumerate_basis
+from permalg.perm import PermMonomial, PermPolynomial, accumulate, enumerate_basis
 
 
 def head(f: PermPolynomial) -> PermPolynomial:
@@ -146,3 +149,60 @@ def ideal_closure_oracle(
         return space
 
     return slice_of(target)
+
+
+def _absorb(env: Envelope, m: EnvelopeMonomial, letter: int) -> EnvElement:
+    """One step of the length-two rule of the dot and the plain ``letter``
+    of ``m``: a dotted Y letter ``y`` becomes ``[y,letter]'``; a dotted Z
+    letter ``z_i`` with ``letter = z_j`` becomes ``z_j' z_i + [z_i,z_j]'``.
+    The other plain letters ride along."""
+    i = m.tail.index(letter)
+    rest = m.tail[:i] + m.tail[i + 1 :]
+    moved = {} if env.is_y(m.dot) else {EnvelopeMonomial(letter, tuple(sorted(rest + (m.dot,)))): Fraction(1)}
+    bracket = sorted(env.algebra.bracket_basis(m.dot, letter).items())
+    return accumulate(moved, ((EnvelopeMonomial(b, rest), c) for b, c in bracket))
+
+
+def _step(env: Envelope, m: EnvelopeMonomial, strategy: str) -> EnvElement | None:
+    """One rewriting step, or None when the monomial is normal."""
+    y_tail = [t for t in m.tail if env.is_y(t)]
+    if y_tail:
+        return {}
+    if not m.tail:
+        return None
+    pick = min if strategy == "leftmost" else max
+    if env.is_y(m.dot):
+        return _absorb(env, m, pick(m.tail))
+    smaller = [t for t in m.tail if t < m.dot]
+    if not smaller:
+        return None
+    return _absorb(env, m, pick(smaller))
+
+
+def worklist_normal_form_oracle(env: Envelope, element: EnvElement, strategy: str = "leftmost") -> EnvElement:
+    """Confluent reduction to the basis monomials by a global worklist.
+
+    Always rewrites the largest pending monomial; every rule strictly
+    decreases the degree-lexicographic order, so this terminates.
+    """
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    work = accumulate({}, element.items())
+    result: EnvElement = {}
+    while work:
+        m = max(work, key=lambda mm: env_key(mm, env.y_count))
+        c = work.pop(m)
+        step = _step(env, m, strategy)
+        if step is None:
+            accumulate(result, ((m, c),))
+            continue
+        accumulate(work, ((m2, c * c2) for m2, c2 in step.items()))
+    return result
+
+
+def overlap_oracle(env: Envelope, m: EnvelopeMonomial, first: int, second: int) -> EnvElement:
+    """Worklist normal form of ``m`` after the dot absorbs ``first``, minus
+    the one after it absorbs ``second``."""
+    a = worklist_normal_form_oracle(env, _absorb(env, m, first))
+    b = worklist_normal_form_oracle(env, _absorb(env, m, second))
+    return accumulate(a, ((mono, -c) for mono, c in b.items()))

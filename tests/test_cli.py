@@ -177,6 +177,32 @@ def test_bn_sizes_the_basis_before_building_it(runner, monkeypatch):
     assert runner.invoke(main, ["bn", "--gens", "3", "--deg", "3"]).exit_code == 2
 
 
+def test_envelope_build_sizes_the_output_before_building_it(runner, monkeypatch):
+    """``envelope build`` counts the basis letters it would print with
+    ``Envelope.letter_count`` and exits 2 with the count above
+    ``BUILD_LIMIT``, without calling ``basis_up_to``."""
+    from permalg.envelope import Envelope
+
+    heisenberg = f"{ALGEBRAS}/heisenberg.json"
+    args = ["envelope", "build", "--algebra", heisenberg, "--deg", "2"]
+    monkeypatch.setattr(cli, "BUILD_LIMIT", 9)  # d(e1), d(e2), d(e3), then 3 words of 2 letters
+    invoke(runner, *args)
+    monkeypatch.setattr(cli, "BUILD_LIMIT", 8)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2 and "print 9 basis letters; the limit is 8" in result.stderr
+    monkeypatch.undo()
+
+    def refuse(self, d):
+        raise AssertionError("basis_up_to called")
+
+    monkeypatch.setattr(Envelope, "basis_up_to", refuse)
+    result = runner.invoke(main, ["envelope", "build", "--algebra", heisenberg, "--deg", "1000000000"])
+    assert result.exit_code == 2, result.output
+    # two complement letters: 2 * C(d + 2, d - 1), plus one derived letter at degree 1
+    assert str(2 * comb(10**9 + 2, 3) + 1) in result.stderr
+    assert "Usage: main envelope build [OPTIONS]" in result.stderr
+
+
 def test_to_bn(runner):
     out = invoke(runner, "to-bn", "x1*x2*x3")
     assert out.strip() == "f(x1;x2,x3) + f(x2;x1,x3) + 2*f(x3;x1,x2)"
@@ -213,6 +239,8 @@ def test_envelope_commands(runner):
     out = invoke(runner, "envelope", "check", "--algebra", f"{ALGEBRAS}/heisenberg.json", "--seed", "5", "--json")
     data = json.loads(out)
     assert data["ok"] is True
+    out = invoke(runner, "envelope", "check", "--algebra", f"{ALGEBRAS}/heisenberg.json", "--words", "0", "--json")
+    assert json.loads(out)["confluence"] == {"seed": 0, "words": 0, "agree": True}
     result = runner.invoke(main, ["envelope", "check", "--algebra", f"{ALGEBRAS}/sl2.json"])
     assert result.exit_code == 1
     result = runner.invoke(main, ["envelope", "build", "--algebra", f"{ALGEBRAS}/sl2.json", "--deg", "2"])
@@ -386,6 +414,11 @@ GROUP = "[OPTIONS] COMMAND [ARGS]..."
             ["gk", "--max-deg", "4", "--algebra", "nope.json"],
             "gk [OPTIONS]",
             "Invalid value for '--algebra': File 'nope.json' does not exist.",
+        ),
+        (
+            ["envelope", "check", "--algebra", "algebras/heisenberg.json", "--words", "-1"],
+            "envelope check [OPTIONS]",
+            "need --words >= 0",
         ),
     ],
 )

@@ -17,6 +17,8 @@ from permalg.envelope import (
 )
 from permalg.parser import parse_envelope_expr
 
+from oracles import overlap_oracle, worklist_normal_form_oracle
+
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
 HEISENBERG = {
@@ -376,6 +378,18 @@ def test_degree_count_matches_enumeration(rng):
         env = Envelope(random_metabelian(d, rng))
         for n in range(1, 7):
             assert env.degree_count(n) == len(env.basis_degree(n))
+            assert env.letter_count(n) == sum(m.degree for monos in env.basis_up_to(n).values() for m in monos)
+
+
+def test_degree_count_refuses_degree_below_one():
+    env = Envelope(heisenberg())
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            env.degree_count(n)
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            env.basis_degree(n)
+        with pytest.raises(ValueError, match="degree bound must be >= 1"):
+            env.letter_count(n)
 
 
 def test_gk_estimates():
@@ -464,3 +478,78 @@ def test_load_algebra(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(AlgebraFormatError):
         load_algebra(bad)
+
+
+def differential_corpus(rng):
+    """Every valid stock algebra, then two seeded algebras of each
+    dimension from 2 to 7."""
+    stock = [load_algebra(p) for p in sorted(ALGEBRAS.glob("*.json"))]
+    seeded = [random_metabelian(d, rng) for d in (2, 3, 4, 5, 6, 7) for _ in range(2)]
+    return [Envelope(a) for a in stock + seeded if a.validate().ok]
+
+
+def test_normal_form_matches_worklist_on_every_monomial(rng):
+    """Both strategies on every monomial of degree at most 5: one chain
+    per monomial against the global worklist that always rewrites the
+    largest pending monomial.  A monomial is normal exactly when the
+    worklist leaves it alone."""
+    checked = 0
+    for env in differential_corpus(rng):
+        letters = range(1, env.dim + 1)
+        for n in range(1, 6):
+            for dot in letters:
+                for tail in combinations_with_replacement(letters, n - 1):
+                    m = EnvelopeMonomial(dot, tail)
+                    element = {m: Fraction(1)}
+                    for strategy in ("leftmost", "rightmost"):
+                        expected = worklist_normal_form_oracle(env, element, strategy)
+                        assert env.normal_form(element, strategy) == expected, (env.algebra.labels, m, strategy)
+                    assert env.is_normal(m) == (expected == element)
+                    checked += 1
+    assert checked > 5000
+
+
+def test_normal_form_matches_worklist_on_cancelling_elements(rng):
+    """Seeded multi-term elements with cancelling coefficients: a random
+    combination plus a multiple of an embedding relation
+    ``x_i' x_j - x_j' x_i - [x_i,x_j]'``, which reduces to 0."""
+    coefficients = [Fraction(c) for c in (1, -1, 2, -3)] + [Fraction(1, 2), Fraction(-2, 3)]
+    emptied = 0
+    for env in differential_corpus(rng):
+        for _ in range(15):
+            relation = {}
+            if env.dim > 1:
+                i, j = rng.sample(range(1, env.dim + 1), 2)
+                relation = {EnvelopeMonomial(i, (j,)): Fraction(1), EnvelopeMonomial(j, (i,)): Fraction(-1)}
+                relation.update((EnvelopeMonomial(b), -c) for b, c in env.algebra.bracket_basis(i, j).items())
+            scale = rng.choice(coefficients)
+            element = {m: scale * c for m, c in relation.items()}
+            for _ in range(rng.randint(0, 6)):
+                tail = [rng.randint(1, env.dim) for _ in range(rng.randint(0, 5))]
+                m = env_monomial(rng.randint(1, env.dim), tail)
+                element[m] = element.get(m, 0) + rng.choice(coefficients)
+            for strategy in ("leftmost", "rightmost"):
+                assert env.normal_form(relation, strategy) == {}
+                nf = env.normal_form(element, strategy)
+                assert nf == worklist_normal_form_oracle(env, element, strategy)
+                emptied += not nf
+    assert emptied > 0
+
+
+def test_composition_residuals_match_worklist_overlaps(rng):
+    """Each residual of ``check_compositions`` against the worklist's
+    reduction of the overlap word both ways, the first letter absorbed
+    being the greater one."""
+    overlaps = 0
+    for env in differential_corpus(rng):
+        report = env.check_compositions()
+        zs, ys = env.z_indices, range(1, env.y_count + 1)
+        words = [(env_monomial(y, (zj, zi)), zi, zj) for y in ys for zj in zs for zi in zs if zi > zj]
+        words += [(env_monomial(zi, (zj, zk)), zj, zk) for zk in zs for zj in zs for zi in zs if zi > zj > zk]
+        assert len(report.entries) == len(words)
+        for entry, (word, first, second) in zip(report.entries, words):
+            diff = overlap_oracle(env, word, first, second)
+            labels = tuple(env.label(i) for i in (word.dot, first, second))
+            assert (entry.letters, entry.trivial, entry.residual) == (labels, not diff, env.element_str(diff))
+            overlaps += 1
+    assert overlaps >= 2  # heisenberg's y-overlap and abelian3's z-overlap at least
