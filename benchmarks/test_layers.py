@@ -1,8 +1,8 @@
 """Per-layer timings of the slice closures, the Lie sum test, ``to_bn``,
-the row echelon, the coordinates read off its witnesses, the
-expression-tree walks (expansion, printing, equality), the envelope
-normal form and the CLI (a whole ``python -m permalg`` child, and
-dispatch in process).
+the perm product, the row echelon, the coordinates read off its
+witnesses, the expression-tree walks (expansion, printing, equality),
+identity checking, the envelope normal form and the CLI (a whole
+``python -m permalg`` child, and dispatch in process).
 
 Run from the repository root (not part of the default test run, which
 collects ``tests/`` only)::
@@ -24,11 +24,13 @@ from pathlib import Path
 import pytest
 
 from permalg.envelope import Envelope, EnvelopeMonomial, env_monomial
+from permalg.expr import check_identity
 from permalg.jordan import ideal_component, jordan_express, sj_span, to_bn, verify_J_identities
 from permalg.lie import is_lie, lie_span_oracle, ml_basis
 from permalg.linalg import Subspace, span_solve
 from permalg.metabelian import MetabelianLieAlgebra, load_algebra, random_metabelian
-from permalg.perm import PermPolynomial, enumerate_basis, multidegrees
+from permalg.parser import parse_template
+from permalg.perm import PermPolynomial, dimension, enumerate_basis, multidegrees
 
 REPO = Path(__file__).resolve().parent.parent
 ALGEBRAS = REPO / "algebras"
@@ -62,6 +64,34 @@ def test_to_bn_two_letter_flat_word(benchmark, n, rounds):
     arguments, with ``n``-bit coefficients."""
     combo = run(benchmark, to_bn, ((2,) + (1,) * (n - 1),), rounds)
     assert [fe.head for _, fe in combo] == [1, 2]
+
+
+def test_perm_mul_dense_4_4(benchmark):
+    """``PermPolynomial.__mul__`` of two dense degree-4 elements on 4
+    letters, every word with a positive seeded coefficient: 80 * 80 word
+    products into the 480 words of degree 8.  With no cancellation the
+    product law fixes the head sums: ``s_h(f*g) = s_h(f) * s(g)``."""
+    rng = random.Random(1)
+    f, g = (PermPolynomial((m, rng.randint(1, 5)) for m in enumerate_basis(4, 4)) for _ in range(2))
+    product = run(benchmark, f.__mul__, (g,), 20)
+    assert len(f) == len(g) == 80 and len(product) == dimension(4, 8)
+
+    def head_sums(p):
+        sums = [0] * 5
+        for m, c in p.items():
+            sums[m.head] += c
+        return sums
+
+    assert head_sums(product) == [s * sum(head_sums(g)) for s in head_sums(f)]
+
+
+def test_check_identity_polarized_associator_exchange(benchmark):
+    """``check_identity`` in polarized mode on the associator exchange law
+    ``2<{a,b},c,d> = <{a,b},d,c> + <{a,c},b,d> + <{b,c},a,d>``: a law whose
+    sides expand to nonzero words, so each of the 15 identification
+    patterns of 4 slots cancels term by term."""
+    template = parse_template("2*<{a,b},c,d> = <{a,b},d,c> + <{a,c},b,d> + <{b,c},a,d>")
+    assert run(benchmark, check_identity, (template, "polarized"), 50).holds
 
 
 def test_sj_span_3_5(benchmark):
@@ -189,16 +219,31 @@ def test_tree_equality(benchmark):
     assert run(benchmark, a.__eq__, (b,), 500)
 
 
-def test_cli_child_dims(benchmark):
-    """Wall time of one ``python -m permalg dims --gens 3 --deg 4 --json``
-    child: interpreter start, the ``permalg.cli`` and ``permalg.perm``
-    imports and the command.  Compare minima: the machine's other load
-    only adds to a round."""
-    argv = [sys.executable, "-m", "permalg", "dims", "--gens", "3", "--deg", "4", "--json"]
+def run_child(benchmark, argv):
+    """Wall time of one ``python -m permalg *argv`` child, 20 rounds.
+    Compare minima: the machine's other load only adds to a round."""
+    argv = [sys.executable, "-m", "permalg", *argv]
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = run(benchmark, lambda: subprocess.run(argv, capture_output=True, cwd=REPO, env=env), (), 20)
-    assert proc.returncode == 0 and b'"dimension": 30' in proc.stdout
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_cli_child_dims(benchmark):
+    """``dims --gens 3 --deg 4 --json``: interpreter start, the
+    ``permalg.cli`` and ``permalg.perm`` imports and the command."""
+    proc = run_child(benchmark, ["dims", "--gens", "3", "--deg", "4", "--json"])
+    assert b'"dimension": 30' in proc.stdout
+
+
+def test_cli_child_envelope_nf(benchmark):
+    """``envelope nf`` on the Heisenberg algebra: interpreter start, the
+    imports of the parser, the expression trees and the envelope, the
+    algebra file, the basis split and one normal form."""
+    algebra = str(ALGEBRAS / "heisenberg.json")
+    proc = run_child(benchmark, ["envelope", "nf", "--algebra", algebra, "--json", "d(e2)*e1"])
+    assert b'"normal_form": "d(e1)*e2 - d(e3)"' in proc.stdout
 
 
 @pytest.mark.parametrize(

@@ -40,7 +40,6 @@ The input algebra, its validation and the basis split are in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate as running_totals, combinations, combinations_with_replacement
 from math import ceil, comb, log
@@ -110,27 +109,21 @@ def env_key(m: EnvelopeMonomial, y_count: int) -> tuple:
     return (m.degree, 0 if m.dot <= y_count else 1, m.dot, m.tail)
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(NamedTuple):
     """Length-two redex and its strictly smaller reduct."""
 
     redex: EnvelopeMonomial
     reduct: tuple[tuple[EnvelopeMonomial, Fraction], ...]
 
-    def reduct_element(self) -> EnvElement:
-        return dict(self.reduct)
 
-
-@dataclass
-class CompositionEntry:
+class CompositionEntry(NamedTuple):
     kind: str  # "y-overlap" or "z-overlap"
     letters: tuple[str, ...]
     trivial: bool
     residual: str
 
 
-@dataclass
-class CompositionReport:
+class CompositionReport(NamedTuple):
     entries: list[CompositionEntry]
 
     @property
@@ -138,8 +131,7 @@ class CompositionReport:
         return all(e.trivial for e in self.entries)
 
 
-@dataclass
-class EmbedReport:
+class EmbedReport(NamedTuple):
     checked: int
     failures: list[tuple[str, str, str, str]]  # label_i, label_j, got, expected
 
@@ -148,8 +140,7 @@ class EmbedReport:
         return not self.failures
 
 
-@dataclass
-class StrategyAgreementReport:
+class StrategyAgreementReport(NamedTuple):
     seed: int
     words: int
     disagreements: int
@@ -159,8 +150,7 @@ class StrategyAgreementReport:
         return self.disagreements == 0
 
 
-@dataclass
-class GrowthReport:
+class GrowthReport(NamedTuple):
     """Basis counts per degree with two slope estimates.
 
     ``loglog_slope`` is the plain least-squares slope of log cumulative
@@ -239,7 +229,7 @@ class Envelope:
     def rule_str(self, rule: RewriteRule, unicode: bool = False) -> str:
         return (
             f"{self.monomial_str(rule.redex, unicode)} -> "
-            f"{self.element_str(rule.reduct_element(), unicode)}"
+            f"{self.element_str(dict(rule.reduct), unicode)}"
         )
 
     # -- reduction

@@ -28,15 +28,17 @@ oracle.
 A tree is walked by :func:`fold`, one post-order pass over an explicit
 stack, and the sort key and ``==`` keep stacks of their own; nothing
 recurses, so trees of any depth expand, print, substitute and compare.
+Nodes are ``__slots__`` classes, immutable in use: a binary node's hash
+and leaf count are fixed when it is built.  A leaf equals only a leaf and
+a slot only a slot, so ``Leaf(1)`` and ``Slot(1)`` are two terms of a sum.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .perm import Combination, PermMonomial, PermPolynomial, accumulate, exact
 
@@ -62,32 +64,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Leaf:
-    index: int
-    _size, _tag = 1, 0  # leaf count and kind, as a binary node has them
+class _Atom:
+    """A leaf or a slot: equal to a node of its own kind with its index."""
+
+    __slots__ = ("index",)
+    _size = 1  # leaf count, as a binary node has it
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.index == other.index
+
+    def __hash__(self) -> int:
+        return hash((self._tag, self.index))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(index={self.index!r})"
 
 
-@dataclass(frozen=True)
-class Slot:
-    index: int
-    _size, _tag = 1, 1
+class Leaf(_Atom):
+    __slots__ = ()
+    _tag = 0  # the node's kind
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
+class Slot(_Atom):
+    __slots__ = ()
+    _tag = 1
+
+
 class _Binary:
     """A node with two children.  Its hash and leaf count are computed once,
     from its kind and its children's, so neither walks the tree."""
 
-    left: "Node"
-    right: "Node"
+    __slots__ = ("left", "right", "_hash", "_size")
 
     def __init__(self, left: "Node", right: "Node") -> None:
-        # the instance is frozen, so the fields go straight into its dict
-        d = self.__dict__
-        d["left"], d["right"] = left, right
-        d["_hash"] = hash((self._tag, left, right))
-        d["_size"] = left._size + right._size
+        self.left, self.right = left, right
+        self._hash = hash((self._tag, left, right))
+        self._size = left._size + right._size
 
     def __hash__(self) -> int:
         return self._hash
@@ -117,14 +134,17 @@ class _Binary:
 
 
 class Prod(_Binary):
+    __slots__ = ()
     _tag = 2
 
 
 class Comm(_Binary):
+    __slots__ = ()
     _tag = 3
 
 
 class Anti(_Binary):
+    __slots__ = ()
     _tag = 4
 
 
@@ -345,8 +365,7 @@ class IdentityTemplate:
         return f"{self.lhs} = {self.rhs}"
 
 
-@dataclass
-class IdentityVerdict:
+class IdentityVerdict(NamedTuple):
     holds: bool
     mode: str
     counterexample: tuple[int, ...] | None = None

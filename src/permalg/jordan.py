@@ -74,7 +74,6 @@ calls.  The slice closures that check both closed forms live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -127,12 +126,11 @@ _QUARTER = Fraction(1, 4)
 # identity suites
 
 
-@dataclass
-class IdentitySuiteReport:
+class IdentitySuiteReport(NamedTuple):
     """Outcome of a batch of identity checks plus frozen expansion checks."""
 
-    verdicts: list[tuple[str, IdentityVerdict]] = field(default_factory=list)
-    expansions: list[tuple[str, bool]] = field(default_factory=list)
+    verdicts: list[tuple[str, IdentityVerdict]]
+    expansions: list[tuple[str, bool]]
 
     @property
     def ok(self) -> bool:
@@ -148,7 +146,6 @@ def verify_perm_plus_identities() -> IdentitySuiteReport:
     """Degree-four laws of the anticommutator product, with the two frozen
     expansions that drive their proofs checked term for term."""
     a, b, c, d = (Slot(i) for i in range(1, 5))
-    report = IdentitySuiteReport()
     templates = [
         ("anticommutator symmetry", IdentityTemplate(wrap(a).anti(b), wrap(b).anti(a))),
         (
@@ -165,9 +162,6 @@ def verify_perm_plus_identities() -> IdentitySuiteReport:
             ),
         ),
     ]
-    for name, t in templates:
-        report.verdicts.append((name, check_identity(t)))
-
     x1, x2, x3, x4 = (Leaf(i) for i in range(1, 5))
     double_anti = wrap(x1).anti(x2).anti(wrap(x3).anti(x4)).expand()
     expected = PermPolynomial(
@@ -178,18 +172,21 @@ def verify_perm_plus_identities() -> IdentitySuiteReport:
             (PermMonomial(4, (1, 2, 3)), 2),
         ]
     )
-    report.expansions.append(("{{a,b},{c,d}} expansion", double_anti == expected))
-
     assoc = associator(wrap(x1).anti(x2), x3, x4).expand()
-    expected = PermPolynomial(
+    expected_assoc = PermPolynomial(
         [
             (PermMonomial(1, (2, 3, 4)), -1),
             (PermMonomial(2, (1, 3, 4)), -1),
             (PermMonomial(4, (1, 2, 3)), 2),
         ]
     )
-    report.expansions.append(("<{a,b},c,d> expansion", assoc == expected))
-    return report
+    return IdentitySuiteReport(
+        [(name, check_identity(t)) for name, t in templates],
+        [
+            ("{{a,b},{c,d}} expansion", double_anti == expected),
+            ("<{a,b},c,d> expansion", assoc == expected_assoc),
+        ],
+    )
 
 
 def f_comb(a: "ExprSum | Node", b: "ExprSum | Node", c: "ExprSum | Node") -> ExprSum:
@@ -207,7 +204,6 @@ def verify_J_identities() -> IdentitySuiteReport:
     inside the word algebra with juxtaposition read as the anticommutator."""
     a, b, c, d, e = (Slot(i) for i in range(1, 6))
     A, B, C, D, E = (wrap(s) for s in (a, b, c, d, e))
-    report = IdentitySuiteReport()
     templates = [
         (
             "degree-4 expansion law",
@@ -245,18 +241,14 @@ def verify_J_identities() -> IdentitySuiteReport:
             ),
         ),
     ]
-    for name, t in templates:
-        report.verdicts.append((name, check_identity(t)))
-
-    got = f_comb(Leaf(1), Leaf(2), Leaf(3)).expand()
-    report.expansions.append(
-        ("f(x1;x2,x3) is the word x1*x2*x3", got == PermPolynomial.from_word((1, 2, 3)))
+    words = [
+        ("f(x1;x2,x3) is the word x1*x2*x3", (1, 2, 3)),
+        ("f(x1;x1,x1) is the word x1*x1*x1", (1, 1, 1)),
+    ]
+    return IdentitySuiteReport(
+        [(name, check_identity(t)) for name, t in templates],
+        [(name, f_comb(*map(Leaf, w)).expand() == PermPolynomial.from_word(w)) for name, w in words],
     )
-    got = f_comb(Leaf(1), Leaf(1), Leaf(1)).expand()
-    report.expansions.append(
-        ("f(x1;x1,x1) is the word x1*x1*x1", got == PermPolynomial.from_word((1, 1, 1)))
-    )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +396,7 @@ def ideal_component(
     return space
 
 
-@dataclass
-class CohnWitnessReport:
+class CohnWitnessReport(NamedTuple):
     """Membership evidence that the two-generator quotient by
     ``({x,y}, x^3, y^2)`` admits no anticommutator realization."""
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .linalg import Span
 from .perm import Combination, accumulate, exact
@@ -42,10 +41,9 @@ class AlgebraFormatError(ValueError):
     """Malformed structure-constant input."""
 
 
-@dataclass
-class LieValidationReport:
-    jacobi_violations: list[tuple[tuple[int, int, int], Vec]] = field(default_factory=list)
-    metabelian_violations: list[tuple[tuple[int, int, int, int], Vec]] = field(default_factory=list)
+class LieValidationReport(NamedTuple):
+    jacobi_violations: list[tuple[tuple[int, int, int], Vec]]
+    metabelian_violations: list[tuple[tuple[int, int, int, int], Vec]]
 
     @property
     def ok(self) -> bool:
@@ -158,7 +156,7 @@ class MetabelianLieAlgebra:
         """Jacobi on the triples that hold a pair with a nonzero bracket,
         the metabelian law on pairs of such pairs; every other triple and
         quadruple brackets to zero.  Both lists ascend by index tuple."""
-        report = LieValidationReport()
+        jacobi, metabelian = [], []
         basis = range(1, self.dim + 1)
         triples = {tuple(sorted((*pair, t))) for pair in self.table for t in basis if t not in pair}
         for i, j, k in sorted(triples):
@@ -170,14 +168,14 @@ class MetabelianLieAlgebra:
                 ),
             )
             if r:
-                report.jacobi_violations.append(((i, j, k), r))
+                jacobi.append(((i, j, k), r))
         pairs = sorted(self.table)
         for n, (a, b) in enumerate(pairs):
             for c, d in pairs[n:]:
                 r = self.bracket(self.table[(a, b)], self.table[(c, d)])
                 if r:
-                    report.metabelian_violations.append(((a, b, c, d), r))
-        return report
+                    metabelian.append(((a, b, c, d), r))
+        return LieValidationReport(jacobi, metabelian)
 
     def __repr__(self) -> str:
         return f"MetabelianLieAlgebra(dim={self.dim}, labels={self.labels})"
@@ -244,8 +242,7 @@ def random_metabelian(dim: int, rng: random.Random) -> MetabelianLieAlgebra:
 # basis splitting
 
 
-@dataclass
-class BasisSplit:
+class BasisSplit(NamedTuple):
     """Basis reordered (and, if needed, changed) so the derived subalgebra
     comes first.
 
@@ -258,7 +255,7 @@ class BasisSplit:
     original: MetabelianLieAlgebra
     y_count: int
     new_in_old: tuple[Vec, ...]
-    _unit_images: tuple[Combination, ...]  # original e_i over the adapted basis
+    unit_images: tuple[Combination, ...]  # original e_i over the adapted basis
 
     @property
     def y_indices(self) -> tuple[int, ...]:
@@ -276,7 +273,7 @@ class BasisSplit:
 
     def to_adapted(self, v: Vec) -> Vec:
         """Coordinates of an original-basis vector over the adapted basis."""
-        return _combine(self._unit_images, v)
+        return _combine(self.unit_images, v)
 
 
 def _combine(images: Sequence[Combination], v: Vec) -> Vec:
@@ -348,5 +345,5 @@ def split_basis(algebra: MetabelianLieAlgebra) -> BasisSplit:
         original=algebra,
         y_count=derived.dim,
         new_in_old=tuple(new_rows),
-        _unit_images=images,
+        unit_images=images,
     )

@@ -224,7 +224,8 @@ class _Parser:
                     if idx is None:
                         raise ExprSyntaxError(f"unknown generator {name_text!r}", name_at)
                     self.expect(")")
-                    return ExprSum.of(Leaf(idx + _DOT_OFFSET))
+                    # the envelope grammar has no slots: a slot is the dotted letter
+                    return ExprSum.of(Slot(idx))
             if self.slot_mode:
                 if text not in self.slots:
                     self.slots[text] = len(self.slots) + 1
@@ -266,9 +267,6 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected {text!r}", at)
 
 
-_DOT_OFFSET = 1_000_000  # leaf indices above this encode dotted envelope letters
-
-
 def parse_expr(text: str, table: GeneratorTable | None = None) -> ExprSum:
     """Parse a free-algebra expression into a formal combination of trees."""
     return _Parser(text, table or GeneratorTable()).parse()
@@ -286,8 +284,8 @@ def parse_template(text: str) -> IdentityTemplate:
     return IdentityTemplate(lhs, rhs)
 
 
-def _letters(node: Node, message: str, left_normed: bool = False) -> list[int]:
-    """The generators of a product tree, left to right.  Any other node is
+def _letters(node: Node, message: str, left_normed: bool = False) -> list[Leaf | Slot]:
+    """The leaves and slots of a product tree, left to right.  Any other node is
     the error ``message``, and with ``left_normed`` so is a product whose
     right factor is a product; a subtree's value is its letters or its
     first error in reading order, raised at the root."""
@@ -304,7 +302,7 @@ def _letters(node: Node, message: str, left_normed: bool = False) -> list[int]:
         left += right
         return left
 
-    out = fold(node, lambda n: [n.index] if type(n) is Leaf else message, binary)
+    out = fold(node, lambda n: [n], binary)
     if type(out) is str:
         raise ExprSyntaxError(out, 0)
     return out
@@ -323,7 +321,7 @@ def parse_word(text: str, table: GeneratorTable | None = None) -> tuple[int, ...
     letters = _letters(node, "expected a plain product of generators", left_normed=True)
     if coeff * c != 1:
         raise ExprSyntaxError("expected a word without a coefficient", 0)
-    return tuple(letters)
+    return tuple(n.index for n in letters)
 
 
 def parse_envelope_expr(
@@ -339,8 +337,8 @@ def parse_envelope_expr(
     out: list[tuple[Fraction, int, tuple[int, ...]]] = []
     for node, coeff in expr.terms():
         letters = _letters(node, "envelope expressions use products only")
-        dotted = [i - _DOT_OFFSET for i in letters if i > _DOT_OFFSET]
-        plain = [i for i in letters if i <= _DOT_OFFSET]
+        dotted = [n.index for n in letters if type(n) is Slot]
+        plain = [n.index for n in letters if type(n) is Leaf]
         if len(dotted) != 1:
             raise ExprSyntaxError(
                 f"each envelope word needs exactly one dotted letter, found {len(dotted)}", 0

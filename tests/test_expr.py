@@ -9,6 +9,7 @@ from permalg.expr import (
     Comm,
     ExprSum,
     IdentityTemplate,
+    IdentityVerdict,
     Leaf,
     Prod,
     Slot,
@@ -246,6 +247,7 @@ def test_commutativity_template_fails_with_witness():
     t = IdentityTemplate(wrap(a).prod(b), wrap(b).prod(a))
     verdict = check_identity(t)
     assert not verdict.holds
+    assert bool(IdentityVerdict(False, "multilinear")) is False
     assert verdict.counterexample == (1, 2)
     assert verdict.residual == PermPolynomial.from_word((1, 2)) - PermPolynomial.from_word((2, 1))
 
@@ -323,6 +325,12 @@ def test_deep_trees_hash_without_walking():
     assert hash(Prod(Leaf(1), Leaf(2))) == hash(Prod(Leaf(1), Leaf(2)))
     assert Prod(Leaf(1), Leaf(2)) != Comm(Leaf(1), Leaf(2))
     assert len({Prod(Leaf(1), Leaf(2)), Comm(Leaf(1), Leaf(2)), Anti(Leaf(1), Leaf(2))}) == 3
+    # a leaf and a slot of one index are two nodes, and two terms of a sum
+    assert Leaf(1) != Slot(1) and Slot(1) != Leaf(1)
+    assert len(ExprSum([(1, Leaf(1)), (1, Slot(1))])) == 2
+    assert hash(Comm(Slot(1), Leaf(2))) == hash(Comm(Slot(1), Leaf(2)))
+    # nodes keep their fields in slots, not in an instance dict
+    assert not any(hasattr(n, "__dict__") for n in (Leaf(1), Slot(1), Prod(Leaf(1), Leaf(2)), deep))
 
 
 def test_exprsum_str_deterministic():

@@ -5,6 +5,8 @@ package exports its names lazily and ``permalg.cli`` imports library code
 inside the commands.  The child-process tests read ``python -X importtime``
 to see which modules a real run loaded.  The front end is the standard
 library only: no run loads click, which only the in-process tests use.
+No command loads ``dataclasses`` or the ``inspect`` it imports: records
+are ``NamedTuple``s and tree nodes ``__slots__`` classes.
 """
 
 import os
@@ -42,7 +44,8 @@ TOP_LEVEL = [
 
 def _run(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
     """Run ``python -X importtime *args``; return the process and the
-    ``permalg`` and ``click`` modules it imported."""
+    ``permalg``, ``click``, ``dataclasses`` and ``inspect`` modules it
+    imported."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args],
@@ -57,7 +60,8 @@ def _run(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
-    return proc, {m for m in imported if m.partition(".")[0] in ("permalg", "click")}
+    shown = ("permalg", "click", "dataclasses", "inspect")
+    return proc, {m for m in imported if m.partition(".")[0] in shown}
 
 
 def _click(loaded: set[str]) -> set[str]:
@@ -97,6 +101,7 @@ def test_command_loads_only_what_it_uses(argv, absent):
     assert loaded & LIBRARY, "the command ran no library code"
     assert not loaded & absent
     assert not _click(loaded)
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(

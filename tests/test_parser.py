@@ -137,6 +137,15 @@ def test_parse_envelope_expr():
         parse_envelope_expr("d(zz)", labels)
 
 
+def test_dotted_letter_is_its_own_node_kind():
+    """A plain letter past the millionth stays plain: a dotted letter is a
+    node of its own kind, so no label index reads as a dot.  The filler
+    labels between ``a`` and ``L1000001`` are never read."""
+    labels = ["a"] + ["filler"] * 999_999 + ["L1000001", "b"]
+    assert parse_envelope_expr("d(a)*L1000001", labels) == [(Fraction(1), 1, (1_000_001,))]
+    assert parse_envelope_expr("d(L1000001)*a*b", labels) == [(Fraction(1), 1_000_001, (1, 1_000_002))]
+
+
 def test_flat_product_parses_in_linear_work(monkeypatch):
     """A flat product of ``n`` letters builds its ``n - 1`` product nodes
     once each."""
