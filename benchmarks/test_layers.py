@@ -19,6 +19,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,18 @@ def test_perm_mul_dense_4_4(benchmark):
         return sums
 
     assert head_sums(product) == [s * sum(head_sums(g)) for s in head_sums(f)]
+
+
+def test_perm_commutator_with_letter(benchmark):
+    """``u*x - x*u`` for a dense degree-6 ``u`` on 3 letters, each word with
+    a positive seeded coefficient: the inner step of the slice closures.
+    ``u*x`` has one term per word of ``u``, ``x*u`` one per letter multiset."""
+    rng = random.Random(2)
+    u = PermPolynomial((m, rng.randint(1, 5)) for m in enumerate_basis(3, 6))
+    x = PermPolynomial.generator(2)
+    comm = run(benchmark, lambda: u * x - x * u, (), 50)
+    assert len(u) == dimension(3, 6) and len(x * u) == comb(8, 2)
+    assert is_lie(comm)
 
 
 def test_check_identity_polarized_associator_exchange(benchmark):

@@ -83,7 +83,8 @@ class Span:
         rows = self._rows
         used = [(p, residue[p]) for p in sorted(p for p in residue if p in rows)]
         for p, c in used:
-            accumulate(residue, ((j, -c * x) for j, x in rows[p].items()))
+            c = -c
+            accumulate(residue, ((j, c * x) for j, x in rows[p].items()))
         return residue, used
 
     def contains(self, vec) -> bool:
@@ -111,9 +112,10 @@ class Span:
             other = self._rows[q]
             f = other.get(pivot)
             if f:
-                accumulate(other, ((j, -f * x) for j, x in residue.items()))
+                f = -f
+                accumulate(other, ((j, f * x) for j, x in residue.items()))
                 if witness is not None:
-                    self._witnesses[q] = self._witnesses[q] + (-f) * witness
+                    self._witnesses[q] = self._witnesses[q] + f * witness
         self._rows[pivot] = residue
         self._pivots.insert(at, pivot)
         if witness is not None:
@@ -158,8 +160,8 @@ class Subspace:
 
     def _inside(self, poly: PermPolynomial) -> PermPolynomial:
         """``poly`` itself when all its words lie in this component."""
-        outside = poly.support() - self._words
-        if outside:
+        if not self._words.issuperset(poly._terms):
+            outside = poly.support() - self._words
             raise ValueError(f"monomial {min(outside)} outside this component")
         return poly
 
@@ -167,7 +169,7 @@ class Subspace:
         return self._span.add(self._inside(poly), witness)
 
     def contains(self, poly: PermPolynomial) -> bool:
-        return poly.support() <= self._words and self._span.contains(poly)
+        return self._words.issuperset(poly._terms) and self._span.contains(poly)
 
     def basis(self) -> list[PermPolynomial]:
         return [PermPolynomial._of(row) for row in self._span.rows]

@@ -5,6 +5,12 @@ A perm algebra is an associative algebra obeying right-commutativity
 letters after the first are sorted non-decreasingly, and those canonical
 words form a linear basis of the free algebra.  Elements are sparse
 rational combinations of canonical words with exact coefficients.
+
+The product law: ``u * v`` is the word with ``u``'s head whose other
+letters are all the rest of ``u`` and ``v``.  Only the letter multiset
+``M`` of ``v`` matters, so ``f * g = sum_M s_M(g) * (f with M appended)``,
+where ``s_M(g)`` is the sum of ``g``'s coefficients on the words with
+letters ``M``.
 """
 
 from __future__ import annotations
@@ -86,13 +92,17 @@ def exact(coeff: Fraction | int) -> Fraction | int:
 def accumulate(data: dict[K, Fraction], items: Iterable[tuple[K, Fraction | int]]) -> dict[K, Fraction]:
     """Add the ``(key, coeff)`` terms into the sparse combination ``data``
     in place and return it.  A key whose coefficient sums to zero is
-    dropped, so ``data`` never stores a zero; values stay ``Fraction``s
-    because every sum starts from the ``Fraction`` zero."""
+    dropped, so ``data`` never stores a zero.  A new key stores ``coeff``
+    itself, an ``int`` made a ``Fraction`` first, so values stay
+    ``Fraction``s."""
     for key, coeff in items:
-        s = data.get(key, _ZERO) + coeff
-        if s:
+        old = data.get(key)
+        if old is None:
+            if coeff:
+                data[key] = coeff if coeff.__class__ is Fraction else Fraction(coeff)
+        elif s := old + coeff:
             data[key] = s
-        elif key in data:
+        else:
             del data[key]
     return data
 
@@ -197,7 +207,7 @@ class Combination:
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self + (-other)
+        return self._of(accumulate(dict(self._terms), ((k, -c) for k, c in other._terms.items())))
 
     def scale(self, coeff: Fraction | int):
         c = exact(coeff)
@@ -239,7 +249,8 @@ class PermPolynomial(Combination):
 
     @classmethod
     def from_word(cls, word: Sequence[int], coeff: Fraction | int = 1) -> "PermPolynomial":
-        return cls._of(accumulate({}, ((canonicalize(word), exact(coeff)),)))
+        mono, c = canonicalize(word), exact(coeff)
+        return cls._of({mono: Fraction(c)} if c else {})
 
     @classmethod
     def from_monomial(cls, mono: PermMonomial, coeff: Fraction | int = 1) -> "PermPolynomial":
@@ -250,13 +261,15 @@ class PermPolynomial(Combination):
 
     def __mul__(self, other):
         if isinstance(other, PermPolynomial):
+            # the product law: one product per term of self and letter multiset of other
+            sums = accumulate({}, ((tuple(sorted(m.word())), c) for m, c in other._terms.items()))
             return PermPolynomial._of(
                 accumulate(
                     {},
                     (
-                        (PermMonomial(m1.head, tuple(sorted(m1.tail + m2.word()))), c1 * c2)
-                        for m1, c1 in self._terms.items()
-                        for m2, c2 in other._terms.items()
+                        (PermMonomial(m.head, tuple(sorted(m.tail + rest))), c * s)
+                        for m, c in self._terms.items()
+                        for rest, s in sums.items()
                     ),
                 )
             )

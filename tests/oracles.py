@@ -1,5 +1,5 @@
-"""Independent checks of the closed forms in ``permalg.jordan``,
-``permalg.lie`` and ``permalg.envelope``.
+"""Independent checks of the closed forms in ``permalg.perm``,
+``permalg.jordan``, ``permalg.lie`` and ``permalg.envelope``.
 
 The slice closures close lower multidegree slices under the product until
 nothing new appears, so they share no law with the closed form they check.
@@ -8,6 +8,8 @@ The work grows fast with the degree; keep the inputs small.  ``head`` and
 ``permalg.lie`` replaces with coefficient sums per slice.  The envelope
 worklist always rewrites the largest pending monomial of the whole
 element, where ``Envelope.normal_form`` runs one chain per monomial.
+The word-by-word product multiplies every pair of terms, where
+``PermPolynomial.__mul__`` groups the right factor by letter multiset.
 """
 
 from fractions import Fraction
@@ -19,6 +21,21 @@ from permalg.expr import ExprSum, Leaf
 from permalg.jordan import _sj_rows
 from permalg.linalg import Subspace
 from permalg.perm import PermMonomial, PermPolynomial, accumulate, enumerate_basis
+
+
+def word_product_oracle(f: PermPolynomial, g: PermPolynomial) -> PermPolynomial:
+    """``f * g`` one pair of words at a time: ``u * v`` keeps ``u``'s head
+    and sorts the rest of ``u`` with every letter of ``v``."""
+    return PermPolynomial._of(
+        accumulate(
+            {},
+            (
+                (PermMonomial(m1.head, tuple(sorted(m1.tail + m2.word()))), c1 * c2)
+                for m1, c1 in f.items()
+                for m2, c2 in g.items()
+            ),
+        )
+    )
 
 
 def head(f: PermPolynomial) -> PermPolynomial:

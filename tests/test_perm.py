@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 from permalg.perm import (
     PermMonomial,
     PermPolynomial,
+    accumulate,
     canonicalize,
     dimension,
     enumerate_basis,
     multidegrees,
 )
 
-from oracles import sub_multidegrees
+from oracles import sub_multidegrees, word_product_oracle
+from test_expr import assert_stored_exact
 
 letters = st.integers(min_value=1, max_value=4)
 words = st.lists(letters, min_size=1, max_size=6)
@@ -74,6 +76,82 @@ def test_multiply_output_canonical(u, v):
     prod = u * v
     for m, _ in prod.terms():
         assert m.tail == tuple(sorted(m.tail))
+
+
+def random_poly(rng, max_terms=6):
+    """Zero, one term, or up to ``max_terms`` terms of mixed degree 1..4 on
+    3 letters, with ``int`` and ``Fraction`` coefficients.  Repeated words
+    and shared letter multisets make sums that cancel."""
+    size = rng.choice([0, 1, 1, rng.randint(2, max_terms), rng.randint(2, max_terms)])
+    out = PermPolynomial.zero()
+    for _ in range(size):
+        word = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+        coeff = rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+        out = out + PermPolynomial.from_word(word, coeff)
+    return out
+
+
+def assert_product_matches_oracle(f, g):
+    for a, b in ((f, g), (g, f)):
+        got = a * b
+        assert got == word_product_oracle(a, b)
+        assert_stored_exact(got)
+
+
+def test_product_law_matches_word_products(rng):
+    """``__mul__`` groups the right factor by letter multiset; the oracle
+    multiplies every pair of words."""
+    for _ in range(320):
+        assert_product_matches_oracle(random_poly(rng), random_poly(rng))
+
+
+def test_product_law_on_every_small_sign_pattern(rng):
+    """Every {-1, 0, 1} combination of the 6 words of degree <= 2 on 2
+    letters, against itself and three seeded partners, in both orders."""
+    words = [(1,), (2,), *product((1, 2), repeat=2)]
+    sign_polys = [
+        PermPolynomial([(canonicalize(w), c) for w, c in zip(words, signs) if c])
+        for signs in product((-1, 0, 1), repeat=len(words))
+    ]
+    assert len(sign_polys) == 729 and len({str(p) for p in sign_polys}) == 729
+    for f in sign_polys:
+        for g in (f, *rng.sample(sign_polys, 3)):
+            assert_product_matches_oracle(f, g)
+
+
+def test_product_kills_commutators_on_the_right(rng):
+    """``u * [v, w] = 0``: a right factor whose multiset sums all cancel
+    leaves no stored term."""
+    comm = PermPolynomial.from_word((1, 2)) - PermPolynomial.from_word((2, 1))
+    for _ in range(50):
+        f = random_poly(rng)
+        assert not (f * comm).items()
+        assert_product_matches_oracle(f, comm)
+
+
+def test_accumulate_stores_nonzero_fractions():
+    data = accumulate({}, [("a", 2), ("b", Fraction(1, 2)), ("c", 0), ("d", Fraction(0))])
+    assert data == {"a": 2, "b": Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in data.values())
+    assert accumulate(data, [("a", -2), ("b", Fraction(1, 2))]) == {"b": 1}
+    assert "a" not in data  # cancelled, so deleted
+    accumulate(data, [("a", 5), ("b", -1)])
+    assert data == {"a": 5} and type(data["a"]) is Fraction
+
+
+def test_from_word_stores_a_fraction():
+    assert_stored_exact(PermPolynomial.from_word((2, 1), 3))
+    assert_stored_exact(PermPolynomial.generator(4))
+    assert not PermPolynomial.from_word((2, 1), 0).items()
+    with pytest.raises(ValueError, match="empty"):
+        PermPolynomial.from_word((), 0)
+
+
+@given(polys(), polys())
+def test_subtraction_is_adding_the_negative(a, b):
+    assert a - b == a + (-b)
+    assert_stored_exact(a - b)
+    assert not (a - a).items()
 
 
 def test_add_scale_examples():

@@ -1,6 +1,8 @@
 """Smoke test: each script in ``scripts/`` runs to completion on small input."""
 
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -39,10 +41,29 @@ def test_layer_benchmarks_run():
     src = str(REPO / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "benchmarks", "-q", "--benchmark-disable", "-p", "no:cacheprovider"],
+        [sys.executable, "-m", "pytest", "benchmarks", "-q", "--benchmark-disable"]
+        + ["-p", "no:cacheprovider", "-p", "no:hypothesispytest"],
         capture_output=True,
         cwd=REPO,
         env={**os.environ, "PYTHONPATH": path},
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout.decode() + proc.stderr.decode()
+
+
+def test_bench_script_writes_one_layer(tmp_path):
+    """``scripts/bench.py -k`` runs the chosen layer and writes its entry."""
+    pytest.importorskip("pytest_benchmark")
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "bench.py"), "--out", str(out), "-k", "perm_commutator_with_letter"],
+        capture_output=True,
+        cwd=REPO,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout.decode() + proc.stderr.decode()
+    report = json.loads(out.read_text())
+    assert report["python"] == platform.python_version()
+    (name, layer), = report["layers"].items()
+    assert name == "test_perm_commutator_with_letter"
+    assert 0 < layer["min_s"] <= layer["median_s"] and layer["rounds"] == 50
