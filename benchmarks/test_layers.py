@@ -30,7 +30,7 @@ from permalg.jordan import ideal_component, jordan_express, sj_span, to_bn, veri
 from permalg.lie import is_lie, lie_span_oracle, ml_basis
 from permalg.linalg import Subspace, span_solve
 from permalg.metabelian import MetabelianLieAlgebra, load_algebra, random_metabelian
-from permalg.parser import parse_template
+from permalg.parser import parse_expr, parse_template
 from permalg.perm import PermPolynomial, dimension, enumerate_basis, multidegrees
 
 REPO = Path(__file__).resolve().parent.parent
@@ -230,6 +230,24 @@ def test_tree_equality(benchmark):
     word = PermPolynomial.from_word(tuple(range(1, 9)))
     a, b = jordan_express(word), jordan_express(word)
     assert run(benchmark, a.__eq__, (b,), 500)
+
+
+def test_parse_bracket_sum_300(benchmark):
+    """``parse_expr`` of a 300-term sum of seeded commutators,
+    anticommutators and associators over 4 letters, each with a rational
+    coefficient: tokenizing, one bracket form per term and one sum per
+    ``+``."""
+    rng = random.Random(1)
+    forms = ("[{}*{},{}]", "{{{},{}*{}}}", "<{},{},{}>")
+    terms = []
+    for i in range(300):
+        coeff = f"{rng.randint(1, 9)}/{rng.randint(1, 4)}"
+        terms.append(f"{coeff} " + forms[i % 3].format(*(f"x{rng.randint(1, 4)}" for _ in range(3))))
+    parsed = run(benchmark, parse_expr, (" + ".join(terms),), 20)
+    total = parse_expr(terms[0])
+    for term in terms[1:]:
+        total = total + parse_expr(term)
+    assert parsed == total
 
 
 def run_child(benchmark, argv):

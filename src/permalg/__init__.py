@@ -65,7 +65,6 @@ _EXPORTS = {
         "linalg": ("Span", "Subspace", "span_solve"),
         "parser": (
             "ExprSyntaxError",
-            "GeneratorTable",
             "parse_envelope_expr",
             "parse_expr",
             "parse_template",

@@ -273,8 +273,9 @@ def _emit(as_json: bool, data: dict, text: str, code: int = 0) -> None:
 
 
 def _parse_or_usage(parser, *args):
-    # ExprSyntaxError, UnboundSlotError and check_identity's slot limit are
-    # ValueErrors; the recursive-descent parser is the one walk that recurses
+    # ExprSyntaxError, UnboundSlotError, check_identity's slot limit and
+    # to_bn's length check are ValueErrors; the recursive-descent parser is
+    # the one walk that recurses
     try:
         return parser(*args)
     except ValueError as exc:
@@ -430,9 +431,7 @@ def to_bn_cmd(word: str, as_json: bool) -> None:
     from .perm import format_linear
 
     letters = _parse_or_usage(parse_word, word)
-    if len(letters) < 3:
-        raise UsageError("word must have length >= 3")
-    combo = to_bn(letters)
+    combo = _parse_or_usage(to_bn, letters)
     text = format_linear((c, str(fe)) for c, fe in combo)
     terms = [{"coefficient": str(c), "head": fe.head, "args": list(fe.args)} for c, fe in combo]
     _emit(as_json, {"word": list(letters), "combination": terms, "text": text}, text)

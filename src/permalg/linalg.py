@@ -140,7 +140,7 @@ class Subspace:
 
     The component is fixed by its words, ``monomials``; a polynomial with
     a word outside them is refused.  Basis rows are kept in reduced row
-    echelon form with pivots increasing in ``mono_key`` order.
+    echelon form with pivots increasing in word order: head, then tail.
     """
 
     def __init__(

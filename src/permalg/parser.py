@@ -1,12 +1,14 @@
 """Text grammar for expressions and identity templates.
 
 Grammar (loosest to tightest): leading unary minus, then ``+``/``-``, then
-juxtaposition or ``*``.  Atoms are generators (``x1``, ``e2``, or names
-registered for the session), rational scalars ``p`` or ``p/q``, bracket
-forms ``[a,b]`` (commutator), ``{a,b}`` (anticommutator), ``<a,b,c>``
-(associator), parentheses, and, in envelope expressions, dotted letters
-spelled ``d(name)``.  Template parsing binds every name to a slot in order
-of first appearance and accepts ``lhs = rhs``.
+juxtaposition or ``*``.  Atoms are names, rational scalars ``p`` or
+``p/q``, bracket forms ``[a,b]`` (commutator), ``{a,b}`` (anticommutator),
+``<a,b,c>`` (associator), parentheses, and, in envelope expressions,
+dotted letters spelled ``d(name)``.  One resolver per entry point turns a
+name into a node: in expressions and words ``x<n>`` or ``e<n>`` is the
+generator ``n``; a template ``lhs = rhs`` binds every name to a slot in
+order of first appearance; an envelope expression reads the algebra's
+labels.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 import re
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .expr import (
     ExprSum,
@@ -30,7 +32,6 @@ from .expr import (
 
 __all__ = [
     "ExprSyntaxError",
-    "GeneratorTable",
     "parse_envelope_expr",
     "parse_expr",
     "parse_template",
@@ -44,28 +45,13 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
-class GeneratorTable:
-    """Session name table for generators.
+_INDEXED = re.compile(r"[xe]([1-9][0-9]*)")
 
-    With ``auto_indexed`` (the default free-algebra mode) names of the form
-    ``x<digits>`` or ``e<digits>`` resolve to that index; anything else is
-    an unknown generator.  An explicit table maps fixed labels to indices.
-    """
 
-    _INDEXED = re.compile(r"^[xe]([1-9][0-9]*)$")
-
-    def __init__(self, names: dict[str, int] | None = None, auto_indexed: bool = True):
-        self.names = dict(names or {})
-        self.auto_indexed = auto_indexed
-
-    def resolve(self, name: str) -> int | None:
-        if name in self.names:
-            return self.names[name]
-        if self.auto_indexed:
-            m = self._INDEXED.match(name)
-            if m:
-                return int(m.group(1))
-        return None
+def _indexed(name: str) -> Leaf | None:
+    """``x<n>`` or ``e<n>`` is the generator ``n``; any other name is unknown."""
+    m = _INDEXED.fullmatch(name)
+    return Leaf(int(m.group(1))) if m else None
 
 
 _TOKEN = re.compile(
@@ -82,33 +68,33 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", pos)
+            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
         if m.lastgroup:
             tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     return tokens
 
 
-_ATOM_START = {"number", "name"}
-_ATOM_SYMS = {"(", "[", "{", "<"}
+# opening symbol -> closing symbol, operand count and the form it builds
+_BRACKETS = {
+    "[": ("]", 2, ExprSum.comm),
+    "{": ("}", 2, ExprSum.anti),
+    "<": (">", 3, associator),
+}
+_ATOM_SYMS = {"(", *_BRACKETS}
 
 
 class _Parser:
-    def __init__(
-        self,
-        text: str,
-        table: GeneratorTable,
-        slot_mode: bool = False,
-        envelope: bool = False,
-        slots: dict[str, int] | None = None,
-    ):
+    """Recursive descent over one text.  ``resolve`` turns each name into
+    its node, or None for an unknown name; ``envelope`` reads ``d(name)``
+    as a dotted letter and refuses brackets."""
+
+    def __init__(self, text: str, resolve: Callable[[str], Leaf | Slot | None], envelope: bool = False):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.table = table
-        self.slot_mode = slot_mode
+        self.resolve = resolve
         self.envelope = envelope
-        self.slots = slots if slots is not None else {}
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, len(self.text))
@@ -164,7 +150,7 @@ class _Parser:
                     raise ExprSyntaxError("unexpected '*'", at)
                 self.next()
                 nkind, ntext, nat = self.peek()
-                if not (nkind in _ATOM_START or (nkind == "sym" and ntext in _ATOM_SYMS)):
+                if not (nkind in ("number", "name") or (nkind == "sym" and ntext in _ATOM_SYMS)):
                     raise ExprSyntaxError("expected a factor after '*'", nat)
                 continue
             else:
@@ -213,63 +199,40 @@ class _Parser:
     def atom(self) -> ExprSum:
         kind, text, at = self.next()
         if kind == "name":
-            if self.envelope and text == "d":
-                nxt_kind, nxt_text, _ = self.peek()
-                if nxt_kind == "sym" and nxt_text == "(":
-                    self.next()
-                    name_kind, name_text, name_at = self.next()
-                    if name_kind != "name":
-                        raise ExprSyntaxError("expected a letter inside d(...)", name_at)
-                    idx = self.table.resolve(name_text)
-                    if idx is None:
-                        raise ExprSyntaxError(f"unknown generator {name_text!r}", name_at)
-                    self.expect(")")
-                    # the envelope grammar has no slots: a slot is the dotted letter
-                    return ExprSum.of(Slot(idx))
-            if self.slot_mode:
-                if text not in self.slots:
-                    self.slots[text] = len(self.slots) + 1
-                return ExprSum.of(Slot(self.slots[text]))
-            idx = self.table.resolve(text)
-            if idx is None:
+            dotted = self.envelope and text == "d" and self.peek()[:2] == ("sym", "(")
+            if dotted:
+                self.next()
+                kind, text, at = self.next()
+                if kind != "name":
+                    raise ExprSyntaxError("expected a letter inside d(...)", at)
+            node = self.resolve(text)
+            if node is None:
                 raise ExprSyntaxError(f"unknown generator {text!r}", at)
-            return ExprSum.of(Leaf(idx))
+            if dotted:
+                self.expect(")")
+                # the envelope grammar has no slots: a slot is the dotted letter
+                node = Slot(node.index)
+            return ExprSum.of(node)
         if kind == "sym" and text == "(":
             inner = self.expression()
             self.expect(")")
             return inner
-        if kind == "sym" and text == "[":
+        if kind == "sym" and text in _BRACKETS:
             if self.envelope:
                 raise ExprSyntaxError("brackets are not part of envelope expressions", at)
-            left = self.expression()
-            self.expect(",")
-            right = self.expression()
-            self.expect("]")
-            return left.comm(right)
-        if kind == "sym" and text == "{":
-            if self.envelope:
-                raise ExprSyntaxError("brackets are not part of envelope expressions", at)
-            left = self.expression()
-            self.expect(",")
-            right = self.expression()
-            self.expect("}")
-            return left.anti(right)
-        if kind == "sym" and text == "<":
-            if self.envelope:
-                raise ExprSyntaxError("brackets are not part of envelope expressions", at)
-            a = self.expression()
-            self.expect(",")
-            b = self.expression()
-            self.expect(",")
-            c = self.expression()
-            self.expect(">")
-            return associator(a, b, c)
+            close, arity, build = _BRACKETS[text]
+            operands = [self.expression()]
+            for _ in range(arity - 1):
+                self.expect(",")
+                operands.append(self.expression())
+            self.expect(close)
+            return build(*operands)
         raise ExprSyntaxError(f"unexpected {text!r}", at)
 
 
-def parse_expr(text: str, table: GeneratorTable | None = None) -> ExprSum:
+def parse_expr(text: str) -> ExprSum:
     """Parse a free-algebra expression into a formal combination of trees."""
-    return _Parser(text, table or GeneratorTable()).parse()
+    return _Parser(text, _indexed).parse()
 
 
 def parse_template(text: str) -> IdentityTemplate:
@@ -277,11 +240,15 @@ def parse_template(text: str) -> IdentityTemplate:
     if text.count("=") != 1:
         raise ExprSyntaxError("template must contain exactly one '='", text.find("=") if "=" in text else len(text))
     left_text, right_text = text.split("=")
-    slots: dict[str, int] = {}
-    table = GeneratorTable(auto_indexed=False)
-    lhs = _Parser(left_text, table, slot_mode=True, slots=slots).parse()
-    rhs = _Parser(right_text, table, slot_mode=True, slots=slots).parse()
-    return IdentityTemplate(lhs, rhs)
+    slots: dict[str, Slot] = {}
+
+    def bind(name: str) -> Slot:
+        # a new name takes the next slot, on either side of the '='
+        if name not in slots:
+            slots[name] = Slot(len(slots) + 1)
+        return slots[name]
+
+    return IdentityTemplate(_Parser(left_text, bind).parse(), _Parser(right_text, bind).parse())
 
 
 def _letters(node: Node, message: str, left_normed: bool = False) -> list[Leaf | Slot]:
@@ -308,12 +275,12 @@ def _letters(node: Node, message: str, left_normed: bool = False) -> list[Leaf |
     return out
 
 
-def parse_word(text: str, table: GeneratorTable | None = None) -> tuple[int, ...]:
+def parse_word(text: str) -> tuple[int, ...]:
     """Parse a plain left-normed product word and return its letters.  The
     factors, one term each, multiply into one left-nested tree, so a
     parenthesized product after the first factor is a right factor that is
     a product."""
-    parser = _Parser(text, table or GeneratorTable())
+    parser = _Parser(text, _indexed)
     coeff, factors = parser.factors()
     if parser.peek()[0] is not None or not factors or any(len(f) != 1 for f in factors):
         raise ExprSyntaxError("expected a single product word", 0)
@@ -332,8 +299,8 @@ def parse_envelope_expr(
     Returns (coefficient, dotted letter index, plain letter indices) triples
     in original 1-based indices; every product must carry exactly one dot.
     """
-    table = GeneratorTable({lbl: i for i, lbl in enumerate(labels, start=1)}, auto_indexed=False)
-    expr = _Parser(text, table, envelope=True).parse()
+    index = {lbl: i for i, lbl in enumerate(labels, start=1)}
+    expr = _Parser(text, lambda name: Leaf(index[name]) if name in index else None, envelope=True).parse()
     out: list[tuple[Fraction, int, tuple[int, ...]]] = []
     for node, coeff in expr.terms():
         letters = _letters(node, "envelope expressions use products only")

@@ -32,7 +32,6 @@ __all__ = [
     "exact",
     "format_linear",
     "letters",
-    "mono_key",
     "multidegrees",
 ]
 
@@ -40,7 +39,8 @@ K = TypeVar("K", bound=Hashable)
 
 
 class PermMonomial(NamedTuple):
-    """Canonical basis word: ``head`` followed by a sorted ``tail``."""
+    """Canonical basis word: ``head`` followed by a sorted ``tail``.  Its
+    tuple order, head then tail, orders echelon pivots and printed terms."""
 
     head: int
     tail: tuple[int, ...] = ()
@@ -117,11 +117,6 @@ def _canonical(mono: PermMonomial) -> PermMonomial:
     if mono.head < 1 or (tail and (tail[0] < 1 or tuple(sorted(tail)) != tail)):
         raise ValueError(f"{mono!r} is not canonical: need indices >= 1 and a sorted tail")
     return mono
-
-
-def mono_key(m: PermMonomial) -> tuple[int, tuple[int, ...]]:
-    """Total order used for echelon pivots and printed output: head, then tail."""
-    return (m.head, m.tail)
 
 
 def format_linear(items: Iterable[tuple[Fraction, str]]) -> str:
@@ -232,8 +227,6 @@ class PermPolynomial(Combination):
     """Sparse rational combination of canonical monomials."""
 
     __slots__ = ()
-
-    _key = staticmethod(mono_key)
 
     def __init__(
         self,

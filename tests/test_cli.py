@@ -208,6 +208,10 @@ def test_to_bn(runner):
     assert out.strip() == "f(x1;x2,x3) + f(x2;x1,x3) + 2*f(x3;x1,x2)"
     result = runner.invoke(main, ["to-bn", "x1*x2"])
     assert result.exit_code == 2
+    assert result.stderr == (
+        "Usage: main to-bn [OPTIONS] WORD\nTry 'main to-bn --help' for help.\n\n"
+        "Error: word must have length >= 3\n"
+    )
     out = invoke(runner, "to-bn", "*".join(["x1"] * 1200))
     assert out.strip() == "4*f(x1;x1," + "*".join(["x1"] * 1198) + ")"
 
@@ -371,6 +375,31 @@ def test_in_process_run_matches_the_child_process(runner, monkeypatch, argv, cod
     assert (proc.returncode, result.exit_code) == (code, code), proc.stderr
     assert result.stdout == proc.stdout
     assert result.stderr == proc.stderr.replace("python -m permalg", "main")
+
+
+def test_permalg_output_sets_the_default_format():
+    """``PERMALG_OUTPUT=json``, in any case and with blanks around it, makes
+    a child print what ``--json`` prints; ``text`` keeps the text report."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PERMALG_OUTPUT"}
+
+    def dims(*flags, output=None):
+        extra = {} if output is None else {"PERMALG_OUTPUT": output}
+        proc = subprocess.run(
+            [sys.executable, "-m", "permalg", "dims", "--gens", "2", "--deg", "2", *flags],
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+            env={**env, **extra, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout
+
+    as_json = dims("--json")
+    assert json.loads(as_json) == {"generators": 2, "degree": 2, "dimension": 4}
+    assert dims(output=" JSON ") == as_json
+    assert dims(output="text") == dims() == "dim of degree-2 component on 2 generators: 4\n"
 
 
 def test_option_syntax(runner):

@@ -4,10 +4,9 @@ from functools import reduce
 import pytest
 
 from permalg import parser
-from permalg.expr import Anti, Comm, ExprSum, Leaf, Prod, check_identity
+from permalg.expr import Anti, Comm, ExprSum, Leaf, Prod, Slot, check_identity
 from permalg.parser import (
     ExprSyntaxError,
-    GeneratorTable,
     parse_envelope_expr,
     parse_expr,
     parse_template,
@@ -73,12 +72,53 @@ def test_parse_errors_carry_position():
         parse_expr("x1 * - x2")
 
 
-def test_generator_table_custom_names():
-    table = GeneratorTable({"u": 1, "v": 2}, auto_indexed=False)
-    got = parse_expr("[u,v]", table)
-    assert got == ExprSum.of(Comm(Leaf(1), Leaf(2)))
-    with pytest.raises(ExprSyntaxError):
-        parse_expr("x1", table)
+def envelope(text):
+    return parse_envelope_expr(text, ("e1", "e2", "e3"))
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, position",
+    [
+        (parse_expr, "[x1 x2]", "expected ','", 6),
+        (parse_expr, "{x1}", "expected ','", 3),
+        (parse_expr, "<x1,x2>", "expected ','", 6),
+        (parse_expr, "<x1,x2,x3", "expected '>'", 9),
+        (parse_expr, "(x1", "expected ')'", 3),
+        (parse_expr, "[x1,x2", "expected ']'", 6),
+        (parse_expr, "{x1,x2", "expected '}'", 6),
+        (envelope, "d(1)", "expected a letter inside d(...)", 2),
+        (envelope, "d(zz)", "unknown generator 'zz'", 2),
+        (envelope, "d(e1", "expected ')'", 4),
+        (envelope, "<e1,e2,e3>", "brackets are not part of envelope expressions", 0),
+        (envelope, "{e1,e2}", "brackets are not part of envelope expressions", 0),
+        (envelope, "e1*[e1,e2]", "brackets are not part of envelope expressions", 3),
+        (parse_expr, "foo", "unknown generator 'foo'", 0),
+        (parse_expr, "d(x1)", "unknown generator 'd'", 0),
+        (parse_word, "x1*y2", "unknown generator 'y2'", 3),
+        (envelope, "x1", "unknown generator 'x1'", 0),
+    ],
+)
+def test_error_message_and_position(parse, text, message, position):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse(text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize("text, position", [("x1 +   $x2", 7), ("x1 + $", 5), ("$", 0), ("x1\t#", 3)])
+def test_bad_character_position_is_the_character(text, position):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr(text)
+    assert str(info.value) == f"unexpected character {text[position]!r} (at position {position})"
+
+
+def test_template_slots_number_in_order_of_first_appearance():
+    t = parse_template("[b,a] = [a,b]")
+    assert t.lhs == ExprSum.of(Comm(Slot(1), Slot(2)))
+    assert t.rhs == ExprSum.of(Comm(Slot(2), Slot(1)))
+    t = parse_template("c*(b*a) = a*b*c")
+    assert t.lhs == ExprSum.of(Prod(Slot(1), Prod(Slot(2), Slot(3))))
+    assert t.rhs == ExprSum.of(Prod(Prod(Slot(3), Slot(2)), Slot(1)))
 
 
 def test_print_parse_round_trip():

@@ -129,6 +129,16 @@ def test_product_kills_commutators_on_the_right(rng):
         assert_product_matches_oracle(f, comm)
 
 
+def test_terms_are_in_monomial_tuple_order(rng):
+    """``terms()`` sorts by the ``(head, tail)`` tuple a ``PermMonomial`` is."""
+    for _ in range(100):
+        p = random_poly(rng) * random_poly(rng) + random_poly(rng)
+        terms = p.terms()
+        assert terms == sorted(p.items())
+        keys = [(m.head, m.tail) for m, _ in terms]
+        assert keys == sorted(keys)
+
+
 def test_accumulate_stores_nonzero_fractions():
     data = accumulate({}, [("a", 2), ("b", Fraction(1, 2)), ("c", 0), ("d", Fraction(0))])
     assert data == {"a": 2, "b": Fraction(1, 2)}
