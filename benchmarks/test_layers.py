@@ -1,8 +1,9 @@
 """Per-layer timings of the slice closures, the Lie sum test, ``to_bn``,
 the perm product, the row echelon, the coordinates read off its
 witnesses, the expression-tree walks (expansion, printing, equality),
-identity checking, the envelope normal form and the CLI (a whole
-``python -m permalg`` child, and dispatch in process).
+identity checking, the envelope's input in original coordinates and its
+normal form, and the CLI (a whole ``python -m permalg`` child, and
+dispatch in process).
 
 Run from the repository root (not part of the default test run, which
 collects ``tests/`` only)::
@@ -24,14 +25,14 @@ from pathlib import Path
 
 import pytest
 
-from permalg.envelope import Envelope, EnvelopeMonomial, env_monomial
+from permalg.envelope import Envelope
 from permalg.expr import check_identity
 from permalg.jordan import ideal_component, jordan_express, sj_span, to_bn, verify_J_identities
 from permalg.lie import is_lie, lie_span_oracle, ml_basis
 from permalg.linalg import Subspace, span_solve
 from permalg.metabelian import MetabelianLieAlgebra, load_algebra, random_metabelian
 from permalg.parser import parse_expr, parse_template
-from permalg.perm import PermPolynomial, dimension, enumerate_basis, multidegrees
+from permalg.perm import PermMonomial, PermPolynomial, dimension, enumerate_basis, multidegrees
 
 REPO = Path(__file__).resolve().parent.parent
 ALGEBRAS = REPO / "algebras"
@@ -148,16 +149,33 @@ def test_envelope_abelian_500(benchmark):
     assert env.split.y_count == 0
 
 
+def test_element_from_original_skew2_tail_6(benchmark):
+    """``element_from_original`` of ``d(e2)*e2^6`` on ``skew2``, whose
+    ``split_basis`` changes the basis: ``e2`` is ``y1 - e1`` there, so the
+    perm product of seven two-term images collapses to the 14 words
+    ``(y1 - e1)'`` times the binomial expansion of ``(y1 - e1)^6``."""
+    env = Envelope(load_algebra(ALGEBRAS / "skew2.json"))
+    terms = [(Fraction(1), 2, (2,) * 6)]
+    element = run(benchmark, env.element_from_original, (terms,), 200)
+    y1, e1 = env.algebra.labels.index("y1") + 1, env.algebra.labels.index("e1") + 1
+    expected = {
+        PermMonomial(head, tuple(sorted((y1,) * j + (e1,) * (6 - j)))): sign * comb(6, j) * (-1) ** (6 - j)
+        for head, sign in ((y1, 1), (e1, -1))
+        for j in range(7)
+    }
+    assert element == PermPolynomial(expected)
+
+
 def test_normal_form_abelian_7_degree_7(benchmark):
     """``normal_form`` of the 1716-term sum of every degree-7 word on the
     7-dimensional abelian algebra, each dotted at its greatest letter: each
     term moves the dot to its least letter."""
     env = Envelope(MetabelianLieAlgebra(7))
     words = combinations_with_replacement(range(1, 8), 7)
-    element = {env_monomial(w[-1], w[:-1]): Fraction(1) for w in words}
+    element = PermPolynomial((PermMonomial(w[-1], w[:-1]), 1) for w in words)
     assert len(element) == 1716
     nf = run(benchmark, env.normal_form, (element,), 10)
-    assert len(nf) == 1716 and all(env.is_normal(m) for m in nf)
+    assert len(nf) == 1716 and all(env.is_normal(m) for m in nf.support())
 
 
 def test_normal_form_random_7_degree_7(benchmark):
@@ -165,12 +183,12 @@ def test_normal_form_random_7_degree_7(benchmark):
     ``random_metabelian(7, Random(3))``."""
     env = Envelope(random_metabelian(7, random.Random(3)))
     letters = range(1, 8)
-    element = {
-        EnvelopeMonomial(dot, tail): Fraction(1) for dot in letters for tail in combinations_with_replacement(letters, 6)
-    }
+    element = PermPolynomial(
+        (PermMonomial(dot, tail), 1) for dot in letters for tail in combinations_with_replacement(letters, 6)
+    )
     assert len(element) == 6468
     nf = run(benchmark, env.normal_form, (element,), 10)
-    assert all(env.is_normal(m) for m in nf)
+    assert all(env.is_normal(m) for m in nf.support())
 
 
 @pytest.mark.parametrize("ambient", ["perm", "jordan"])

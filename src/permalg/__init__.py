@@ -25,7 +25,7 @@ _EXPORTS = {
             "load_algebra",
             "split_basis",
         ),
-        "envelope": ("Envelope", "EnvelopeMonomial", "GrowthReport", "RewriteRule"),
+        "envelope": ("Envelope", "GrowthReport", "RewriteRule"),
         "expr": (
             "Anti",
             "Comm",

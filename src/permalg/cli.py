@@ -507,8 +507,8 @@ def envelope_nf(path: str, expression: str, use_unicode: bool, as_json: bool) ->
     terms = _parse_or_usage(parse_envelope_expr, expression, env.original.labels)
     nf = env.normal_form(env.element_from_original(terms))
     terms = [
-        {"coefficient": str(c), "dotted": env.label(m.dot), "tail": [env.label(i) for i in m.tail]}
-        for m, c in sorted(nf.items())
+        {"coefficient": str(c), "dotted": env.label(m.head), "tail": [env.label(i) for i in m.tail]}
+        for m, c in nf.terms()
     ]
     data = {"input": expression, "normal_form": env.element_str(nf), "terms": terms}
     _emit(as_json, data, env.element_str(nf, use_unicode))

@@ -3,7 +3,11 @@
 A metabelian Lie algebra embeds into a perm algebra; the enveloping perm
 algebra is realized inside a commutative polynomial ring on two copies of
 the basis, one plain and one dotted, restricted to polynomials linear in
-the dotted letters.  After splitting the basis into Y (spanning the
+the dotted letters.  That ring is the free perm algebra on the basis
+letters, with the dot as the head: ``a' t1 ... tm`` is the canonical word
+with head ``a`` and sorted tail ``t1 ... tm``, so an element is a
+``PermPolynomial`` and the perm commutator ``x_i x_j - x_j x_i`` is
+``x_i' x_j - x_j' x_i``.  After splitting the basis into Y (spanning the
 derived subalgebra) and Z (a complement, ordered after Y) the defining
 relations become a terminating, confluent rewriting system
 
@@ -41,8 +45,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate as running_totals, combinations, combinations_with_replacement
 from math import ceil, comb, log
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 # the input side lives in its own module; its names stay importable from here
@@ -57,7 +63,7 @@ from .metabelian import (
     random_metabelian,
     split_basis,
 )
-from .perm import accumulate, format_linear
+from .perm import PermMonomial, PermPolynomial, accumulate, format_linear
 
 __all__ = [
     "AlgebraFormatError",
@@ -65,7 +71,6 @@ __all__ = [
     "CompositionReport",
     "EmbedReport",
     "Envelope",
-    "EnvelopeMonomial",
     "GrowthReport",
     "InvalidLieAlgebra",
     "LieValidationReport",
@@ -83,37 +88,16 @@ _ONE = Fraction(1)
 # the rewriting system
 
 
-class EnvelopeMonomial(NamedTuple):
-    """Commutative word with one dotted letter and a sorted plain tail.
-
-    Indices refer to the adapted basis (derived-subalgebra letters first).
-    """
-
-    dot: int
-    tail: tuple[int, ...] = ()
-
-    @property
-    def degree(self) -> int:
-        return 1 + len(self.tail)
-
-
-def env_monomial(dot: int, tail: Iterable[int] = ()) -> EnvelopeMonomial:
-    return EnvelopeMonomial(dot, tuple(sorted(tail)))
-
-
-EnvElement = dict[EnvelopeMonomial, Fraction]
-
-
-def env_key(m: EnvelopeMonomial, y_count: int) -> tuple:
+def env_key(m: PermMonomial, y_count: int) -> tuple:
     """Degree-lexicographic order with dotted derived letters smallest."""
-    return (m.degree, 0 if m.dot <= y_count else 1, m.dot, m.tail)
+    return (m.degree, 0 if m.head <= y_count else 1, m.head, m.tail)
 
 
 class RewriteRule(NamedTuple):
     """Length-two redex and its strictly smaller reduct."""
 
-    redex: EnvelopeMonomial
-    reduct: tuple[tuple[EnvelopeMonomial, Fraction], ...]
+    redex: PermMonomial
+    reduct: PermPolynomial
 
 
 class CompositionEntry(NamedTuple):
@@ -201,82 +185,88 @@ class Envelope:
     def label(self, idx: int) -> str:
         return self.algebra.labels[idx - 1]
 
-    def monomial_str(self, m: EnvelopeMonomial, unicode: bool = False) -> str:
-        lbl = self.label(m.dot)
+    def monomial_str(self, m: PermMonomial, unicode: bool = False) -> str:
+        lbl = self.label(m.head)
         dotted = f"{lbl[0]}̇{lbl[1:]}" if unicode else f"d({lbl})"
         parts = [dotted] + [self.label(i) for i in m.tail]
         return "*".join(parts)
 
-    def element_str(self, e: EnvElement, unicode: bool = False) -> str:
+    def element_str(self, e: PermPolynomial, unicode: bool = False) -> str:
         ordered = sorted(e.items(), key=lambda kv: env_key(kv[0], self.y_count), reverse=True)
         return format_linear((c, self.monomial_str(m, unicode)) for m, c in ordered)
 
     # -- relations
 
-    def dotted(self, v: Vec) -> EnvElement:
+    def dotted(self, v: Vec) -> PermPolynomial:
         """Dotted image of an adapted-coordinates vector."""
-        return accumulate({}, ((EnvelopeMonomial(i), c) for i, c in sorted(v.items())))
+        return PermPolynomial._of(accumulate({}, ((PermMonomial(i), c) for i, c in v.items())))
 
     def rules(self) -> list[RewriteRule]:
         """The length-two rules: every ``y' z``, then ``z_i' z_j`` for
         ``i > j`` with ``z_j`` outer; a length-two redex reduces in one
         step, so each reduct is its chain."""
         zs = self.z_indices
-        redexes = [EnvelopeMonomial(y, (z,)) for y in range(1, self.y_count + 1) for z in zs]
-        redexes += [EnvelopeMonomial(i, (j,)) for j in zs for i in zs if i > j]
-        return [RewriteRule(m, tuple(sorted(self._chain(m, "leftmost").items()))) for m in redexes]
+        redexes = [PermMonomial(y, (z,)) for y in range(1, self.y_count + 1) for z in zs]
+        redexes += [PermMonomial(i, (j,)) for j in zs for i in zs if i > j]
+        return [RewriteRule(m, PermPolynomial._of(self._chain(m, "leftmost"))) for m in redexes]
 
     def rule_str(self, rule: RewriteRule, unicode: bool = False) -> str:
         return (
             f"{self.monomial_str(rule.redex, unicode)} -> "
-            f"{self.element_str(dict(rule.reduct), unicode)}"
+            f"{self.element_str(rule.reduct, unicode)}"
         )
 
     # -- reduction
 
-    def is_normal(self, m: EnvelopeMonomial) -> bool:
-        return not m.tail or self.y_count < m.dot <= m.tail[0]
+    def is_normal(self, m: PermMonomial) -> bool:
+        return not m.tail or self.y_count < m.head <= m.tail[0]
 
-    def _chain(self, m: EnvelopeMonomial, strategy: str) -> EnvElement:
+    def _chain(self, m: PermMonomial, strategy: str) -> dict[PermMonomial, Fraction]:
         """Normal form of one monomial, one rule application at a time (see
         the module docstring): Z steps while a plain letter is below the
         dot, then each dotted derived vector absorbs its plain letters."""
-        if m.tail and self.is_y(min(m.tail)):
+        if m.tail and self.is_y(m.tail[0]):
             return {}
         pick = min if strategy == "leftmost" else max
-        dot, tail = m.dot, list(m.tail)
+        dot, tail = m.head, list(m.tail)
         derived: list[tuple[Vec, list[int]]] = []  # dotted vector, plain letters to absorb
         while not self.is_y(dot) and (below := [t for t in tail if t < dot]):
             p = pick(below)
             tail.remove(p)
             derived.append((self.algebra.bracket_basis(dot, p), list(tail)))
             dot, tail = p, sorted(tail + [dot])
-        out: EnvElement = {}
+        out: dict[PermMonomial, Fraction] = {}
         if self.is_y(dot):
             derived.append(({dot: _ONE}, tail))
         else:
-            out[EnvelopeMonomial(dot, tuple(tail))] = _ONE
+            out[PermMonomial(dot, tuple(tail))] = _ONE
         for vec, letters in derived:
             for t in sorted(letters, reverse=pick is max):
                 vec = self.algebra.bracket(vec, {t: _ONE})
             accumulate(out, self.dotted(vec).items())
         return out
 
-    def normal_form(self, element: EnvElement, strategy: str = "leftmost") -> EnvElement:
+    def normal_form(self, element: PermPolynomial, strategy: str = "leftmost") -> PermPolynomial:
         """Reduction to the basis monomials: the sum of each monomial's chain,
-        which terminates as every rule lowers the degree-lexicographic order."""
+        which terminates as every rule lowers the degree-lexicographic order.
+        ``element`` is a ``PermPolynomial`` over the adapted letters
+        ``1..dim``; anything else is refused."""
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError(f"unknown strategy {strategy!r}")
-        out: EnvElement = {}
+        if not isinstance(element, PermPolynomial):
+            raise TypeError(f"expected PermPolynomial, got {type(element).__name__}")
+        dim = self.dim
+        out: dict[PermMonomial, Fraction] = {}
         for m, c in element.items():
+            if m.head > dim or m.tail and m.tail[-1] > dim:
+                raise ValueError(f"letter {max(m.word())} is outside the basis 1..{dim}")
             accumulate(out, ((m2, c * c2) for m2, c2 in self._chain(m, strategy).items()))
-        return out
+        return PermPolynomial._of(out)
 
-    def _disagreement(self, word: EnvelopeMonomial) -> EnvElement:
+    def _disagreement(self, word: PermMonomial) -> PermPolynomial:
         """Rightmost normal form of ``word`` minus its leftmost one."""
-        element = {word: _ONE}
-        left = self.normal_form(element, "leftmost")
-        return accumulate(self.normal_form(element, "rightmost"), ((m, -c) for m, c in left.items()))
+        element = PermPolynomial._of({word: _ONE})
+        return self.normal_form(element, "rightmost") - self.normal_form(element, "leftmost")
 
     # -- composition (overlap) checking
 
@@ -286,28 +276,28 @@ class Envelope:
         names the dot, then the plain letters from the greatest down."""
         zs = self.z_indices
         ys = range(1, self.y_count + 1)
-        words = [("y-overlap", env_monomial(y, pair)) for y in ys for pair in combinations(zs, 2)]
-        words += [("z-overlap", env_monomial(zi, (zk, zj))) for zk, zj, zi in combinations(zs, 3)]
+        words = [("y-overlap", PermMonomial(y, pair)) for y in ys for pair in combinations(zs, 2)]
+        words += [("z-overlap", PermMonomial(zi, (zk, zj))) for zk, zj, zi in combinations(zs, 3)]
         entries = []
         for kind, word in words:
             diff = self._disagreement(word)
-            letters = tuple(self.label(i) for i in (word.dot, *reversed(word.tail)))
+            letters = tuple(self.label(i) for i in (word.head, *reversed(word.tail)))
             entries.append(CompositionEntry(kind, letters, not diff, self.element_str(diff)))
         return CompositionReport(entries)
 
     # -- basis and growth
 
-    def basis_degree(self, n: int) -> list[EnvelopeMonomial]:
+    def basis_degree(self, n: int) -> list[PermMonomial]:
         if n < 1:
             raise ValueError("degree must be >= 1")
         if n == 1:
-            return [EnvelopeMonomial(i) for i in range(1, self.dim + 1)]
+            return [PermMonomial(i) for i in range(1, self.dim + 1)]
         return [
-            EnvelopeMonomial(word[0], word[1:])
+            PermMonomial(word[0], word[1:])
             for word in combinations_with_replacement(self.z_indices, n)
         ]
 
-    def basis_up_to(self, d: int) -> dict[int, list[EnvelopeMonomial]]:
+    def basis_up_to(self, d: int) -> dict[int, list[PermMonomial]]:
         if d < 1:
             raise ValueError("degree bound must be >= 1")
         return {n: self.basis_degree(n) for n in range(1, d + 1)}
@@ -355,25 +345,17 @@ class Envelope:
     # -- embedding
 
     def embed_check(self) -> EmbedReport:
-        """Every adapted basis pair must satisfy
-        ``nf(x_i' x_j - x_j' x_i) = [x_i,x_j]'``."""
+        """Every adapted basis pair must satisfy ``nf(x_i x_j - x_j x_i) =
+        [x_i,x_j]'``, the perm commutator of two letters reducing to the
+        dotted bracket."""
+        x = {i: PermPolynomial.generator(i) for i in range(1, self.dim + 1)}
         failures: list[tuple[str, str, str, str]] = []
-        checked = 0
-        for i in range(1, self.dim + 1):
-            for j in range(i + 1, self.dim + 1):
-                got = self.normal_form({EnvelopeMonomial(i, (j,)): _ONE, EnvelopeMonomial(j, (i,)): -_ONE})
-                expected = self.dotted(self.algebra.bracket_basis(i, j))
-                checked += 1
-                if got != expected:
-                    failures.append(
-                        (
-                            self.label(i),
-                            self.label(j),
-                            self.element_str(got),
-                            self.element_str(expected),
-                        )
-                    )
-        return EmbedReport(checked=checked, failures=failures)
+        for i, j in combinations(range(1, self.dim + 1), 2):
+            got = self.normal_form(x[i] * x[j] - x[j] * x[i])
+            expected = self.dotted(self.algebra.bracket_basis(i, j))
+            if got != expected:
+                failures.append((self.label(i), self.label(j), self.element_str(got), self.element_str(expected)))
+        return EmbedReport(checked=comb(self.dim, 2), failures=failures)
 
     # -- randomized strategy agreement
 
@@ -386,7 +368,7 @@ class Envelope:
             degree = rng.randint(1, max_degree)
             dot = rng.randint(1, self.dim)
             tail = tuple(sorted(rng.randint(1, self.dim) for _ in range(degree - 1)))
-            if self._disagreement(EnvelopeMonomial(dot, tail)):
+            if self._disagreement(PermMonomial(dot, tail)):
                 disagreements += 1
         return StrategyAgreementReport(seed=seed, words=words, disagreements=disagreements)
 
@@ -394,22 +376,15 @@ class Envelope:
 
     def element_from_original(
         self, terms: Iterable[tuple[Fraction, int, Sequence[int]]]
-    ) -> EnvElement:
+    ) -> PermPolynomial:
         """Build an element from (coefficient, dotted original index, plain
-        original indices) triples, expanding multilinearly through the
-        basis adaptation."""
-        out: EnvElement = {}
-        for coeff, dot_idx, tail_idxs in terms:
-            dot_vec = self.split.to_adapted({dot_idx: Fraction(1)})
-            parts: list[tuple[Fraction, int, tuple[int, ...]]] = [
-                (coeff * c, i, ()) for i, c in sorted(dot_vec.items())
-            ]
-            for t in tail_idxs:
-                t_vec = sorted(self.split.to_adapted({t: Fraction(1)}).items())
-                parts = [
-                    (c * tc, dot, tail + (ti,))
-                    for c, dot, tail in parts
-                    for ti, tc in t_vec
-                ]
-            accumulate(out, ((env_monomial(dot, tail), c) for c, dot, tail in parts))
-        return out
+        original indices) triples: each term is its coefficient times the
+        perm product of the letters' adapted images, the dotted one first."""
+
+        def image(i: int) -> PermPolynomial:
+            return self.dotted(self.split.to_adapted({i: _ONE}))
+
+        out: dict[PermMonomial, Fraction] = {}
+        for coeff, dot, tail in terms:
+            accumulate(out, (coeff * reduce(mul, map(image, tail), image(dot))).items())
+        return PermPolynomial._of(out)

@@ -109,10 +109,11 @@ class _Parser:
         if kind != "sym" or text != sym:
             raise ExprSyntaxError(f"expected {sym!r}", at)
 
-    def parse(self) -> ExprSum:
+    def parse(self, stop: str | None = None) -> ExprSum:
+        """An expression up to the end of the text, or up to ``stop``, which it consumes."""
         expr = self.expression()
-        kind, text, at = self.peek()
-        if kind is not None:
+        _, text, at = self.next()
+        if text != stop:  # the end of the text reads as None
             raise ExprSyntaxError(f"unexpected {text!r}", at)
         return expr
 
@@ -236,10 +237,9 @@ def parse_expr(text: str) -> ExprSum:
 
 
 def parse_template(text: str) -> IdentityTemplate:
-    """Parse ``lhs = rhs`` with every name bound to a slot; ``rhs`` may be 0."""
+    """Parse ``lhs = rhs`` in one pass, every name bound to a slot; ``rhs`` may be 0."""
     if text.count("=") != 1:
         raise ExprSyntaxError("template must contain exactly one '='", text.find("=") if "=" in text else len(text))
-    left_text, right_text = text.split("=")
     slots: dict[str, Slot] = {}
 
     def bind(name: str) -> Slot:
@@ -248,7 +248,8 @@ def parse_template(text: str) -> IdentityTemplate:
             slots[name] = Slot(len(slots) + 1)
         return slots[name]
 
-    return IdentityTemplate(_Parser(left_text, bind).parse(), _Parser(right_text, bind).parse())
+    parser = _Parser(text, bind)
+    return IdentityTemplate(parser.parse("="), parser.parse())
 
 
 def _letters(node: Node, message: str, left_normed: bool = False) -> list[Leaf | Slot]:

@@ -10,16 +10,20 @@ worklist always rewrites the largest pending monomial of the whole
 element, where ``Envelope.normal_form`` runs one chain per monomial.
 The word-by-word product multiplies every pair of terms, where
 ``PermPolynomial.__mul__`` groups the right factor by letter multiset.
+``free_metabelian`` builds the free metabelian Lie algebras of bounded
+class from the perm side, an independent algebra to hold the envelope to.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
-from permalg.envelope import Envelope, EnvElement, EnvelopeMonomial, env_key
+from permalg.envelope import Envelope, env_key
 from permalg.expr import ExprSum, Leaf
 from permalg.jordan import _sj_rows
+from permalg.lie import ml_basis
 from permalg.linalg import Subspace
+from permalg.metabelian import MetabelianLieAlgebra
 from permalg.perm import PermMonomial, PermPolynomial, accumulate, enumerate_basis
 
 
@@ -168,19 +172,19 @@ def ideal_closure_oracle(
     return slice_of(target)
 
 
-def _absorb(env: Envelope, m: EnvelopeMonomial, letter: int) -> EnvElement:
+def _absorb(env: Envelope, m: PermMonomial, letter: int) -> dict[PermMonomial, Fraction]:
     """One step of the length-two rule of the dot and the plain ``letter``
     of ``m``: a dotted Y letter ``y`` becomes ``[y,letter]'``; a dotted Z
     letter ``z_i`` with ``letter = z_j`` becomes ``z_j' z_i + [z_i,z_j]'``.
     The other plain letters ride along."""
     i = m.tail.index(letter)
     rest = m.tail[:i] + m.tail[i + 1 :]
-    moved = {} if env.is_y(m.dot) else {EnvelopeMonomial(letter, tuple(sorted(rest + (m.dot,)))): Fraction(1)}
-    bracket = sorted(env.algebra.bracket_basis(m.dot, letter).items())
-    return accumulate(moved, ((EnvelopeMonomial(b, rest), c) for b, c in bracket))
+    moved = {} if env.is_y(m.head) else {PermMonomial(letter, tuple(sorted(rest + (m.head,)))): Fraction(1)}
+    bracket = sorted(env.algebra.bracket_basis(m.head, letter).items())
+    return accumulate(moved, ((PermMonomial(b, rest), c) for b, c in bracket))
 
 
-def _step(env: Envelope, m: EnvelopeMonomial, strategy: str) -> EnvElement | None:
+def _step(env: Envelope, m: PermMonomial, strategy: str) -> dict[PermMonomial, Fraction] | None:
     """One rewriting step, or None when the monomial is normal."""
     y_tail = [t for t in m.tail if env.is_y(t)]
     if y_tail:
@@ -188,15 +192,15 @@ def _step(env: Envelope, m: EnvelopeMonomial, strategy: str) -> EnvElement | Non
     if not m.tail:
         return None
     pick = min if strategy == "leftmost" else max
-    if env.is_y(m.dot):
+    if env.is_y(m.head):
         return _absorb(env, m, pick(m.tail))
-    smaller = [t for t in m.tail if t < m.dot]
+    smaller = [t for t in m.tail if t < m.head]
     if not smaller:
         return None
     return _absorb(env, m, pick(smaller))
 
 
-def worklist_normal_form_oracle(env: Envelope, element: EnvElement, strategy: str = "leftmost") -> EnvElement:
+def worklist_normal_form_oracle(env: Envelope, element: PermPolynomial, strategy: str = "leftmost") -> PermPolynomial:
     """Confluent reduction to the basis monomials by a global worklist.
 
     Always rewrites the largest pending monomial; every rule strictly
@@ -205,7 +209,7 @@ def worklist_normal_form_oracle(env: Envelope, element: EnvElement, strategy: st
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     work = accumulate({}, element.items())
-    result: EnvElement = {}
+    result: dict[PermMonomial, Fraction] = {}
     while work:
         m = max(work, key=lambda mm: env_key(mm, env.y_count))
         c = work.pop(m)
@@ -214,12 +218,34 @@ def worklist_normal_form_oracle(env: Envelope, element: EnvElement, strategy: st
             accumulate(result, ((m, c),))
             continue
         accumulate(work, ((m2, c * c2) for m2, c2 in step.items()))
-    return result
+    return PermPolynomial._of(result)
 
 
-def overlap_oracle(env: Envelope, m: EnvelopeMonomial, first: int, second: int) -> EnvElement:
+def overlap_oracle(env: Envelope, m: PermMonomial, first: int, second: int) -> PermPolynomial:
     """Worklist normal form of ``m`` after the dot absorbs ``first``, minus
     the one after it absorbs ``second``."""
-    a = worklist_normal_form_oracle(env, _absorb(env, m, first))
-    b = worklist_normal_form_oracle(env, _absorb(env, m, second))
-    return accumulate(a, ((mono, -c) for mono, c in b.items()))
+    a = worklist_normal_form_oracle(env, PermPolynomial(_absorb(env, m, first)))
+    b = worklist_normal_form_oracle(env, PermPolynomial(_absorb(env, m, second)))
+    return a - b
+
+
+def free_metabelian(k: int, c: int) -> tuple[MetabelianLieAlgebra, list[PermPolynomial]]:
+    """``L(k, c)``, the free metabelian Lie algebra on ``k`` letters with
+    brackets above weight ``c`` set to 0, and each basis element's perm
+    polynomial.  The basis is the letters, then ``ml_basis(k, n)`` for
+    ``2 <= n <= c``.  A bracket is a perm commutator, a Lie element whose
+    coordinate on the ``ml_basis`` element with head ``h`` is its
+    coefficient on the word ``W(h)``; above weight ``c`` no basis element
+    has its letters, so the bracket is 0."""
+    polys = [PermPolynomial.generator(i) for i in range(1, k + 1)]
+    words = [PermMonomial(i) for i in range(1, k + 1)]
+    for n in range(2, c + 1):
+        for m in ml_basis(k, n):
+            polys.append(m.expand())
+            words.append(PermMonomial(m.first, (m.second, *m.rest)))
+    index = {w: i for i, w in enumerate(words, start=1)}
+    brackets = {}
+    for i, j in combinations(range(1, len(words) + 1), 2):
+        u, v = polys[i - 1], polys[j - 1]
+        brackets[(i, j)] = {index[w]: x for w, x in (u * v - v * u).items() if w in index}
+    return MetabelianLieAlgebra(len(words), brackets=brackets), polys

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from permalg.envelope import Envelope, EnvelopeMonomial, MetabelianLieAlgebra
+from permalg.envelope import Envelope, MetabelianLieAlgebra
 from permalg.expr import (
     Anti,
     ExprSum,
@@ -36,7 +36,7 @@ from permalg.jordan import (
 )
 from permalg.lie import is_lie, lie_span_oracle, ml_basis
 from permalg.linalg import Subspace, span_solve
-from permalg.perm import PermPolynomial, dimension, enumerate_basis
+from permalg.perm import PermMonomial, PermPolynomial, dimension, enumerate_basis
 
 REPO = Path(__file__).resolve().parent.parent
 ALGEBRAS = REPO / "algebras"
@@ -199,7 +199,7 @@ def test_criterion_7_heisenberg_envelope():
     for n in range(2, 9):
         ok = ok and len(basis[n]) == n + 1
         for m in basis[n]:
-            labels = [env.label(m.dot)] + [env.label(i) for i in m.tail]
+            labels = [env.label(m.head)] + [env.label(i) for i in m.tail]
             if labels[0] == "e2":
                 ok = ok and all(t == "e2" for t in labels[1:])
             else:
@@ -207,11 +207,13 @@ def test_criterion_7_heisenberg_envelope():
     ok = ok and env.check_compositions().all_trivial
     ok = ok and env.embed_check().ok
     idx = {lbl: i + 1 for i, lbl in enumerate(env.algebra.labels)}
-    nf = env.normal_form({EnvelopeMonomial(idx["e2"], (idx["e1"],)): Fraction(1)})
-    expected = {
-        EnvelopeMonomial(idx["e1"], (idx["e2"],)): Fraction(1),
-        EnvelopeMonomial(idx["e3"]): Fraction(-1),
-    }
+    nf = env.normal_form(PermPolynomial({PermMonomial(idx["e2"], (idx["e1"],)): Fraction(1)}))
+    expected = PermPolynomial(
+        {
+            PermMonomial(idx["e1"], (idx["e2"],)): Fraction(1),
+            PermMonomial(idx["e3"]): Fraction(-1),
+        }
+    )
     ok = ok and nf == expected
     _verdict("7 Heisenberg envelope", ok)
 
@@ -243,7 +245,7 @@ def test_criterion_9_rewriting_robustness(seed):
             degree = rng.randint(1, 6)
             dot = rng.randint(1, env.dim)
             tail = tuple(sorted(rng.randint(1, env.dim) for _ in range(degree - 1)))
-            element = {EnvelopeMonomial(dot, tail): Fraction(1)}
+            element = PermPolynomial.from_monomial(PermMonomial(dot, tail))
             ok = ok and env.normal_form(element, "leftmost") == env.normal_form(
                 element, "rightmost"
             )

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -7,17 +9,17 @@ import pytest
 from permalg.envelope import (
     AlgebraFormatError,
     Envelope,
-    EnvelopeMonomial,
     InvalidLieAlgebra,
     MetabelianLieAlgebra,
-    env_monomial,
     load_algebra,
     random_metabelian,
     split_basis,
 )
+from permalg.linalg import Subspace
 from permalg.parser import parse_envelope_expr
+from permalg.perm import PermMonomial, PermPolynomial, dimension, enumerate_basis
 
-from oracles import overlap_oracle, worklist_normal_form_oracle
+from oracles import free_metabelian, overlap_oracle, worklist_normal_form_oracle
 
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
@@ -312,8 +314,22 @@ def test_normal_form_examples():
     assert env.element_str(nf) == "d(e1)*e2 - d(e3)"
     element = env.element_from_original(parse_envelope_expr("d(e2)*e1*e1", ("e1", "e2", "e3")))
     assert env.element_str(env.normal_form(element)) == "d(e1)*e1*e2"
-    normal = {env_monomial(2, (2, 3)): Fraction(1)}
+    normal = PermPolynomial.from_monomial(PermMonomial(2, (2, 3)))
     assert env.normal_form(normal) == normal
+
+
+def test_normal_form_refuses_inexact_and_outside_input():
+    """Only a ``PermPolynomial`` over the letters ``1..dim`` is reduced: a
+    dict or a float coefficient raises ``TypeError``, and a letter past
+    ``dim`` a ``ValueError`` that names it."""
+    env = Envelope(load_algebra(ALGEBRAS / "heisenberg.json"))
+    with pytest.raises(TypeError, match="expected PermPolynomial, got dict"):
+        env.normal_form({PermMonomial(3, (2,)): 0.1})
+    with pytest.raises(TypeError, match="int or Fraction, got float"):
+        env.normal_form(PermPolynomial({PermMonomial(3, (2,)): 0.1}))
+    for m in (PermMonomial(9), PermMonomial(1, (2, 9)), PermMonomial(9, (1,))):
+        with pytest.raises(ValueError, match=r"letter 9 is outside the basis 1\.\.3"):
+            env.normal_form(PermPolynomial.from_monomial(m))
 
 
 def test_normal_form_strategies_agree_on_corpus(rng):
@@ -324,11 +340,11 @@ def test_normal_form_strategies_agree_on_corpus(rng):
             degree = rng.randint(1, 6)
             dot = rng.randint(1, env.dim)
             tail = tuple(sorted(rng.randint(1, env.dim) for _ in range(degree - 1)))
-            element = {EnvelopeMonomial(dot, tail): Fraction(1)}
+            element = PermPolynomial.from_monomial(PermMonomial(dot, tail))
             left = env.normal_form(element, "leftmost")
             right = env.normal_form(element, "rightmost")
             assert left == right
-            for m in left:
+            for m in left.support():
                 assert env.is_normal(m)
 
 
@@ -337,8 +353,8 @@ def test_normal_form_terminates_at_degree_ten(rng):
     for _ in range(20):
         dot = rng.randint(1, env.dim)
         tail = tuple(sorted(rng.randint(1, env.dim) for _ in range(9)))
-        nf = env.normal_form({EnvelopeMonomial(dot, tail): Fraction(1)})
-        for m in nf:
+        nf = env.normal_form(PermPolynomial.from_monomial(PermMonomial(dot, tail)))
+        for m in nf.support():
             assert env.is_normal(m)
 
 
@@ -360,7 +376,7 @@ def test_basis_up_to_heisenberg():
     for n in range(2, 9):
         assert len(basis[n]) == n + 1
         for m in basis[n]:
-            lbl = env.label(m.dot)
+            lbl = env.label(m.head)
             tail_lbls = [env.label(i) for i in m.tail]
             assert lbl in ("e1", "e2")
             if lbl == "e2":
@@ -425,7 +441,7 @@ def test_is_normal_is_basis_membership():
             basis = set(env.basis_degree(n))
             for dot in letters:
                 for tail in combinations_with_replacement(letters, n - 1):
-                    m = EnvelopeMonomial(dot, tail)
+                    m = PermMonomial(dot, tail)
                     assert env.is_normal(m) == (m in basis), (path.name, m)
                     checked += 1
     assert checked == 164  # 5 valid stock algebras, of dimension 1, 2, 2, 3 and 3
@@ -441,12 +457,14 @@ def test_embed_check_examples():
 def test_embed_pair_reduction():
     env = Envelope(heisenberg())
     idx = {lbl: i + 1 for i, lbl in enumerate(env.algebra.labels)}
-    lhs = {
-        EnvelopeMonomial(idx["e1"], (idx["e2"],)): Fraction(1),
-        EnvelopeMonomial(idx["e2"], (idx["e1"],)): Fraction(-1),
-    }
+    lhs = PermPolynomial(
+        {
+            PermMonomial(idx["e1"], (idx["e2"],)): Fraction(1),
+            PermMonomial(idx["e2"], (idx["e1"],)): Fraction(-1),
+        }
+    )
     nf = env.normal_form(lhs)
-    assert nf == {EnvelopeMonomial(idx["e3"]): Fraction(1)}
+    assert nf == PermPolynomial({PermMonomial(idx["e3"]): Fraction(1)})
 
 
 def test_embed_check_on_random_corpus(rng):
@@ -462,13 +480,7 @@ def test_element_from_original_with_changed_basis():
     nf = env.normal_form(element)
     # embedding consistency: nf(d(e1)*e2 - d(e2)*e1) must be the dotted bracket
     other = env.element_from_original(parse_envelope_expr("d(e2)*e1", ("e1", "e2")))
-    diff = dict(nf)
-    for m, c in env.normal_form(other).items():
-        s = diff.get(m, Fraction(0)) - c
-        if s:
-            diff[m] = s
-        elif m in diff:
-            del diff[m]
+    diff = nf - env.normal_form(other)
     expected = env.normal_form(
         env.element_from_original([(Fraction(1), 1, ()), (Fraction(1), 2, ())])
     )
@@ -498,15 +510,17 @@ def test_normal_form_matches_worklist_on_every_monomial(rng):
     """Both strategies on every monomial of degree at most 5: one chain
     per monomial against the global worklist that always rewrites the
     largest pending monomial.  A monomial is normal exactly when the
-    worklist leaves it alone."""
+    worklist leaves it alone.  The corpus adds ``L(2,3)`` and ``L(3,3)``
+    from ``free_metabelian``."""
     checked = 0
-    for env in differential_corpus(rng):
+    free = [Envelope(free_metabelian(k, 3)[0]) for k in (2, 3)]
+    for env in differential_corpus(rng) + free:
         letters = range(1, env.dim + 1)
         for n in range(1, 6):
             for dot in letters:
                 for tail in combinations_with_replacement(letters, n - 1):
-                    m = EnvelopeMonomial(dot, tail)
-                    element = {m: Fraction(1)}
+                    m = PermMonomial(dot, tail)
+                    element = PermPolynomial.from_monomial(m)
                     for strategy in ("leftmost", "rightmost"):
                         expected = worklist_normal_form_oracle(env, element, strategy)
                         assert env.normal_form(element, strategy) == expected, (env.algebra.labels, m, strategy)
@@ -526,16 +540,17 @@ def test_normal_form_matches_worklist_on_cancelling_elements(rng):
             relation = {}
             if env.dim > 1:
                 i, j = rng.sample(range(1, env.dim + 1), 2)
-                relation = {EnvelopeMonomial(i, (j,)): Fraction(1), EnvelopeMonomial(j, (i,)): Fraction(-1)}
-                relation.update((EnvelopeMonomial(b), -c) for b, c in env.algebra.bracket_basis(i, j).items())
+                relation = {PermMonomial(i, (j,)): Fraction(1), PermMonomial(j, (i,)): Fraction(-1)}
+                relation.update((PermMonomial(b), -c) for b, c in env.algebra.bracket_basis(i, j).items())
             scale = rng.choice(coefficients)
             element = {m: scale * c for m, c in relation.items()}
             for _ in range(rng.randint(0, 6)):
                 tail = [rng.randint(1, env.dim) for _ in range(rng.randint(0, 5))]
-                m = env_monomial(rng.randint(1, env.dim), tail)
+                m = PermMonomial(rng.randint(1, env.dim), tuple(sorted(tail)))
                 element[m] = element.get(m, 0) + rng.choice(coefficients)
+            relation, element = PermPolynomial(relation), PermPolynomial(element)
             for strategy in ("leftmost", "rightmost"):
-                assert env.normal_form(relation, strategy) == {}
+                assert env.normal_form(relation, strategy).is_zero
                 nf = env.normal_form(element, strategy)
                 assert nf == worklist_normal_form_oracle(env, element, strategy)
                 emptied += not nf
@@ -550,12 +565,51 @@ def test_composition_residuals_match_worklist_overlaps(rng):
     for env in differential_corpus(rng):
         report = env.check_compositions()
         zs, ys = env.z_indices, range(1, env.y_count + 1)
-        words = [(env_monomial(y, (zj, zi)), zi, zj) for y in ys for zj in zs for zi in zs if zi > zj]
-        words += [(env_monomial(zi, (zj, zk)), zj, zk) for zk in zs for zj in zs for zi in zs if zi > zj > zk]
+        words = [(PermMonomial(y, (zj, zi)), zi, zj) for y in ys for zj in zs for zi in zs if zi > zj]
+        words += [(PermMonomial(zi, (zk, zj)), zj, zk) for zk in zs for zj in zs for zi in zs if zi > zj > zk]
         assert len(report.entries) == len(words)
         for entry, (word, first, second) in zip(report.entries, words):
             diff = overlap_oracle(env, word, first, second)
-            labels = tuple(env.label(i) for i in (word.dot, first, second))
+            labels = tuple(env.label(i) for i in (word.head, first, second))
             assert (entry.letters, entry.trivial, entry.residual) == (labels, not diff, env.element_str(diff))
             overlaps += 1
     assert overlaps >= 2  # heisenberg's y-overlap and abelian3's z-overlap at least
+
+
+@pytest.mark.parametrize("k, c, checks", [(2, 3, 38), (3, 3, 118), (2, 5, 208), (3, 4, 412)])
+def test_envelope_of_free_metabelian_is_free_perm(k, c, checks):
+    """On ``L(k, c)`` the envelope is the free perm algebra ``Perm(k)`` up
+    to weight ``c``.  ``phi`` maps each adapted letter to its perm
+    polynomial ``b`` and a monomial to the perm product of its letters'
+    images, the dot first; a plain derived letter goes to 0, since
+    ``u*[v,w] = 0`` in a perm algebra.  Both strategies keep ``phi`` on
+    every monomial of weight at most ``c``, and the normal monomials of
+    weight ``n`` map to a basis of degree ``n`` of ``Perm(k)``."""
+    algebra, polys = free_metabelian(k, c)
+    env = Envelope(algebra)
+    b = [sum((x * polys[i - 1] for i, x in row.items()), PermPolynomial.zero()) for row in env.split.new_in_old]
+    weight = [next(iter(p.support())).degree for p in b]
+
+    def phi(e):
+        products = (x * reduce(mul, (b[t - 1] for t in m.tail), b[m.head - 1]) for m, x in e.items())
+        return sum(products, PermPolynomial.zero())
+
+    letters = range(1, env.dim + 1)
+    normal = {n: [] for n in range(1, c + 1)}
+    checked = 0
+    for size in range(c):
+        for tail in combinations_with_replacement(letters, size):
+            rest = sum(weight[t - 1] for t in tail)
+            for dot in letters:
+                if weight[dot - 1] + rest > c:
+                    continue
+                e = PermPolynomial.from_monomial(PermMonomial(dot, tail))
+                for strategy in ("leftmost", "rightmost"):
+                    assert phi(env.normal_form(e, strategy)) == phi(e), (k, c, e, strategy)
+                    checked += 1
+                if env.is_normal(PermMonomial(dot, tail)):
+                    normal[weight[dot - 1] + rest].append(phi(e))
+    assert checked == checks
+    for n, images in normal.items():
+        assert len(images) == dimension(k, n)
+        assert Subspace(enumerate_basis(k, n), images).dim == dimension(k, n)

@@ -96,6 +96,11 @@ def envelope(text):
         (parse_expr, "d(x1)", "unknown generator 'd'", 0),
         (parse_word, "x1*y2", "unknown generator 'y2'", 3),
         (envelope, "x1", "unknown generator 'x1'", 0),
+        # a template's positions count from its start, on either side of '='
+        (parse_template, "a*b = [a b]", "expected ','", 10),
+        (parse_template, "a*b = b $ a", "unexpected character '$'", 8),
+        (parse_template, "[a,b] = c*", "expected a factor after '*'", 10),
+        (parse_template, "a b ] = c", "unexpected ']'", 4),
     ],
 )
 def test_error_message_and_position(parse, text, message, position):
