@@ -8,7 +8,7 @@ import random
 import sys
 
 from permalg import Envelope
-from permalg.envelope import random_metabelian
+from permalg.metabelian import random_metabelian
 
 
 def main():

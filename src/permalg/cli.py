@@ -41,6 +41,7 @@ if TYPE_CHECKING:
 _JSON_DEFAULT = os.environ.get("PERMALG_OUTPUT", "text").strip().lower() == "json"
 BN_LIMIT = 10**6  # the most f-elements ``bn`` lists; a larger basis exits 2
 BUILD_LIMIT = 10**7  # the most basis letters ``envelope build`` prints; more exits 2
+CHECK_LIMIT = 10**6  # the most overlap words ``envelope check`` reduces; more exits 2
 
 
 class UsageError(Exception):
@@ -300,7 +301,8 @@ def _algebra_or_usage(path: str) -> MetabelianLieAlgebra:
 
 
 def _load_or_usage(path: str) -> Envelope:
-    from .envelope import Envelope, InvalidLieAlgebra
+    from .envelope import Envelope
+    from .metabelian import InvalidLieAlgebra
 
     algebra = _algebra_or_usage(path)
     try:
@@ -522,7 +524,8 @@ def envelope_nf(path: str, expression: str, use_unicode: bool, as_json: bool) ->
 )
 def envelope_check(path: str, seed: int, words: int, as_json: bool) -> None:
     """Validate the algebra, reduce all overlaps, and verify the embedding."""
-    from .envelope import Envelope, InvalidLieAlgebra
+    from .envelope import Envelope
+    from .metabelian import InvalidLieAlgebra
 
     if words < 0:
         raise UsageError("need --words >= 0")
@@ -536,6 +539,8 @@ def envelope_check(path: str, seed: int, words: int, as_json: bool) -> None:
             "metabelian_violations": [list(t) for t, _ in exc.report.metabelian_violations],
         }
         _emit(as_json, data, f"invalid algebra: {data}", 1)
+    if (overlaps := env.overlap_count()) > CHECK_LIMIT:
+        raise UsageError(f"envelope check would reduce {overlaps} overlap words; the limit is {CHECK_LIMIT}")
     comps = env.check_compositions()
     embed = env.embed_check()
     agreement = env.strategy_agreement(words=words, seed=seed)

@@ -12,18 +12,18 @@ distinct-generator substitution expands to zero.
 
 Expansion is a closed form.  By the perm law a product of two words is
 the word with the first factor's head and the letters of both, so every
-node of a tree expands to words on the tree's letters and is known by its
-head vector, a map from head letter to integer coefficient.  With ``s(t)``
-the coefficient sum of ``t``,
+node of a tree expands into the slice of the tree's letters, where the
+word ``W(h)`` of each head ``h`` is defined (:mod:`permalg.perm`), and is
+known by its head vector, a map from head letter to integer coefficient.
+With ``s(t)`` the coefficient sum of ``t``,
 
     Prod(l, r) = s(r)*l,   Comm(l, r) = s(r)*l - s(l)*r,
     Anti(l, r) = s(r)*l + s(l)*r,
 
 and a leaf ``x_i`` is ``{i: 1}``.  One :func:`fold` evaluates every node
-in integers, and the root's head ``h`` stands for the word with head
-``h`` and the other letters sorted.  Multiplying the words out one
-product at a time gives the same answer and survives only as a test
-oracle.
+in integers, and the root's head ``h`` stands for ``W(h)``.  Multiplying
+the words out one product at a time gives the same answer and survives
+only as a test oracle.
 
 A tree is walked by :func:`fold`, one post-order pass over an explicit
 stack, and the sort key and ``==`` keep stacks of their own; nothing
@@ -35,12 +35,11 @@ a slot only a slot, so ``Leaf(1)`` and ``Slot(1)`` are two terms of a sum.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .perm import Combination, PermMonomial, PermPolynomial, accumulate, exact
+from .perm import Combination, PermMonomial, PermPolynomial, accumulate, exact, slice_word
 
 __all__ = [
     "Anti",
@@ -184,8 +183,8 @@ def _expand(
     ``i`` is the letter ``slots[i - 1]``.  A node's value is ``(vector,
     sum)``, and each vector belongs to one value only, so a node updates
     its left child's in place.  A root head ``h`` with value ``c`` is the
-    word ``h`` followed by the other letters sorted, with coefficient
-    ``coeff * c``; all terms accumulate into one dict, dropping zeros."""
+    slice word ``W(h)`` with coefficient ``coeff * c``; all terms
+    accumulate into one dict, dropping zeros."""
     letters: list[int] = []
 
     def leaf(node: Leaf | Slot) -> tuple[dict[int, int], int]:
@@ -214,12 +213,8 @@ def _expand(
     for node, coeff in terms:
         letters.clear()
         vec, _ = fold(node, leaf, binary)
-        word = sorted(letters)
-        words = []
-        for h, c in vec.items():
-            i = bisect_left(word, h)
-            words.append((PermMonomial(h, tuple(word[:i] + word[i + 1 :])), coeff * c))
-        accumulate(out, words)
+        content = tuple(sorted(letters))
+        accumulate(out, ((slice_word(content, h), coeff * c) for h, c in vec.items()))
     return PermPolynomial._of(out)
 
 

@@ -13,12 +13,15 @@ Conventions: ``{a,b} = ab + ba``; the associator is
 
 with juxtaposition read as the anticommutator product.
 
+Slices and their words ``W(h)`` are those of the slice law in
+:mod:`permalg.perm`.
+
 The ``2^(n-3)`` law.  In a perm algebra a product of words is the word
 with the first factor's head and the letters of both factors.  Let ``a``
-and ``b`` be letters, ``c`` a combination of words of one letter content
-with coefficient sum ``s``, ``W(h)`` the word with head ``h`` and all the
-letters of ``a``, ``b``, ``c``, and ``C`` the sum of ``c``'s coefficients
-times ``W`` of their heads.  Expanding the three anticommutators,
+and ``b`` be letters, ``c`` a combination of the words of one slice with
+coefficient sum ``s``, ``W`` the words of the slice of all the letters
+of ``a``, ``b``, ``c``, and ``C`` the sum of ``c``'s coefficients times
+``W`` of their heads.  Expanding the three anticommutators,
 
     {{a,b},c} = s*W(a) + s*W(b) + 2*C
     {{b,c},a} = 2*s*W(a) + s*W(b) + C
@@ -30,17 +33,17 @@ word expands to ``2^(n-3)`` times that word.  Every component of degree
 ``>= 3`` is thus expressible through anticommutators without linear
 algebra, and the ``f``-elements are a basis.
 
-The ideal law.  A slice of the free perm algebra at multidegree ``md`` is
-``Q^(supp md)``: a polynomial there is known by its head vector, and
-``W(h)`` is the slice's word with head ``h``.  Write ``s(p)`` for the
+The ideal law.  A slice of the free perm algebra is ``Q^(its letters)``:
+a polynomial there is known by its head vector.  Write ``s(p)`` for the
 coefficient sum of ``p`` and ``p^`` for ``p`` with letters appended, which
 keeps its head vector.  For a letter ``x`` and homogeneous ``p``, ``t``,
 
     x*p = s(p)*W(x),    p*x = p^,    {p,t} = s(t)*p^ + s(p)*t^.
 
-Take a generator ``g`` of multidegree ``gamma <= md`` with ``s = s(g)`` and
-let ``d = md - gamma``.  The ideal is the sum of its generators' ideals,
-and a generator with ``gamma`` not below ``md`` reaches nothing there.
+Take a generator ``g`` whose content is part of the target's, with
+``s = s(g)``, and let ``d`` be the target's remaining letters.  The ideal
+is the sum of its generators' ideals, and a generator whose content is
+not part of the target's reaches nothing there.
 
 - perm: the two-sided ideal of ``g`` is spanned by ``g``, ``u*g``, ``g*v``
   and ``u*g*v`` over words ``u``, ``v``, and both products with a word
@@ -66,7 +69,7 @@ and a generator with ``gamma`` not below ``md`` reaches nothing there.
   and these already hold every chain.
 
 Slices are values computed per call: ``_sj_rows`` gives the echelon rows
-of a multidegree slice in closed form (a letter, the anticommutator of
+of a slice in closed form (a letter, the anticommutator of
 two letters, or from degree 3 on every word), and nothing is kept between
 calls.  The slice closures that check both closed forms live in
 ``tests/oracles.py``.
@@ -74,7 +77,9 @@ calls.  The slice closures that check both closed forms live in
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Iterable, NamedTuple, Sequence
 
 from .expr import (
@@ -91,14 +96,7 @@ from .expr import (
     wrap,
 )
 from .linalg import Subspace
-from .perm import (
-    PermMonomial,
-    PermPolynomial,
-    enumerate_basis,
-    exact,
-    letters,
-    multidegrees,
-)
+from .perm import PermMonomial, PermPolynomial, enumerate_basis, exact, letters, slice_word
 
 __all__ = [
     "FElement",
@@ -270,18 +268,17 @@ def _word_terms(mono: PermMonomial, coeff: Fraction) -> list[tuple[Fraction, Nod
     return _f_terms(coeff / 2 ** (mono.degree - 3), mono.head, mono.tail)
 
 
-def _sj_rows(md: tuple[int, ...]) -> list[PermPolynomial]:
-    """Echelon rows of one multidegree slice of the anticommutator
+def _sj_rows(content: tuple[int, ...]) -> list[PermPolynomial]:
+    """Echelon rows of the slice ``content`` of the anticommutator
     subalgebra, in pivot order: the anticommutator of two distinct letters,
-    scaled to lead 1; otherwise the whole component, one word per row (a
+    scaled to lead 1; otherwise the whole slice, one word per row (a
     letter, ``x*x = {x,x}/2``, or from degree 3 on every word).
     :func:`_row_witness` gives a row's witness; ``sj_closure_oracle`` in
     ``tests/oracles.py`` rebuilds the slice by closure."""
-    word = letters(md)
-    if len(word) == 2 and word[0] != word[1]:
-        lo, hi = word
+    if len(content) == 2 and content[0] != content[1]:
+        lo, hi = content
         return [PermPolynomial.from_word((lo, hi)) + PermPolynomial.from_word((hi, lo))]
-    return [PermPolynomial.from_monomial(m) for m in enumerate_basis(len(md), len(word), md)]
+    return [PermPolynomial.from_monomial(slice_word(content, h)) for h in sorted(set(content))]
 
 
 def _row_witness(lead: PermMonomial) -> list[tuple[Fraction, Node]]:
@@ -303,8 +300,8 @@ def sj_span(k: int, n: int) -> Subspace:
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     space = Subspace(enumerate_basis(k, n))
-    for md in multidegrees(k, n):
-        for row in _sj_rows(md):
+    for content in combinations_with_replacement(range(1, k + 1), n):
+        for row in _sj_rows(content):
             space.add(row, ExprSum(_row_witness(row.terms()[0][0])))
     return space
 
@@ -320,25 +317,23 @@ class NotJordanElement(ValueError):
 def jordan_express(g: PermPolynomial) -> ExprSum:
     """An anticommutator expression whose expansion equals ``g`` exactly.
 
-    Works one multidegree component at a time, with no linear algebra.  A
-    letter is itself.  A degree-2 slice is the single row ``{x_a,x_b}``
-    scaled to lead 1, so a degree-2 component must be its coefficient at
-    the row's lead word times the row; anything else raises
-    :class:`NotJordanElement`.  From degree 3 on every component succeeds:
-    by the ``2^(n-3)`` law of this module a word ``w`` of degree ``n`` is
+    Works one slice at a time, with no linear algebra.  A letter is
+    itself.  A degree-2 slice is the single row ``{x_a,x_b}`` scaled to
+    lead 1, so a degree-2 component must be its coefficient at the row's
+    lead word times the row; anything else raises
+    :class:`NotJordanElement`, for the first such slice in descending
+    content.  From degree 3 on every component succeeds: by the
+    ``2^(n-3)`` law of this module a word ``w`` of degree ``n`` is
     ``f(w) / 2^(n-3)``, so ``sum c_w w`` is ``sum c_w / 2^(n-3) * f(w)``.
     """
-    if g.is_zero:
-        return ExprSum.zero()
-    k = g.max_generator()
     terms: list[tuple[Fraction, Node]] = []
-    for md, comp in g.multidegree_components(k).items():
-        n = sum(md)
+    for content, comp in reversed(g.components().items()):
+        n = len(content)
         if n == 1:
             terms += [(c, Leaf(m.head)) for m, c in comp.items()]
         elif n == 2:
             # the slice is one row; comp must be a multiple of it
-            (row,) = _sj_rows(md)
+            (row,) = _sj_rows(content)
             lead, _ = row.terms()[0]
             c = comp.coefficient(lead)
             if comp != c * row:
@@ -363,35 +358,38 @@ def ideal_component(
 
     ``ambient="perm"`` gives the two-sided associative ideal;
     ``ambient="jordan"`` the ideal of the anticommutator subalgebra, closed
-    under the anticommutator with all of it.  Generators must each be
-    homogeneous in every letter separately.  The slice is read off the
+    under the anticommutator with all of it.  Generators must each lie in
+    one slice, on the target's generators.  The slice is read off the
     ideal law of the module docstring, one generator at a time, with no
     lower slice and no product: ``O(|generators| * k)`` vectors at any
     degree.
     """
     if ambient not in ("perm", "jordan"):
         raise ValueError(f"unknown ambient {ambient!r}")
-    target = tuple(multidegree)
-    k = len(target)
-    space = Subspace(enumerate_basis(k, sum(target), target))
-    word = {m.head: m for m in space.monomials}  # W(h), the slice's word headed by h
+    k = len(multidegree)
+    space = Subspace(enumerate_basis(k, sum(multidegree), multidegree))
+    target = letters(multidegree)
     for g in generators:
         if g.is_zero:
             continue
-        comps = g.multidegree_components(k)
+        comps = g.components()
+        if (top := max(key[-1] for key in comps)) > k:
+            raise ValueError(f"monomial mentions x{top} beyond {k} generators")
         if len(comps) != 1:
             raise ValueError(f"inhomogeneous generator {g}")
-        rest = [t - e for t, e in zip(target, next(iter(comps)))]
-        if min(rest) < 0:
+        (content,) = comps
+        rest = Counter(target)
+        rest.subtract(content)
+        if min(rest.values()) < 0:
             continue  # no multiple of g reaches the target
-        lifted = PermPolynomial._of({word[m.head]: c for m, c in g.items()})
+        lifted = PermPolynomial._of({slice_word(target, m.head): c for m, c in g.items()})
         s = sum(c for _, c in g.items())
-        heads = [h for h, e in enumerate(rest, start=1) if e]
-        if s and ambient == "jordan" and sum(rest) == 1:
-            lifted += PermPolynomial.from_monomial(word[heads[0]], s)  # {g, x_a}
+        heads = [h for h, e in rest.items() if e]  # the letters of d, ascending
+        if s and ambient == "jordan" and len(target) - len(content) == 1:
+            lifted += PermPolynomial.from_monomial(slice_word(target, heads[0]), s)  # {g, x_a}
         elif s:
             for h in heads:
-                space.add(PermPolynomial.from_monomial(word[h]))
+                space.add(PermPolynomial.from_monomial(slice_word(target, h)))
         space.add(lifted)
     return space
 
@@ -448,7 +446,7 @@ def cohn_witness() -> CohnWitnessReport:
     target = (2, 1)
     ideal_slice = ideal_component("jordan", gens, target)
     perm_slice = ideal_component("perm", gens, target)
-    sj_slice = Subspace(enumerate_basis(2, 3, target), _sj_rows(target))
+    sj_slice = Subspace(enumerate_basis(2, 3, target), _sj_rows(letters(target)))
     b = (wrap(x).prod(x)).anti(y).expand()  # x*x*y + y*x*x
     return CohnWitnessReport(
         witness=b,
@@ -527,12 +525,8 @@ def to_bn(word: Sequence[int]) -> list[tuple[Fraction, FElement]]:
     for j, h in enumerate(w):
         weights[h] = weights.get(h, 0) + (1 << max(j - 1, 0))
     den = 1 << (len(w) - 3)
-    ordered = sorted(w)
-    out = []
-    for h in sorted(weights):
-        i = ordered.index(h)
-        out.append((Fraction(weights[h], den), FElement(h, tuple(ordered[:i] + ordered[i + 1 :]))))
-    return out
+    content = tuple(sorted(w))
+    return [(Fraction(weights[h], den), FElement(*slice_word(content, h))) for h in sorted(weights)]
 
 
 def expand_bn(combination: Iterable[tuple[Fraction, FElement]]) -> PermPolynomial:

@@ -1,13 +1,12 @@
 """Commutator-side analysis: the Lie-element criterion and its oracle.
 
 The commutator subalgebra of the free perm algebra generated by the
-letters is a free metabelian Lie algebra.  Its multidegree slices have a
-closed form, read off the perm law ``abc = acb``:
+letters is a free metabelian Lie algebra.  Its slices have a closed form,
+read off the slice law of :mod:`permalg.perm` (a slice has one word
+``W(h)`` per distinct letter ``h`` of its content):
 
-- A slice ``md`` of the free perm algebra has one word per distinct letter
-  ``h`` of ``md``: ``W(h)``, the head ``h`` followed by the other letters
-  sorted.  The product of two words is one word, so the coefficient sum
-  ``s`` is multiplicative, ``s(uv) = s(u) s(v)``.
+- The product of two words is one word, so the coefficient sum ``s`` is
+  multiplicative, ``s(uv) = s(u) s(v)``.
 - A commutator ``uv - vu`` of homogeneous elements therefore has sum 0,
   and so has every element of degree >= 2 of the Lie subalgebra.
 - A left-normed bracket collapses onto plain right multiplication:
@@ -15,11 +14,11 @@ closed form, read off the perm law ``abc = acb``:
   ``W(h) - W(t1)`` in the slice of its letters.  With ``a`` the least
   letter of a slice of degree >= 2, the bracket ``[[x_h, x_a], ...]`` is
   ``W(h) - W(a)`` for each ``h != a``.
-- These ``|supp md| - 1`` differences are independent and span the
-  zero-sum hyperplane of the slice, so they are a basis of its Lie part
-  (``ml_basis``), and an element is Lie exactly when no slice of degree
-  >= 2 has a nonzero coefficient sum (``is_lie``).  Degree-1 slices are
-  the letters themselves.
+- These differences, one per letter ``h != a``, are independent and span
+  the zero-sum hyperplane of the slice, so they are a basis of its Lie
+  part (``ml_basis``), and an element is Lie exactly when no slice of
+  degree >= 2 has a nonzero coefficient sum (``is_lie``).  Degree-1
+  slices are the letters themselves.
 - An element with coefficients ``c_h`` on ``W(h)`` differs from its Lie
   part ``sum_{h != a} c_h (W(h) - W(a))`` by ``s W(a)`` per slice: the
   defect ``NotLieElement`` carries.  It equals ``f - dynkin(head(f))``,
@@ -43,7 +42,7 @@ from typing import NamedTuple, Sequence
 
 from .expr import Comm, ExprSum, expand_node, left_normed, node_str
 from .linalg import Subspace
-from .perm import PermMonomial, PermPolynomial, accumulate, enumerate_basis, multidegrees
+from .perm import PermPolynomial, accumulate, enumerate_basis, multidegrees, slice_word
 
 __all__ = [
     "MLMonomial",
@@ -57,9 +56,9 @@ __all__ = [
 
 def _defect(f: PermPolynomial) -> PermPolynomial:
     """``s W(a)`` on each slice of degree >= 2, in one pass: each term is
-    keyed by its sorted letters, which is ``W(a)``'s word."""
-    sums = accumulate({}, ((tuple(sorted(m.word())), c) for m, c in f.items() if m.tail))
-    return PermPolynomial._of({PermMonomial(w[0], w[1:]): s for w, s in sums.items()})
+    keyed by its content, whose least letter is ``a``."""
+    sums = accumulate({}, ((m.content(), c) for m, c in f.items() if m.tail))
+    return PermPolynomial._of({slice_word(key, key[0]): s for key, s in sums.items()})
 
 
 def is_lie(f: PermPolynomial) -> bool:

@@ -198,7 +198,7 @@ def span_solve(
     monos = target.support()
     for v in vectors:
         monos |= v.support()
-    if len({tuple(sorted(m.word())) for m in monos}) > 1:
+    if len({m.content() for m in monos}) > 1:
         raise ValueError("mixed homogeneous components")
     span = Span()
     for j, v in enumerate(vectors):

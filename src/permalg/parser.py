@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from functools import reduce
+from math import prod
 from typing import Callable, Sequence
 
 from .expr import (
@@ -87,7 +87,8 @@ _ATOM_SYMS = {"(", *_BRACKETS}
 class _Parser:
     """Recursive descent over one text.  ``resolve`` turns each name into
     its node, or None for an unknown name; ``envelope`` reads ``d(name)``
-    as a dotted letter and refuses brackets."""
+    as a dotted letter, refuses brackets and keeps in ``starts`` where each
+    term of the whole expression first starts, for errors found later."""
 
     def __init__(self, text: str, resolve: Callable[[str], Leaf | Slot | None], envelope: bool = False):
         self.text = text
@@ -95,6 +96,8 @@ class _Parser:
         self.pos = 0
         self.resolve = resolve
         self.envelope = envelope
+        self.starts: dict[Node, int] = {}
+        self.depth = 0  # parentheses open around the product being read
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, len(self.text))
@@ -135,35 +138,33 @@ class _Parser:
             else:
                 return acc
 
-    def factors(self) -> tuple[Fraction, list[ExprSum]]:
-        """The scalar and the factors of one product, not yet multiplied."""
-        coeff = Fraction(1)
-        factors: list[ExprSum] = []
-        first = True
+    def factors(self) -> list[tuple[int, Fraction | ExprSum]]:
+        """The scalars and factors of one product, with positions, not yet multiplied."""
+        items: list[tuple[int, Fraction | ExprSum]] = []
         while True:
             kind, text, at = self.peek()
             if kind == "number":
-                coeff *= self.rational()
+                items.append((at, self.rational()))
             elif kind == "name" or (kind == "sym" and text in _ATOM_SYMS):
-                factors.append(self.atom())
+                items.append((at, self.atom()))
             elif kind == "sym" and text == "*":
-                if first:
+                if not items:
                     raise ExprSyntaxError("unexpected '*'", at)
                 self.next()
                 nkind, ntext, nat = self.peek()
                 if not (nkind in ("number", "name") or (nkind == "sym" and ntext in _ATOM_SYMS)):
                     raise ExprSyntaxError("expected a factor after '*'", nat)
-                continue
             else:
                 break
-            first = False
-        if first:
-            kind, text, at = self.peek()
+        if not items:
             raise ExprSyntaxError("expected an expression", at)
-        return coeff, factors
+        return items
 
     def product(self) -> ExprSum:
-        coeff, factors = self.factors()
+        start = self.peek()[2]
+        items = self.factors()
+        coeff = prod((f for _, f in items if type(f) is Fraction), start=Fraction(1))
+        factors = [f for _, f in items if type(f) is ExprSum]
         if not factors:
             if coeff == 0:
                 return ExprSum.zero()
@@ -180,6 +181,8 @@ class _Parser:
                 node = Prod(node, right)
                 c *= rc
             terms.append((c, node))
+            if self.envelope and not self.depth:
+                self.starts.setdefault(node, start)
         return ExprSum(terms)
 
     def rational(self) -> Fraction:
@@ -215,7 +218,9 @@ class _Parser:
                 node = Slot(node.index)
             return ExprSum.of(node)
         if kind == "sym" and text == "(":
+            self.depth += 1
             inner = self.expression()
+            self.depth -= 1
             self.expect(")")
             return inner
         if kind == "sym" and text in _BRACKETS:
@@ -252,11 +257,11 @@ def parse_template(text: str) -> IdentityTemplate:
     return IdentityTemplate(parser.parse("="), parser.parse())
 
 
-def _letters(node: Node, message: str, left_normed: bool = False) -> list[Leaf | Slot]:
+def _letters(node: Node, message: str, at: int, left_normed: bool = False) -> list[Leaf | Slot]:
     """The leaves and slots of a product tree, left to right.  Any other node is
     the error ``message``, and with ``left_normed`` so is a product whose
     right factor is a product; a subtree's value is its letters or its
-    first error in reading order, raised at the root."""
+    first error in reading order, raised at the root with position ``at``."""
 
     def binary(n: Node, left, right):
         if type(n) is not Prod:
@@ -272,7 +277,7 @@ def _letters(node: Node, message: str, left_normed: bool = False) -> list[Leaf |
 
     out = fold(node, lambda n: [n], binary)
     if type(out) is str:
-        raise ExprSyntaxError(out, 0)
+        raise ExprSyntaxError(out, at)
     return out
 
 
@@ -280,15 +285,24 @@ def parse_word(text: str) -> tuple[int, ...]:
     """Parse a plain left-normed product word and return its letters.  The
     factors, one term each, multiply into one left-nested tree, so a
     parenthesized product after the first factor is a right factor that is
-    a product."""
+    a product.  An error in a factor gives the factor's position, and a
+    scalar other than 1 that of the first number or factor that scales."""
     parser = _Parser(text, _indexed)
-    coeff, factors = parser.factors()
+    items = parser.factors()
+    factors = [f for _, f in items if type(f) is ExprSum]
     if parser.peek()[0] is not None or not factors or any(len(f) != 1 for f in factors):
         raise ExprSyntaxError("expected a single product word", 0)
-    ((node, c),) = reduce(ExprSum.prod, factors).items()
-    letters = _letters(node, "expected a plain product of generators", left_normed=True)
-    if coeff * c != 1:
-        raise ExprSyntaxError("expected a word without a coefficient", 0)
+    letters: list[Leaf | Slot] = []
+    scalars: list[tuple[int, Fraction]] = []
+    for at, c in items:
+        if type(c) is ExprSum:
+            ((node, c),) = c.items()
+            if letters and type(node) is Prod:
+                raise ExprSyntaxError("word must be left-normed", at)
+            letters += _letters(node, "expected a plain product of generators", at, left_normed=True)
+        scalars.append((at, c))
+    if prod(c for _, c in scalars) != 1:
+        raise ExprSyntaxError("expected a word without a coefficient", next(at for at, c in scalars if c != 1))
     return tuple(n.index for n in letters)
 
 
@@ -301,15 +315,16 @@ def parse_envelope_expr(
     in original 1-based indices; every product must carry exactly one dot.
     """
     index = {lbl: i for i, lbl in enumerate(labels, start=1)}
-    expr = _Parser(text, lambda name: Leaf(index[name]) if name in index else None, envelope=True).parse()
+    parser = _Parser(text, lambda name: Leaf(index[name]) if name in index else None, envelope=True)
     out: list[tuple[Fraction, int, tuple[int, ...]]] = []
-    for node, coeff in expr.terms():
-        letters = _letters(node, "envelope expressions use products only")
+    for node, coeff in parser.parse().terms():
+        at = parser.starts[node]
+        letters = _letters(node, "envelope expressions use products only", at)
         dotted = [n.index for n in letters if type(n) is Slot]
         plain = [n.index for n in letters if type(n) is Leaf]
         if len(dotted) != 1:
             raise ExprSyntaxError(
-                f"each envelope word needs exactly one dotted letter, found {len(dotted)}", 0
+                f"each envelope word needs exactly one dotted letter, found {len(dotted)}", at
             )
         out.append((coeff, dotted[0], tuple(plain)))
     return out

@@ -6,16 +6,24 @@ letters after the first are sorted non-decreasingly, and those canonical
 words form a linear basis of the free algebra.  Elements are sparse
 rational combinations of canonical words with exact coefficients.
 
-The product law: ``u * v`` is the word with ``u``'s head whose other
-letters are all the rest of ``u`` and ``v``.  Only the letter multiset
-``M`` of ``v`` matters, so ``f * g = sum_M s_M(g) * (f with M appended)``,
-where ``s_M(g)`` is the sum of ``g``'s coefficients on the words with
-letters ``M``.
+The slice law: a word's content is its letters in ascending order, and
+the words of one content ``C`` span a slice (a multidegree component).
+The slice holds one word per distinct letter ``h`` of ``C``: ``W(h)``,
+the head ``h`` followed by the rest of ``C``.  Every module keys a slice
+by its content (:meth:`PermMonomial.content`,
+:meth:`PermPolynomial.components`) and spells ``W(h)`` with
+:func:`slice_word`; an exponent vector a caller passes in becomes a
+content through :func:`letters`.
+
+The product law: ``u * v`` is ``W(head of u)`` in the slice of the
+letters of both.  Only the content ``M`` of ``v`` matters, so
+``f * g = sum_M s_M(g) * (f with M appended)``, where ``s_M(g)`` is the
+sum of ``g``'s coefficients on the slice ``M``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -33,6 +41,7 @@ __all__ = [
     "format_linear",
     "letters",
     "multidegrees",
+    "slice_word",
 ]
 
 K = TypeVar("K", bound=Hashable)
@@ -53,13 +62,9 @@ class PermMonomial(NamedTuple):
         """Letters in word order, head first."""
         return (self.head, *self.tail)
 
-    def multidegree(self, k: int) -> tuple[int, ...]:
-        """Exponent vector over generators ``1..k``."""
-        counts = Counter(self.word())
-        top = max(counts)
-        if top > k:
-            raise ValueError(f"monomial mentions x{top} beyond {k} generators")
-        return tuple(counts.get(i, 0) for i in range(1, k + 1))
+    def content(self) -> tuple[int, ...]:
+        """Letters in ascending order: the key of the word's slice."""
+        return tuple(sorted(self.tail + (self.head,)))
 
     def __str__(self) -> str:
         return "*".join(f"x{i}" for i in self.word())
@@ -254,8 +259,8 @@ class PermPolynomial(Combination):
 
     def __mul__(self, other):
         if isinstance(other, PermPolynomial):
-            # the product law: one product per term of self and letter multiset of other
-            sums = accumulate({}, ((tuple(sorted(m.word())), c) for m, c in other._terms.items()))
+            # the product law: one product per term of self and slice of other
+            sums = accumulate({}, ((m.content(), c) for m, c in other._terms.items()))
             return PermPolynomial._of(
                 accumulate(
                     {},
@@ -270,17 +275,12 @@ class PermPolynomial(Combination):
             return self.scale(other)
         return NotImplemented
 
-    def max_generator(self) -> int:
-        return max((max(m.word()) for m in self._terms), default=0)
-
-    def multidegree_components(self, k: int | None = None) -> dict[tuple[int, ...], "PermPolynomial"]:
-        """Split by exponent vector over generators ``1..k``; keys ascending."""
-        if k is None:
-            k = self.max_generator()
+    def components(self) -> dict[tuple[int, ...], "PermPolynomial"]:
+        """The slices of this polynomial, keyed by content, in ascending content."""
         buckets: dict[tuple[int, ...], dict[PermMonomial, Fraction]] = {}
         for m, c in self._terms.items():
-            buckets.setdefault(m.multidegree(k), {})[m] = c
-        return {md: PermPolynomial._of(buckets[md]) for md in sorted(buckets)}
+            buckets.setdefault(m.content(), {})[m] = c
+        return {key: PermPolynomial._of(buckets[key]) for key in sorted(buckets)}
 
 
 _ZERO = Fraction(0)
@@ -297,10 +297,17 @@ def dimension(k: int, n: int) -> int:
     return k * comb(n + k - 2, n - 1)
 
 
-def letters(multidegree: Sequence[int]) -> list[int]:
-    """The letters of a multidegree in ascending order: generator ``i``
-    repeated ``multidegree[i - 1]`` times."""
-    return [i for i, e in enumerate(multidegree, start=1) for _ in range(e)]
+def letters(multidegree: Sequence[int]) -> tuple[int, ...]:
+    """The content of a multidegree: generator ``i`` repeated
+    ``multidegree[i - 1]`` times, in ascending order."""
+    return tuple(i for i, e in enumerate(multidegree, start=1) for _ in range(e))
+
+
+def slice_word(content: tuple[int, ...], head: int) -> PermMonomial:
+    """``W(head)``: the word of the slice ``content`` headed by ``head``,
+    which must be one of its letters, followed by the others."""
+    i = bisect_left(content, head)
+    return PermMonomial(head, content[:i] + content[i + 1 :])
 
 
 def multidegrees(k: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -331,13 +338,8 @@ def enumerate_basis(
             raise ValueError("multidegree entries must be non-negative")
         if sum(md) != n:
             raise ValueError(f"multidegree total {sum(md)} != degree {n}")
-        word = letters(md)
-        out = []
-        for head in sorted(set(word)):
-            rest = list(word)
-            rest.remove(head)
-            out.append(PermMonomial(head, tuple(rest)))
-        return out
+        content = letters(md)
+        return [slice_word(content, head) for head in sorted(set(content))]
     return [
         PermMonomial(head, tail)
         for head in range(1, k + 1)

@@ -24,7 +24,7 @@ from permalg.jordan import _sj_rows
 from permalg.lie import ml_basis
 from permalg.linalg import Subspace
 from permalg.metabelian import MetabelianLieAlgebra
-from permalg.perm import PermMonomial, PermPolynomial, accumulate, enumerate_basis
+from permalg.perm import PermMonomial, PermPolynomial, accumulate, enumerate_basis, letters
 
 
 def word_product_oracle(f: PermPolynomial, g: PermPolynomial) -> PermPolynomial:
@@ -133,10 +133,13 @@ def ideal_closure_oracle(
     for g in generators:
         if g.is_zero:
             continue
-        comps = g.multidegree_components(k)
+        comps = g.components()
         if len(comps) != 1:
             raise ValueError(f"inhomogeneous generator {g}")
-        md = next(iter(comps))
+        (content,) = comps
+        if content[-1] > k:
+            raise ValueError(f"generator {g} mentions x{content[-1]} beyond {k} generators")
+        md = tuple(content.count(i) for i in range(1, k + 1))
         by_mdeg.setdefault(md, []).append(g)
 
     memo: dict[tuple[int, ...], Subspace] = {}
@@ -163,7 +166,7 @@ def ideal_closure_oracle(
         else:
             for delta, rest in sub_multidegrees(md):
                 if delta not in sj_basis:
-                    sj_basis[delta] = _sj_rows(delta)
+                    sj_basis[delta] = _sj_rows(letters(delta))
                 for p in slice_of(rest).basis():
                     for s in sj_basis[delta]:
                         space.add(p * s + s * p)

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from permalg import cli
 from permalg.cli import main
 from permalg.jordan import bn_basis, jordan_express
+from permalg.metabelian import load_algebra
 from permalg.parser import parse_expr
 from permalg.perm import PermPolynomial, dimension
 
@@ -249,6 +250,49 @@ def test_envelope_commands(runner):
     assert result.exit_code == 1
     result = runner.invoke(main, ["envelope", "build", "--algebra", f"{ALGEBRAS}/sl2.json", "--deg", "2"])
     assert result.exit_code == 1
+
+
+def test_envelope_check_counts_the_overlaps_before_reducing_them(runner, monkeypatch, tmp_path):
+    """``envelope check`` counts the overlap words with
+    ``Envelope.overlap_count`` and exits 2 above ``CHECK_LIMIT``, before
+    ``check_compositions``; every stock algebra is under the limit."""
+    from permalg.envelope import Envelope
+
+    for path in sorted(Path(ALGEBRAS).glob("*.json")):
+        result = runner.invoke(main, ["envelope", "check", "--algebra", str(path)])
+        assert result.exit_code == (1 if path.name == "sl2.json" else 0), result.output
+        assert "limit" not in result.stderr
+    heisenberg = f"{ALGEBRAS}/heisenberg.json"  # Y = {e3}, Z = {e1, e2}: one y-overlap
+    assert Envelope(load_algebra(heisenberg)).overlap_count() == 1
+    monkeypatch.setattr(cli, "CHECK_LIMIT", 0)
+    result = runner.invoke(main, ["envelope", "check", "--algebra", heisenberg])
+    assert result.exit_code == 2 and "reduce 1 overlap words; the limit is 0" in result.stderr
+    monkeypatch.undo()
+
+    def refuse(self):
+        raise AssertionError("check_compositions called")
+
+    monkeypatch.setattr(Envelope, "check_compositions", refuse)
+    big = tmp_path / "dim500.json"
+    big.write_text('{"dim": 500}')
+    result = runner.invoke(main, ["envelope", "check", "--algebra", str(big)])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert "reduce 20708500 overlap words; the limit is 1000000" in result.stderr
+
+
+def test_jordan_express_names_the_first_offending_slice(runner):
+    """Of several non-Jordan degree-2 slices the report names the one of
+    least exponent vector, in text and in JSON."""
+    cases = {
+        "x1*x2 + x2*x3 + x1*x3 + x1 + x1*x2*x3": "x2*x3",
+        "x3*x1 + 2*x2*x4 - x4*x2 + x1*x1*x2": "2*x2*x4 - x4*x2",
+        "x2*x1 + x3*x3 + x1*x3": "x1*x3",
+    }
+    for text, offending in cases.items():
+        out = invoke(runner, "jordan-express", "--", text, expect=1)
+        assert out == f"not a Jordan element; offending component: {offending}\n"
+        data = json.loads(invoke(runner, "jordan-express", "--json", "--", text, expect=1))
+        assert data == {"input": text, "is_jordan": False, "offending": offending}
 
 
 def test_envelope_check_validates_once(runner, monkeypatch):

@@ -6,16 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from permalg.envelope import (
+from permalg.envelope import Envelope
+from permalg.linalg import Subspace
+from permalg.metabelian import (
     AlgebraFormatError,
-    Envelope,
     InvalidLieAlgebra,
     MetabelianLieAlgebra,
     load_algebra,
     random_metabelian,
     split_basis,
 )
-from permalg.linalg import Subspace
 from permalg.parser import parse_envelope_expr
 from permalg.perm import PermMonomial, PermPolynomial, dimension, enumerate_basis
 

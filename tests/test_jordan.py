@@ -21,7 +21,7 @@ from permalg.jordan import (
     verify_perm_plus_identities,
 )
 from permalg.linalg import Subspace
-from permalg.perm import PermPolynomial, dimension, enumerate_basis, multidegrees
+from permalg.perm import PermMonomial, PermPolynomial, dimension, enumerate_basis, letters, multidegrees
 
 from oracles import ideal_closure_oracle, sj_closure_oracle
 
@@ -46,7 +46,7 @@ def test_sj_span_dimensions():
     # multilinear degree-3 slice is everything
     from permalg.jordan import _sj_rows
 
-    assert len(_sj_rows((1, 1, 1))) == 3
+    assert len(_sj_rows((1, 2, 3))) == 3
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -62,7 +62,7 @@ def test_closed_form_slices_match_closure_oracle(k):
                     word = PermPolynomial.from_monomial(m)
                     assert FElement(m.head, m.tail).expand() == 2 ** (n - 3) * word
                 assert oracle.dim == len(oracle.monomials)
-            closed = _sj_rows(md)
+            closed = _sj_rows(letters(md))
             assert closed == oracle.basis()
             for row in closed:
                 assert ExprSum(_row_witness(row.terms()[0][0])).expand() == row
@@ -118,6 +118,34 @@ def test_jordan_express_degree_two_exhaustive(k):
                 assert got.expand() == g
 
 
+def test_jordan_express_reports_the_degree_two_slice_of_least_exponent_vector(rng):
+    """With several non-Jordan degree-2 slices, the one reported is the
+    one of least exponent vector, which among degree-2 slices is the one
+    of greatest content."""
+    assert str(jordan_express_error(x((1, 2)) + x((2, 3)) + x((1, 3)) + x((1,)) + x((1, 2, 3)))) == "x2*x3"
+    assert str(jordan_express_error(x((3, 1)) + x((2, 4), 2) - x((4, 2)) + x((1, 1, 2)))) == "2*x2*x4 - x4*x2"
+    for _ in range(100):
+        g = PermPolynomial.zero()
+        for _ in range(rng.randint(2, 6)):
+            g = g + x((rng.randint(1, 4), rng.randint(1, 4)), rng.randint(-2, 2))
+            g = g + x(tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4))), rng.randint(-2, 2))
+        bad = []  # in ascending exponent vector
+        for md in multidegrees(4, 2):
+            lo, hi = letters(md)
+            if lo != hi and g.coefficient(PermMonomial(lo, (hi,))) != g.coefficient(PermMonomial(hi, (lo,))):
+                bad.append(PermPolynomial((m, g.coefficient(m)) for m in enumerate_basis(4, 2, md)))
+        if bad:
+            assert jordan_express_error(g) == bad[0]
+        else:
+            assert jordan_express(g).expand() == g
+
+
+def jordan_express_error(g):
+    with pytest.raises(NotJordanElement) as err:
+        jordan_express(g)
+    return err.value.component
+
+
 def test_jordan_express_mixed_degrees():
     g = x((1,), 2) + x((1, 1)) + x((3, 1, 2), 5)
     expr = jordan_express(g)
@@ -160,6 +188,11 @@ def test_ideal_component_validation():
     mixed = x((1, 2)) + x((1, 1))
     with pytest.raises(ValueError, match="inhomogeneous"):
         ideal_component("perm", [mixed], (2, 1))
+    for ambient in ("perm", "jordan"):
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            ideal_component(ambient, [x((2,)), x((1, 2)) + x((1, 1, 2))], (2, 1))
+        with pytest.raises(ValueError, match="x3 beyond 2 generators"):
+            ideal_component(ambient, [x((3, 1))], (2, 1))
     with pytest.raises(ValueError, match="ambient"):
         ideal_component("weird", [], (1, 1))
     # no degree bound: at (39, 1) the pair {x1,x2} (sum 2) brings both

@@ -101,6 +101,18 @@ def envelope(text):
         (parse_template, "a*b = b $ a", "unexpected character '$'", 8),
         (parse_template, "[a,b] = c*", "expected a factor after '*'", 10),
         (parse_template, "a b ] = c", "unexpected ']'", 4),
+        # errors found once the text is read give the offending term or factor
+        (envelope, "d(e1)*e2 + e1*e2", "each envelope word needs exactly one dotted letter, found 0", 11),
+        (envelope, "(d(e1) + e1)*e2", "each envelope word needs exactly one dotted letter, found 0", 0),
+        (envelope, "d(e1)*(e2) + e2", "each envelope word needs exactly one dotted letter, found 0", 13),
+        (envelope, "e3 + d(e1)*d(e2)", "each envelope word needs exactly one dotted letter, found 0", 0),
+        (envelope, "d(e3) + d(e1)*d(e2)*e3", "each envelope word needs exactly one dotted letter, found 2", 8),
+        (parse_word, "x1*x2*(x3*x1)", "word must be left-normed", 6),
+        (parse_word, " (x1*(x2*x3))", "word must be left-normed", 1),
+        (parse_word, "x1*[x2,x3]*(x1*x2)", "expected a plain product of generators", 3),
+        (parse_word, "x1*x2*3", "expected a word without a coefficient", 6),
+        (parse_word, "x1*(-x2)*x3", "expected a word without a coefficient", 3),
+        (parse_word, "x1*(2*x2)*1/2*3", "expected a word without a coefficient", 3),
     ],
 )
 def test_error_message_and_position(parse, text, message, position):

@@ -14,6 +14,7 @@ from permalg.perm import (
     dimension,
     enumerate_basis,
     multidegrees,
+    slice_word,
 )
 
 from oracles import sub_multidegrees, word_product_oracle
@@ -224,6 +225,30 @@ def test_multidegree_walks_match_brute_force(k, n):
         # every split but the two with a zero part, each once
         assert len(set(splits)) == len(splits) == prod(e + 1 for e in md) - 2
         assert all(any(a) and any(b) and tuple(map(sum, zip(a, b))) == md for a, b in splits)
+
+
+def test_content_is_the_sorted_word_and_keys_the_slice_word():
+    """On every word of degree <= 5 on <= 4 letters, the content is the
+    sorted word and the slice word of its head is the word itself."""
+    for n in range(1, 6):
+        for m in enumerate_basis(4, n):
+            assert m.content() == tuple(sorted(m.word()))
+            assert slice_word(m.content(), m.head) == m
+
+
+def test_components_partition_the_terms(rng):
+    """Seeded polynomials: the components split the terms by content, in
+    ascending content, and sum back to the polynomial."""
+    for _ in range(200):
+        p = PermPolynomial(
+            (canonicalize([rng.randint(1, 4) for _ in range(rng.randint(1, 5))]), rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 12))
+        )
+        comps = p.components()
+        assert list(comps) == sorted(comps)
+        assert all(comp and {m.content() for m in comp.support()} == {key} for key, comp in comps.items())
+        assert sum(map(len, comps.values())) == len(p)
+        assert sum(comps.values(), PermPolynomial.zero()) == p
 
 
 def test_enumerate_basis_bad_multidegree():
