@@ -33,8 +33,8 @@ word expands to ``2^(n-3)`` times that word.  Every component of degree
 ``>= 3`` is thus expressible through anticommutators without linear
 algebra, and the ``f``-elements are a basis.
 
-The ideal law.  A slice of the free perm algebra is ``Q^(its letters)``:
-a polynomial there is known by its head vector.  Write ``s(p)`` for the
+The ideal law.  A slice is ``Q^(its distinct letters)``: a polynomial
+there is known by its head vector.  Write ``s(p)`` for the
 coefficient sum of ``p`` and ``p^`` for ``p`` with letters appended, which
 keeps its head vector.  For a letter ``x`` and homogeneous ``p``, ``t``,
 
