@@ -118,6 +118,12 @@ def test_jordan_express_degree_two_exhaustive(k):
                 assert got.expand() == g
 
 
+def jordan_express_error(g):
+    with pytest.raises(NotJordanElement) as err:
+        jordan_express(g)
+    return err.value.component
+
+
 def test_jordan_express_reports_the_degree_two_slice_of_least_exponent_vector(rng):
     """With several non-Jordan degree-2 slices, the one reported is the
     one of least exponent vector, which among degree-2 slices is the one
@@ -138,12 +144,6 @@ def test_jordan_express_reports_the_degree_two_slice_of_least_exponent_vector(rn
             assert jordan_express_error(g) == bad[0]
         else:
             assert jordan_express(g).expand() == g
-
-
-def jordan_express_error(g):
-    with pytest.raises(NotJordanElement) as err:
-        jordan_express(g)
-    return err.value.component
 
 
 def test_jordan_express_mixed_degrees():
