@@ -8,17 +8,29 @@ of rounds, with the Python version, the CPU count and the commit::
     python scripts/bench.py --out BENCH_17.json
     python scripts/bench.py --out one.json -k perm_mul
 
+With ``--baseline REV`` it also exports the commit ``REV`` with ``git
+archive`` into a temporary directory and runs the two trees' layers
+alternately, ``--pairs`` times each, every tree with its own source and
+its own ``benchmarks/``.  Each layer both trees have then gets the
+baseline's minimum over all its runs (``baseline_min_s``) and
+``ratio = min_s / baseline_min_s``, below 1 when this tree is faster::
+
+    python scripts/bench.py --out BENCH_21.json --baseline HEAD~1 --pairs 5
+
 ``tree_clean`` is False when ``src/`` or ``benchmarks/`` differ from the
-commit.  Compare minima between files: the machine's other load only adds
-to a round.
+commit.  Compare minima, and between two commits only paired minima from
+one run of this script: the machine's other load only adds to a round,
+and it changes between sessions by more than most code changes do.
 """
 
 import argparse
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -30,33 +42,97 @@ def git(*args: str) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else ""
 
 
+def run_layers(tree: Path, keyword: str | None, scratch: Path) -> dict | None:
+    """One pytest-benchmark run of ``tree``'s layers against ``tree``'s
+    source: ``{layer: {"min_s", "median_s", "rounds"}}``, or None when
+    the run fails."""
+    raw = scratch / "benchmark.json"
+    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    # the layers use no hypothesis, whose plugin takes about a second to import
+    cmd = [sys.executable, "-m", "pytest", "benchmarks/test_layers.py", "-q", "-p", "no:cacheprovider"]
+    cmd += ["-p", "no:hypothesispytest", f"--benchmark-json={raw}", *(["-k", keyword] if keyword else [])]
+    if subprocess.run(cmd, cwd=tree, env={**os.environ, "PYTHONPATH": path}).returncode != 0:
+        return None
+    benchmarks = json.loads(raw.read_text())["benchmarks"]
+    return {
+        b["name"]: {"min_s": b["stats"]["min"], "median_s": b["stats"]["median"], "rounds": b["stats"]["rounds"]}
+        for b in benchmarks
+    }
+
+
+def export(rev: str, into: Path) -> str | None:
+    """Extract the committed tree of ``rev`` into ``into``; its full hash, or None."""
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    if not commit:
+        return None
+    tar = subprocess.run(["git", "archive", "--format=tar", commit], cwd=REPO, capture_output=True, check=True)
+    # the "data" filter, where this Python has it, refuses links and paths out of ``into``
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
+        archive.extractall(into, **safe)
+    return commit
+
+
+def paired(runs: list[dict], baseline_runs: list[dict]) -> dict:
+    """Per layer: this tree's minimum over its runs, the median of its
+    medians, its rounds, the baseline's minimum and the ratio of minima."""
+    layers = {}
+    for name in sorted(set(runs[0]) & set(baseline_runs[0])):
+        mins = [run[name]["min_s"] for run in runs]
+        medians = sorted(run[name]["median_s"] for run in runs)
+        base = min(run[name]["min_s"] for run in baseline_runs)
+        layers[name] = {
+            "min_s": min(mins),
+            "median_s": medians[len(medians) // 2],
+            "rounds": runs[0][name]["rounds"],
+            "baseline_min_s": base,
+            "ratio": min(mins) / base,
+        }
+    return layers
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", type=Path, required=True, help="the JSON file to write")
     parser.add_argument("-k", dest="keyword", help="pytest -k expression choosing the layers")
+    parser.add_argument("--baseline", metavar="REV", help="a commit to pair every layer with")
+    parser.add_argument("--pairs", type=int, default=5, help="alternating runs of each tree with --baseline")
     args = parser.parse_args()
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    with tempfile.TemporaryDirectory() as tmp:
-        raw = Path(tmp) / "benchmark.json"
-        # the layers use no hypothesis, whose plugin takes about a second to import
-        cmd = [sys.executable, "-m", "pytest", "benchmarks/test_layers.py", "-q", "-p", "no:cacheprovider"]
-        cmd += ["-p", "no:hypothesispytest", f"--benchmark-json={raw}", *(["-k", args.keyword] if args.keyword else [])]
-        proc = subprocess.run(cmd, cwd=REPO, env={**os.environ, "PYTHONPATH": path})
-        if proc.returncode != 0:
-            return proc.returncode
-        benchmarks = json.loads(raw.read_text())["benchmarks"]
-    layers = {
-        b["name"]: {"min_s": b["stats"]["min"], "median_s": b["stats"]["median"], "rounds": b["stats"]["rounds"]}
-        for b in benchmarks
-    }
+    if args.pairs < 1:
+        parser.error("need --pairs >= 1")
     commit = git("rev-parse", "HEAD") or None
     report = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "commit": commit,
         "tree_clean": commit and not git("status", "--porcelain", "--", "src", "benchmarks"),
-        "layers": layers,
     }
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        if args.baseline is None:
+            layers = run_layers(REPO, args.keyword, scratch)
+            if layers is None:
+                return 1
+        else:
+            base_tree = scratch / "baseline"
+            base_commit = export(args.baseline, base_tree)
+            if base_commit is None:
+                print(f"unknown revision {args.baseline!r}", file=sys.stderr)
+                return 2
+            runs: list[dict] = []
+            baseline_runs: list[dict] = []
+            for i in range(args.pairs):
+                # alternate which tree goes first, so neither always runs on a warmer machine
+                order = [(base_tree, baseline_runs), (REPO, runs)]
+                for tree, into in order if i % 2 == 0 else order[::-1]:
+                    layers = run_layers(tree, args.keyword, scratch)
+                    if layers is None:
+                        return 1
+                    into.append(layers)
+            layers = paired(runs, baseline_runs)
+            report["baseline"] = {"rev": args.baseline, "commit": base_commit}
+            report["pairs"] = args.pairs
+    report["layers"] = layers
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"{len(layers)} layers written to {args.out}")
     return 0

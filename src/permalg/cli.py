@@ -42,6 +42,7 @@ _JSON_DEFAULT = os.environ.get("PERMALG_OUTPUT", "text").strip().lower() == "jso
 BN_LIMIT = 10**6  # the most f-elements ``bn`` lists; a larger basis exits 2
 BUILD_LIMIT = 10**7  # the most basis letters ``envelope build`` prints; more exits 2
 CHECK_LIMIT = 10**6  # the most overlap words ``envelope check`` reduces; more exits 2
+WORDS_LIMIT = 10**6  # the most random words ``envelope check --words`` reduces; more exits 2
 
 
 class UsageError(Exception):
@@ -529,6 +530,8 @@ def envelope_check(path: str, seed: int, words: int, as_json: bool) -> None:
 
     if words < 0:
         raise UsageError("need --words >= 0")
+    if words > WORDS_LIMIT:
+        raise UsageError(f"envelope check would reduce {words} random words; the limit is {WORDS_LIMIT}")
     algebra = _algebra_or_usage(path)
     try:
         env = Envelope(algebra)

@@ -63,8 +63,6 @@ __all__ = [
     "StrategyAgreementReport",
 ]
 
-_ONE = Fraction(1)
-
 
 # ---------------------------------------------------------------------------
 # the rewriting system
@@ -219,12 +217,12 @@ class Envelope:
             dot, tail = p, sorted(tail + [dot])
         out: dict[PermMonomial, Fraction] = {}
         if self.is_y(dot):
-            derived.append(({dot: _ONE}, tail))
+            derived.append(({dot: 1}, tail))
         else:
-            out[PermMonomial(dot, tuple(tail))] = _ONE
+            out[PermMonomial(dot, tuple(tail))] = 1
         for vec, letters in derived:
             for t in sorted(letters, reverse=pick is max):
-                vec = self.algebra.bracket(vec, {t: _ONE})
+                vec = self.algebra.bracket(vec, {t: 1})
             accumulate(out, self.dotted(vec).items())
         return out
 
@@ -247,7 +245,7 @@ class Envelope:
 
     def _disagreement(self, word: PermMonomial) -> PermPolynomial:
         """Rightmost normal form of ``word`` minus its leftmost one."""
-        element = PermPolynomial._of({word: _ONE})
+        element = PermPolynomial._of({word: 1})
         return self.normal_form(element, "rightmost") - self.normal_form(element, "leftmost")
 
     # -- composition (overlap) checking
@@ -370,7 +368,7 @@ class Envelope:
         perm product of the letters' adapted images, the dotted one first."""
 
         def image(i: int) -> PermPolynomial:
-            return self.dotted(self.split.to_adapted({i: _ONE}))
+            return self.dotted(self.split.to_adapted({i: 1}))
 
         out: dict[PermMonomial, Fraction] = {}
         for coeff, dot, tail in terms:

@@ -149,8 +149,6 @@ class Anti(_Binary):
 
 Node = Union[Leaf, Slot, Prod, Comm, Anti]
 
-_ONE = Fraction(1)
-
 
 class UnboundSlotError(ValueError):
     pass
@@ -220,13 +218,18 @@ def _expand(
 
 def expand_node(e: Node) -> PermPolynomial:
     """The tree in the canonical word basis, by its head vector."""
-    return _expand(((e, _ONE),))
+    return _expand(((e, 1),))
 
 
 def node_slots(e: Node) -> frozenset[int]:
     return fold(
         e, lambda n: frozenset((n.index,) if type(n) is Slot else ()), lambda n, l, r: l | r
     )
+
+
+def _top_letter(e: Node) -> int:
+    """The largest letter of a leaf in ``e``, or 0 when it has none."""
+    return fold(e, lambda n: n.index if type(n) is Leaf else 0, lambda n, l, r: max(l, r))
 
 
 def substitute_node(e: Node, mapping: Mapping[int, Node]) -> Node:
@@ -289,7 +292,7 @@ class ExprSum(Combination):
 
     @classmethod
     def of(cls, node: Node) -> "ExprSum":
-        return cls._of({node: _ONE})
+        return cls._of({node: 1})
 
     def _combine(self, other: "ExprSum", ctor) -> "ExprSum":
         return ExprSum._of(
@@ -385,18 +388,23 @@ def check_identity(template: IdentityTemplate, mode: str = "multilinear") -> Ide
     ``multilinear`` substitutes one tuple of distinct generators, which is
     already universal for tree templates.  ``polarized`` additionally runs
     every identification pattern of the slots (sound in characteristic 0),
-    reporting the first failing substitution.
+    reporting the first failing substitution.  A slot's generator lies
+    above the template's fixed letters ``x_1 .. x_m``: pattern entry ``p``
+    is ``x_{m+p}``, so no slot takes the letter of a fixed leaf, and the
+    counterexample lists the generators substituted.
     """
     if template.arity > 6:
         raise ValueError("templates with more than 6 slots are not supported")
     if mode not in ("multilinear", "polarized"):
         raise ValueError(f"unknown mode {mode!r}")
     diff = template.lhs - template.rhs
+    fixed = max((_top_letter(n) for n, _ in diff.items()), default=0)
     patterns: list[tuple[int, ...]] = [tuple(range(1, template.arity + 1))]
     if mode == "polarized":
         patterns += [p for p in set_partition_patterns(template.arity) if p != patterns[0]]
     for pattern in patterns:
-        residual = _expand(diff.items(), pattern)
+        letters = tuple(fixed + p for p in pattern)
+        residual = _expand(diff.items(), letters)
         if residual:
-            return IdentityVerdict(False, mode, pattern, residual)
+            return IdentityVerdict(False, mode, letters, residual)
     return IdentityVerdict(True, mode)

@@ -115,7 +115,6 @@ __all__ = [
     "verify_perm_plus_identities",
 ]
 
-_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
@@ -253,7 +252,7 @@ def verify_J_identities() -> IdentitySuiteReport:
 # anticommutator spans and Jordan expressibility
 
 
-def _f_terms(coeff: Fraction, head: int, args: Sequence[int]) -> list[tuple[Fraction, Node]]:
+def _f_terms(coeff: Fraction | int, head: int, args: Sequence[int]) -> list[tuple[Fraction, Node]]:
     """``coeff * f(x_head; x_a1, {..{x_a2, x_a3}, ..})`` as its three
     anticommutator terms, built without intermediate sums."""
     a, b = Leaf(head), Leaf(args[0])
@@ -262,10 +261,10 @@ def _f_terms(coeff: Fraction, head: int, args: Sequence[int]) -> list[tuple[Frac
     return [(-q, Anti(Anti(a, b), c)), (3 * q, Anti(Anti(b, c), a)), (-q, Anti(Anti(a, c), b))]
 
 
-def _word_terms(mono: PermMonomial, coeff: Fraction) -> list[tuple[Fraction, Node]]:
+def _word_terms(mono: PermMonomial, coeff: Fraction | int) -> list[tuple[Fraction, Node]]:
     """``coeff * mono`` for a word of degree ``n >= 3``: its ``f``-element
     over ``2^(n-3)`` (the law in the module docstring)."""
-    return _f_terms(coeff / 2 ** (mono.degree - 3), mono.head, mono.tail)
+    return _f_terms(Fraction(coeff, 2 ** (mono.degree - 3)), mono.head, mono.tail)
 
 
 def _sj_rows(content: tuple[int, ...]) -> list[PermPolynomial]:
@@ -287,11 +286,11 @@ def _row_witness(lead: PermMonomial) -> list[tuple[Fraction, Node]]:
     led by ``x_a*x_b`` (halved when ``a = b``, as ``{x,x} = 2*x*x``), or
     the word's ``f``-element over ``2^(n-3)``."""
     if not lead.tail:
-        return [(_ONE, Leaf(lead.head))]
+        return [(1, Leaf(lead.head))]
     if lead.degree == 2:
         (b,) = lead.tail
-        return [(_HALF if b == lead.head else _ONE, Anti(Leaf(b), Leaf(lead.head)))]
-    return _word_terms(lead, _ONE)
+        return [(_HALF if b == lead.head else 1, Anti(Leaf(b), Leaf(lead.head)))]
+    return _word_terms(lead, 1)
 
 
 def sj_span(k: int, n: int) -> Subspace:
@@ -481,7 +480,7 @@ class FElement(NamedTuple):
     def expr(self) -> ExprSum:
         if len(self.args) < 2:
             raise ValueError("f-elements have degree >= 3")
-        return ExprSum(_f_terms(Fraction(1), self.head, self.args))
+        return ExprSum(_f_terms(1, self.head, self.args))
 
     def expand(self) -> PermPolynomial:
         return self.expr().expand()

@@ -1,7 +1,9 @@
 """Exact rational linear algebra whose columns are the vectors' own keys.
 
-Everything here works with ``fractions.Fraction`` entries, so ranks,
-memberships and solves are exact; a float entry raises ``TypeError``.
+Every entry is an ``int`` or a ``fractions.Fraction``, so ranks,
+memberships and solves are exact; a float or ``bool`` entry raises
+``TypeError``.  Integral entries stay ``int``s until a row is divided by
+its lead, which is done as a product with ``Fraction(1) / lead``.
 ``Span`` is an incremental reduced row echelon form over any vectors whose
 ``items()`` give ``(column, coefficient)`` pairs: dicts, or a
 ``PermPolynomial``, whose columns are its canonical words.  Rows are stored
@@ -23,15 +25,13 @@ from .perm import Combination, PermMonomial, PermPolynomial, accumulate, exact
 
 __all__ = ["Span", "Subspace", "span_solve"]
 
-_ONE = Fraction(1)
-
 
 class Span:
     """Incremental reduced row echelon span.
 
     Rows are pivot-normalized and fully reduced against each other.  Each
     row may carry a witness; witnesses must support addition and left
-    multiplication by ``Fraction`` and are combined alongside row operations,
+    multiplication by ``int`` and ``Fraction`` and are combined alongside row operations,
     so a row's witness always maps to that row under the caller's linear map.
     A span carries a witness on every row or on none.
 
@@ -44,7 +44,7 @@ class Span:
 
     def __init__(self):
         self._pivots: list = []  # ascending
-        self._rows: dict[Any, dict[Any, Fraction]] = {}  # pivot -> sparse row
+        self._rows: dict[Any, dict[Any, Fraction | int]] = {}  # pivot -> sparse row
         self._witnesses: dict[Any, Any] = {}  # pivot -> witness
 
     @property
@@ -56,7 +56,7 @@ class Span:
         return list(self._pivots)
 
     @property
-    def rows(self) -> list[dict[Any, Fraction]]:
+    def rows(self) -> list[dict[Any, Fraction | int]]:
         return [dict(self._rows[p]) for p in self._pivots]
 
     @property
@@ -64,17 +64,18 @@ class Span:
         return [self._witnesses[p] for p in self._pivots] if self._witnesses else []
 
     @staticmethod
-    def _sparse(vec) -> dict[Any, Fraction]:
-        """A fresh sparse copy of ``vec`` with exact ``Fraction`` entries."""
-        out: dict[Any, Fraction] = {}
+    def _sparse(vec) -> dict[Any, Fraction | int]:
+        """A fresh sparse copy of ``vec`` whose entries are checked by
+        :func:`~permalg.perm.exact`: ``int`` and ``Fraction`` stay as they are."""
+        out: dict[Any, Fraction | int] = {}
         for j, c in vec.items():
-            if type(c) is not Fraction:
-                c = Fraction(exact(c))
+            if c.__class__ is not int and c.__class__ is not Fraction:
+                c = exact(c)
             if c:
                 out[j] = c
         return out
 
-    def _reduce(self, vec) -> tuple[dict[Any, Fraction], list[tuple[Any, Fraction]]]:
+    def _reduce(self, vec) -> tuple[dict[Any, Fraction | int], list[tuple[Any, Fraction | int]]]:
         """Residue of ``vec`` modulo the span plus the ``(pivot, coefficient)``
         pairs used.  Every row is 0 at the other rows' pivots, so the
         residue keeps ``vec``'s entry at each pivot until that pivot's own
@@ -105,9 +106,11 @@ class Span:
         at = bisect(self._pivots, pivot)  # compares columns before any change
         lead = residue[pivot]
         if lead != 1:
-            residue = {j: v / lead for j, v in residue.items()}
+            # never ``v / lead``: an int over an int is a float
+            inv = -1 if lead == -1 else Fraction(1) / lead
+            residue = {j: v * inv for j, v in residue.items()}
             if witness is not None:
-                witness = (1 / lead) * witness
+                witness = inv * witness
         for q in self._pivots[:at]:  # no row has a column below its pivot
             other = self._rows[q]
             f = other.get(pivot)
@@ -188,7 +191,7 @@ class Subspace:
 
 def span_solve(
     vectors: Sequence[PermPolynomial], target: PermPolynomial
-) -> list[Fraction] | None:
+) -> list[Fraction | int] | None:
     """Exact coordinates of ``target`` in the span of ``vectors``, or None.
 
     A vector that depends on the ones before it gets coordinate 0.  All
@@ -202,7 +205,7 @@ def span_solve(
         raise ValueError("mixed homogeneous components")
     span = Span()
     for j, v in enumerate(vectors):
-        span.add(v, Combination._of({j: _ONE}))
+        span.add(v, Combination._of({j: 1}))
     combo = span.witness_for(target, Combination.zero())
     if combo is None:
         return None

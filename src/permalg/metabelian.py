@@ -32,9 +32,7 @@ __all__ = [
     "split_basis",
 ]
 
-Vec = dict[int, Fraction]
-
-_ONE = Fraction(1)
+Vec = dict[int, Fraction | int]
 
 
 class AlgebraFormatError(ValueError):
@@ -163,7 +161,7 @@ class MetabelianLieAlgebra:
             r = accumulate(
                 {},
                 chain.from_iterable(
-                    self.bracket(self.bracket_basis(p, q), {t: _ONE}).items()
+                    self.bracket(self.bracket_basis(p, q), {t: 1}).items()
                     for p, q, t in ((i, j, k), (j, k, i), (k, i, j))
                 ),
             )
@@ -189,9 +187,11 @@ def _typed(value, kind: type):
     return value
 
 
-def _parse_rational(text) -> Fraction:
+def _parse_rational(text) -> Fraction | int:
+    """A JSON coefficient: an integer, or the text ``p`` (an ``int``) or
+    ``p/q`` (a ``Fraction``)."""
     if type(text) is int:
-        return Fraction(text)
+        return text
     if not isinstance(text, str):
         raise AlgebraFormatError(f"rational must be 'p' or 'p/q', got {text!r}")
     s = text.strip()
@@ -199,7 +199,7 @@ def _parse_rational(text) -> Fraction:
     if not body or not all(part.isdigit() and part for part in body.split("/", 1)):
         raise AlgebraFormatError(f"rational must be 'p' or 'p/q', got {text!r}")
     try:
-        return Fraction(s)
+        return Fraction(s) if "/" in s else int(s)
     except ZeroDivisionError:
         raise AlgebraFormatError(f"rational {text!r} has a zero denominator") from None
 
@@ -222,7 +222,7 @@ def random_metabelian(dim: int, rng: random.Random) -> MetabelianLieAlgebra:
     if rng.random() < 0.5 and dim >= 2:
         # one outer derivation acting on an abelian ideal spanned by e2..ed
         for j in range(2, dim + 1):
-            vec = {b: Fraction(rng.randint(-3, 3)) for b in range(2, dim + 1) if rng.random() < 0.6}
+            vec = {b: rng.randint(-3, 3) for b in range(2, dim + 1) if rng.random() < 0.6}
             vec = {b: c for b, c in vec.items() if c}
             if vec:
                 brackets[(1, j)] = vec
@@ -231,7 +231,7 @@ def random_metabelian(dim: int, rng: random.Random) -> MetabelianLieAlgebra:
         m = max(2, dim - 1)
         for i in range(1, m + 1):
             for j in range(i + 1, m + 1):
-                vec = {b: Fraction(rng.randint(-2, 2)) for b in range(m + 1, dim + 1) if rng.random() < 0.8}
+                vec = {b: rng.randint(-2, 2) for b in range(m + 1, dim + 1) if rng.random() < 0.8}
                 vec = {b: c for b, c in vec.items() if c}
                 if vec:
                     brackets[(i, j)] = vec
@@ -295,7 +295,7 @@ def split_basis(algebra: MetabelianLieAlgebra) -> BasisSplit:
     synthesized vectors).  The original basis vectors then complete it.
     """
     n = algebra.dim
-    units = [{i: _ONE} for i in range(1, n + 1)]
+    units = [{i: 1} for i in range(1, n + 1)]
     derived = Span()
     for pair in sorted(algebra.table):
         derived.add(algebra.table[pair])
@@ -304,7 +304,7 @@ def split_basis(algebra: MetabelianLieAlgebra) -> BasisSplit:
     chosen = Span()
     new_rows: list[Vec] = []
     for v in chain([e for e in units if derived.contains(e)], derived.rows, units):
-        if chosen.add(v, Combination._of({len(new_rows) + 1: _ONE})):
+        if chosen.add(v, Combination._of({len(new_rows) + 1: 1})):
             new_rows.append(v)
     images = tuple(chosen.witness_for(e, Combination.zero()) for e in units)
 

@@ -54,6 +54,9 @@ def _indexed(name: str) -> Leaf | None:
     return Leaf(int(m.group(1))) if m else None
 
 
+# a name that, written right after a number, would read as its exponent
+_EXPONENT = re.compile(r"e[0-9]")
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[-+*/(),=\[\]{}<>]))"
 )
@@ -138,9 +141,9 @@ class _Parser:
             else:
                 return acc
 
-    def factors(self) -> list[tuple[int, Fraction | ExprSum]]:
+    def factors(self) -> list[tuple[int, Fraction | int | ExprSum]]:
         """The scalars and factors of one product, with positions, not yet multiplied."""
-        items: list[tuple[int, Fraction | ExprSum]] = []
+        items: list[tuple[int, Fraction | int | ExprSum]] = []
         while True:
             kind, text, at = self.peek()
             if kind == "number":
@@ -163,7 +166,7 @@ class _Parser:
     def product(self) -> ExprSum:
         start = self.peek()[2]
         items = self.factors()
-        coeff = prod((f for _, f in items if type(f) is Fraction), start=Fraction(1))
+        coeff = prod(f for _, f in items if type(f) is not ExprSum)
         factors = [f for _, f in items if type(f) is ExprSum]
         if not factors:
             if coeff == 0:
@@ -185,7 +188,8 @@ class _Parser:
                 self.starts.setdefault(node, start)
         return ExprSum(terms)
 
-    def rational(self) -> Fraction:
+    def rational(self) -> Fraction | int:
+        """A scalar ``p``, an ``int``, or ``p/q``, a ``Fraction``."""
         kind, text, at = self.next()
         num = int(text)
         kind, nxt, _ = self.peek()
@@ -197,8 +201,17 @@ class _Parser:
             den = int(dtext)
             if den == 0:
                 raise ExprSyntaxError("zero denominator", dat)
+            self.no_exponent(dtext, dat)
             return Fraction(num, den)
-        return Fraction(num)
+        self.no_exponent(text, at)
+        return num
+
+    def no_exponent(self, number: str, at: int) -> None:
+        """Refuse the number at ``at`` when an ``e<digits>`` name follows it
+        with no space: ``1e5`` reads as a float, not as ``1*e5``."""
+        kind, name, nat = self.peek()
+        if kind == "name" and nat == at + len(number) and _EXPONENT.match(name):
+            raise ExprSyntaxError(f"{number}{name} reads as a float; write {number}*{name} for a product", at)
 
     def atom(self) -> ExprSum:
         kind, text, at = self.next()
@@ -289,11 +302,15 @@ def parse_word(text: str) -> tuple[int, ...]:
     scalar other than 1 that of the first number or factor that scales."""
     parser = _Parser(text, _indexed)
     items = parser.factors()
-    factors = [f for _, f in items if type(f) is ExprSum]
-    if parser.peek()[0] is not None or not factors or any(len(f) != 1 for f in factors):
-        raise ExprSyntaxError("expected a single product word", 0)
+    kind, _, at = parser.peek()  # a token after the product, such as a '+'
+    if kind is None:
+        # a factor of more than one term, or the first scalar when no factor is a word
+        words = [(at, f) for at, f in items if type(f) is ExprSum]
+        at = next((at for at, f in words if len(f) != 1), None if words else items[0][0])
+    if at is not None:
+        raise ExprSyntaxError("expected a single product word", at)
     letters: list[Leaf | Slot] = []
-    scalars: list[tuple[int, Fraction]] = []
+    scalars: list[tuple[int, Fraction | int]] = []
     for at, c in items:
         if type(c) is ExprSum:
             ((node, c),) = c.items()

@@ -4,7 +4,10 @@ A perm algebra is an associative algebra obeying right-commutativity
 ``abc = acb``.  Every product of generators therefore equals a word whose
 letters after the first are sorted non-decreasingly, and those canonical
 words form a linear basis of the free algebra.  Elements are sparse
-rational combinations of canonical words with exact coefficients.
+rational combinations of canonical words with exact coefficients: each
+stored coefficient is a nonzero ``int`` or ``Fraction``, never a float or
+a ``bool``.  Integral inputs stay ``int``s, whose arithmetic is far
+cheaper than a ``Fraction``'s, and only a true rational pays for one.
 
 The slice law: a word's content is its letters in ascending order, and
 the words of one content ``C`` span a slice (a multidegree component).
@@ -84,27 +87,35 @@ def canonicalize(word: Sequence[int]) -> PermMonomial:
 
 
 def exact(coeff: Fraction | int) -> Fraction | int:
-    """``coeff`` itself when it is an ``int`` or a ``Fraction``; anything
-    else (a float, say, whose binary value is not the number it was written
-    as, or a ``bool``, which is an ``int`` to Python but not a number to a
-    reader) raises ``TypeError``.  Adding or multiplying either kind with a
-    ``Fraction`` gives a ``Fraction``, so no conversion is needed."""
-    if not isinstance(coeff, (int, Fraction)) or coeff.__class__ is bool:
-        raise TypeError(f"coefficients must be int or Fraction, got {type(coeff).__name__}")
-    return coeff
+    """``coeff`` itself when it is an ``int`` or a ``Fraction``, and a
+    subclass of either as the plain kind; anything else (a float, say,
+    whose binary value is not the number it was written as, or a ``bool``,
+    which is an ``int`` to Python but not a number to a reader) raises
+    ``TypeError``.  Sums and products of the two kinds stay exact: an
+    ``int`` with an ``int`` gives an ``int``, and either with a
+    ``Fraction`` gives a ``Fraction``.  Only ``/`` leaves them (``int /
+    int`` is a float), so a quotient is taken as ``Fraction(p, q)``."""
+    cls = coeff.__class__
+    if cls is int or cls is Fraction:
+        return coeff
+    if cls is bool or not isinstance(coeff, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, got {cls.__name__}")
+    return int(coeff) if isinstance(coeff, int) else Fraction(coeff)
 
 
-def accumulate(data: dict[K, Fraction], items: Iterable[tuple[K, Fraction | int]]) -> dict[K, Fraction]:
+def accumulate(
+    data: dict[K, Fraction | int], items: Iterable[tuple[K, Fraction | int]]
+) -> dict[K, Fraction | int]:
     """Add the ``(key, coeff)`` terms into the sparse combination ``data``
     in place and return it.  A key whose coefficient sums to zero is
     dropped, so ``data`` never stores a zero.  A new key stores ``coeff``
-    itself, an ``int`` made a ``Fraction`` first, so values stay
-    ``Fraction``s."""
+    as it is: the caller passes exact values (see :func:`exact`), so every
+    value stays a nonzero ``int`` or ``Fraction``."""
     for key, coeff in items:
         old = data.get(key)
         if old is None:
             if coeff:
-                data[key] = coeff if coeff.__class__ is Fraction else Fraction(coeff)
+                data[key] = coeff
         elif s := old + coeff:
             data[key] = s
         else:
@@ -140,7 +151,8 @@ def format_linear(items: Iterable[tuple[Fraction, str]]) -> str:
 
 
 class Combination:
-    """Sparse rational combination: a dict from key to ``Fraction``.
+    """Sparse rational combination: a dict from key to a nonzero ``int``
+    or ``Fraction``.
 
     Instances are immutable in use: every operation returns a fresh value,
     zero coefficients are never stored, and zero has no terms.  Equality
@@ -156,9 +168,9 @@ class Combination:
 
     @classmethod
     def _of(cls, data: dict) -> "Combination":
-        """Wrap ``data`` without checks.  The caller guarantees no zero
-        values and ``Fraction`` values (an ``int`` would make ``int / int``
-        a float), plus whatever the subclass's constructor checks."""
+        """Wrap ``data`` without checks.  The caller guarantees nonzero
+        ``int`` or ``Fraction`` values, never a float or a ``bool``, plus
+        whatever the subclass's constructor checks."""
         out = cls.__new__(cls)
         out._terms = data
         return out
@@ -167,17 +179,17 @@ class Combination:
     def zero(cls):
         return cls._of({})
 
-    def terms(self) -> list[tuple[Any, Fraction]]:
+    def terms(self) -> list[tuple[Any, Fraction | int]]:
         """Terms sorted by the class's ``_key``."""
         key = self._key
         return sorted(self._terms.items(), key=lambda kv: key(kv[0]))
 
-    def items(self) -> ItemsView[Any, Fraction]:
+    def items(self) -> ItemsView[Any, Fraction | int]:
         """Terms in no particular order, for callers that only index them."""
         return self._terms.items()
 
-    def coefficient(self, key) -> Fraction:
-        return self._terms.get(key, _ZERO)
+    def coefficient(self, key) -> Fraction | int:
+        return self._terms.get(key, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -248,7 +260,7 @@ class PermPolynomial(Combination):
     @classmethod
     def from_word(cls, word: Sequence[int], coeff: Fraction | int = 1) -> "PermPolynomial":
         mono, c = canonicalize(word), exact(coeff)
-        return cls._of({mono: Fraction(c)} if c else {})
+        return cls._of({mono: c} if c else {})
 
     @classmethod
     def from_monomial(cls, mono: PermMonomial, coeff: Fraction | int = 1) -> "PermPolynomial":
@@ -277,13 +289,11 @@ class PermPolynomial(Combination):
 
     def components(self) -> dict[tuple[int, ...], "PermPolynomial"]:
         """The slices of this polynomial, keyed by content, in ascending content."""
-        buckets: dict[tuple[int, ...], dict[PermMonomial, Fraction]] = {}
+        buckets: dict[tuple[int, ...], dict[PermMonomial, Fraction | int]] = {}
         for m, c in self._terms.items():
             buckets.setdefault(m.content(), {})[m] = c
         return {key: PermPolynomial._of(buckets[key]) for key in sorted(buckets)}
 
-
-_ZERO = Fraction(0)
 
 
 def dimension(k: int, n: int) -> int:

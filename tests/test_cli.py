@@ -280,6 +280,27 @@ def test_envelope_check_counts_the_overlaps_before_reducing_them(runner, monkeyp
     assert "reduce 20708500 overlap words; the limit is 1000000" in result.stderr
 
 
+def test_envelope_check_bounds_the_random_words(runner, monkeypatch):
+    """``--words`` above ``WORDS_LIMIT`` exits 2 before the algebra is
+    read or any word is reduced."""
+    from permalg.envelope import Envelope
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reduction started")
+
+    monkeypatch.setattr(Envelope, "__init__", refuse)
+    heisenberg = f"{ALGEBRAS}/heisenberg.json"
+    result = runner.invoke(main, ["envelope", "check", "--algebra", heisenberg, "--words", str(10**18)])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert f"reduce {10**18} random words; the limit is {cli.WORDS_LIMIT}" in result.stderr
+    monkeypatch.setattr(cli, "WORDS_LIMIT", 10)
+    result = runner.invoke(main, ["envelope", "check", "--algebra", heisenberg, "--words", "11"])
+    assert result.exit_code == 2 and "reduce 11 random words; the limit is 10" in result.stderr
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "WORDS_LIMIT", 10)
+    assert json.loads(invoke(runner, "envelope", "check", "--algebra", heisenberg, "--words", "10", "--json"))["ok"]
+
+
 def test_jordan_express_names_the_first_offending_slice(runner):
     """Of several non-Jordan degree-2 slices the report names the one of
     least exponent vector, in text and in JSON."""

@@ -48,8 +48,14 @@ def fold_sum(terms, mapping=None):
     return out
 
 
+def is_stored_exact(c):
+    """A stored coefficient: a nonzero ``int`` or ``Fraction``, never a
+    float and never a ``bool`` (whose type is ``bool``, not ``int``)."""
+    return type(c) in (int, Fraction) and c != 0
+
+
 def assert_stored_exact(p):
-    assert all(type(c) is Fraction and c != 0 for _, c in p.items())
+    assert all(is_stored_exact(c) for _, c in p.items())
 
 
 def all_trees(word):
@@ -181,22 +187,48 @@ def test_expansion_matches_fold_on_random_trees(terms, cancelled, mapping):
     st.lists(st.tuples(fractions, slot_trees()), max_size=2),
 )
 def test_check_identity_matches_fold(lhs, extra):
-    """``check_identity`` reads the slots' letters off each pattern; the
-    oracle substitutes them.  The right side is the left mirrored plus
-    ``extra``, so the template holds whenever ``extra`` expands to zero."""
+    """``check_identity`` reads the slots' letters off each pattern,
+    shifted above the template's fixed letters; the oracle substitutes
+    them.  The right side is the left mirrored plus ``extra``, so the
+    template holds whenever ``extra`` expands to zero."""
     lhs = lhs + [(1, left_normed(Prod, [Slot(1), Slot(2), Slot(3)]))]
     rhs = [(c, mirrored(t)) for c, t in lhs] + extra
     verdict = check_identity(IdentityTemplate(ExprSum(lhs), ExprSum(rhs)), "polarized")
     diff = [(-c, t) for c, t in extra]
+    template = ExprSum(lhs) - ExprSum(rhs)
+    fixed = max((max(leaf_letters(t), default=0) for t, _ in template.items()), default=0)
     patterns = [(1, 2, 3)] + [p for p in set_partition_patterns(3) if p != (1, 2, 3)]
     for pattern in patterns:
-        residual = fold_sum(diff, {i: Leaf(g) for i, g in enumerate(pattern, start=1)})
+        letters = tuple(fixed + g for g in pattern)
+        residual = fold_sum(diff, {i: Leaf(g) for i, g in enumerate(letters, start=1)})
         if residual:
-            assert verdict.counterexample == pattern
+            assert verdict.counterexample == letters
             assert verdict.residual == residual
             assert_stored_exact(verdict.residual)
             return
     assert verdict.holds
+
+
+def leaf_letters(e):
+    """The letters of a tree's fixed leaves, by plain recursion."""
+    if isinstance(e, Leaf):
+        return [e.index]
+    if isinstance(e, Slot):
+        return []
+    return leaf_letters(e.left) + leaf_letters(e.right)
+
+
+def test_check_identity_slots_avoid_fixed_letters():
+    """``x1*a = a*x1`` fails at ``a = x2``; substituting ``x1`` for the
+    slot, the fixed letter itself, would make it hold."""
+    t = IdentityTemplate(Prod(Leaf(1), Slot(1)), Prod(Slot(1), Leaf(1)))
+    for mode in ("multilinear", "polarized"):
+        verdict = check_identity(t, mode)
+        assert not verdict.holds
+        assert verdict.counterexample == (2,)
+        assert verdict.residual == PermPolynomial.from_word((1, 2)) - PermPolynomial.from_word((2, 1))
+    # a law holds whatever its fixed letters
+    assert check_identity(IdentityTemplate(Prod(Prod(Leaf(3), Slot(1)), Slot(2)), Prod(Prod(Leaf(3), Slot(2)), Slot(1)))).holds
 
 
 def test_expand_unbound_slot():

@@ -72,6 +72,16 @@ def test_parse_errors_carry_position():
         parse_expr("x1 * - x2")
 
 
+def test_a_number_may_precede_a_name_that_is_no_exponent():
+    """Juxtaposition still multiplies: ``2x1``, ``2 e1`` and ``2*e1`` are
+    the same product, and a scalar is an ``int`` unless it has a denominator."""
+    assert parse_expr("2 e1") == parse_expr("2*e1") == parse_expr("2x1")
+    ((_, c),) = parse_expr("2x1").items()
+    assert type(c) is int
+    ((_, c),) = parse_expr("6/3 x1").items()
+    assert type(c) is Fraction and c == 2
+
+
 def envelope(text):
     return parse_envelope_expr(text, ("e1", "e2", "e3"))
 
@@ -113,6 +123,16 @@ def envelope(text):
         (parse_word, "x1*x2*3", "expected a word without a coefficient", 6),
         (parse_word, "x1*(-x2)*x3", "expected a word without a coefficient", 3),
         (parse_word, "x1*(2*x2)*1/2*3", "expected a word without a coefficient", 3),
+        # a single product word: the token after it, a factor of several terms, or a bare scalar
+        (parse_word, "x1*x2*x3 + x1", "expected a single product word", 9),
+        (parse_word, "x1*(x2 + x3)*x1", "expected a single product word", 3),
+        (parse_word, " 3", "expected a single product word", 1),
+        (parse_word, "x1 x2 = x3", "expected a single product word", 6),
+        # a number right before an e<digits> name reads as a float literal
+        (parse_expr, "1e5*x1", "1e5 reads as a float; write 1*e5 for a product", 0),
+        (parse_expr, "x1 + 2/3e2", "3e2 reads as a float; write 3*e2 for a product", 7),
+        (parse_word, "x1*1e2", "1e2 reads as a float; write 1*e2 for a product", 3),
+        (envelope, "2e1*d(e2)", "2e1 reads as a float; write 2*e1 for a product", 0),
     ],
 )
 def test_error_message_and_position(parse, text, message, position):

@@ -18,7 +18,7 @@ from permalg.perm import (
 )
 
 from oracles import sub_multidegrees, word_product_oracle
-from test_expr import assert_stored_exact
+from test_expr import assert_stored_exact, is_stored_exact
 
 letters = st.integers(min_value=1, max_value=4)
 words = st.lists(letters, min_size=1, max_size=6)
@@ -140,19 +140,23 @@ def test_terms_are_in_monomial_tuple_order(rng):
         assert keys == sorted(keys)
 
 
-def test_accumulate_stores_nonzero_fractions():
+def test_accumulate_stores_nonzero_exact_values():
+    """A new key keeps its value's kind: an ``int`` stays an ``int``."""
     data = accumulate({}, [("a", 2), ("b", Fraction(1, 2)), ("c", 0), ("d", Fraction(0))])
     assert data == {"a": 2, "b": Fraction(1, 2)}
-    assert all(type(c) is Fraction for c in data.values())
+    assert type(data["a"]) is int and type(data["b"]) is Fraction
+    assert all(is_stored_exact(c) for c in data.values())
     assert accumulate(data, [("a", -2), ("b", Fraction(1, 2))]) == {"b": 1}
     assert "a" not in data  # cancelled, so deleted
     accumulate(data, [("a", 5), ("b", -1)])
-    assert data == {"a": 5} and type(data["a"]) is Fraction
+    assert data == {"a": 5} and type(data["a"]) is int
 
 
-def test_from_word_stores_a_fraction():
+def test_from_word_stores_an_exact_value():
     assert_stored_exact(PermPolynomial.from_word((2, 1), 3))
+    assert_stored_exact(PermPolynomial.from_word((2, 1), Fraction(3, 2)))
     assert_stored_exact(PermPolynomial.generator(4))
+    assert type(PermPolynomial.from_word((2, 1), 3).coefficient(PermMonomial(2, (1,)))) is int
     assert not PermPolynomial.from_word((2, 1), 0).items()
     with pytest.raises(ValueError, match="empty"):
         PermPolynomial.from_word((), 0)

@@ -67,3 +67,30 @@ def test_bench_script_writes_one_layer(tmp_path):
     (name, layer), = report["layers"].items()
     assert name == "test_perm_commutator_with_letter"
     assert 0 < layer["min_s"] <= layer["median_s"] and layer["rounds"] == 50
+
+
+def test_bench_script_pairs_a_baseline(tmp_path):
+    """``scripts/bench.py --baseline`` exports the commit, runs both trees'
+    layers and writes both minima with their ratio."""
+    pytest.importorskip("pytest_benchmark")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=REPO, capture_output=True, text=True)
+    if head.returncode != 0:
+        pytest.skip("not a git checkout")
+    out = tmp_path / "bench.json"
+    argv = ["--out", str(out), "-k", "perm_commutator_with_letter", "--baseline", "HEAD", "--pairs", "1"]
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "bench.py"), *argv], capture_output=True, cwd=REPO, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout.decode() + proc.stderr.decode()
+    report = json.loads(out.read_text())
+    assert report["baseline"] == {"rev": "HEAD", "commit": head.stdout.strip()} and report["pairs"] == 1
+    (name, layer), = report["layers"].items()
+    assert name == "test_perm_commutator_with_letter"
+    assert layer["ratio"] == layer["min_s"] / layer["baseline_min_s"] > 0
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "bench.py"), "--out", str(out), "--baseline", "no-such-rev"],
+        capture_output=True,
+        cwd=REPO,
+        timeout=60,
+    )
+    assert proc.returncode == 2 and b"unknown revision" in proc.stderr
