@@ -20,7 +20,7 @@ baseline's minimum over all its runs (``baseline_min_s``) and
 ``tree_clean`` is False when ``src/`` or ``benchmarks/`` differ from the
 commit.  Compare minima, and between two commits only paired minima from
 one run of this script: the machine's other load only adds to a round,
-and it changes between sessions by more than most code changes do.
+and it drifts over hours by more than most code changes move a layer.
 """
 
 import argparse
