@@ -275,7 +275,7 @@ def _emit(as_json: bool, data: dict, text: str, code: int = 0) -> None:
 
 
 def _parse_or_usage(parser, *args):
-    # ExprSyntaxError, UnboundSlotError, check_identity's slot limit and
+    # ExprSyntaxError, UnboundSlotError, a template's slot checks and
     # to_bn's length check are ValueErrors; the recursive-descent parser is
     # the one walk that recurses
     try:
@@ -372,7 +372,7 @@ def jordan_express_cmd(expression: str, as_json: bool) -> None:
 @main.command(
     "check-identity",
     _Param("--template", "TEXT", "identity as 'lhs = rhs'"),
-    _Param("--polarized", help="also substitute repeated-generator patterns"),
+    _Param("--polarized", help="same single substitution; only the reported mode differs"),
 )
 def check_identity_cmd(template_text: str, polarized: bool, as_json: bool) -> None:
     """Verify a candidate law over slot variables."""
@@ -380,13 +380,11 @@ def check_identity_cmd(template_text: str, polarized: bool, as_json: bool) -> No
     from .parser import parse_template
 
     template = _parse_or_usage(parse_template, template_text)
-    verdict = _parse_or_usage(check_identity, template, "polarized" if polarized else "multilinear")
-    witness = None if verdict.counterexample is None else {
-        chr(ord("a") + slot): f"x{gen}" for slot, gen in enumerate(verdict.counterexample)
-    }
+    verdict = check_identity(template)
+    witness = verdict.counterexample and {n: f"x{g}" for n, g in zip(template.names, verdict.counterexample)}
     data = {
         "template": template_text,
-        "mode": verdict.mode,
+        "mode": "polarized" if polarized else "multilinear",
         "holds": verdict.holds,
         "counterexample": witness,
         "residual": None if verdict.residual is None else str(verdict.residual),
@@ -473,6 +471,8 @@ def envelope_build(path: str, d: int, use_unicode: bool, as_json: bool) -> None:
     letters = env.letter_count(d)  # the output grows with the basis letters printed
     if letters > BUILD_LIMIT:
         raise UsageError(f"envelope build would print {letters} basis letters; the limit is {BUILD_LIMIT}")
+    if (count := env.rule_count()) > BUILD_LIMIT:
+        raise UsageError(f"envelope build would build {count} rules; the limit is {BUILD_LIMIT}")
     rules = env.rules()
     basis = env.basis_up_to(d)
     data = {

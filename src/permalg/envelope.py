@@ -190,6 +190,10 @@ class Envelope:
         redexes += [PermMonomial(i, (j,)) for j in zs for i in zs if i > j]
         return [RewriteRule(m, PermPolynomial._of(self._chain(m, "leftmost"))) for m in redexes]
 
+    def rule_count(self) -> int:
+        """The rules :meth:`rules` builds: ``|Y|*|Z| + C(|Z|, 2)``."""
+        return self.y_count * len(self.z_indices) + comb(len(self.z_indices), 2)
+
     def rule_str(self, rule: RewriteRule, unicode: bool = False) -> str:
         return (
             f"{self.monomial_str(rule.redex, unicode)} -> "

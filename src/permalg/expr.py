@@ -5,10 +5,12 @@ products, commutators ``[a,b] = ab - ba`` and anticommutators
 ``{a,b} = ab + ba``.  Sums and scalar multiples are not tree nodes; they
 live in :class:`ExprSum`, a formal rational combination of trees whose
 terms are ordered only when printed, and all product helpers expand
-bilinearly over it.  Identity checking substitutes generators for slots
-and expands: because the tree operations are defined in every perm
-algebra, an identity holds in all of them exactly when the
-distinct-generator substitution expands to zero.
+bilinearly over it.  Identity checking is one substitution: distinct
+generators above the template's fixed letters go in for the slots, and
+the difference of the sides expands.  Because the tree operations are
+defined in every perm algebra, and every substitution is an image of
+that one under an endomorphism, an identity holds in all of them exactly
+when it expands to zero.
 
 Expansion is a closed form.  By the perm law a product of two words is
 the word with the first factor's head and the letters of both, so every
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .perm import Combination, PermMonomial, PermPolynomial, accumulate, exact, slice_word
 
@@ -59,7 +61,6 @@ __all__ = [
     "left_normed",
     "node_slots",
     "node_str",
-    "set_partition_patterns",
 ]
 
 
@@ -345,19 +346,21 @@ def left_normed(kind: type, leaves: Sequence[Node | int]) -> Node:
 
 
 class IdentityTemplate:
-    """A candidate law ``lhs = rhs`` over slot variables."""
+    """A candidate law ``lhs = rhs`` over slot variables.  ``names`` are the
+    slots' names in slot order, as :func:`~permalg.parser.parse_template`
+    bound them; by default slot ``i`` is named ``a``, ``b``, ... in turn."""
 
-    def __init__(self, lhs: "ExprSum | Node", rhs: "ExprSum | Node"):
+    def __init__(self, lhs: "ExprSum | Node", rhs: "ExprSum | Node", names: Sequence[str] = ()):
         self.lhs = wrap(lhs)
         self.rhs = wrap(rhs)
         used = self.lhs.slots() | self.rhs.slots()
         if not used:
             raise ValueError("template has no slots")
         self.arity = max(used)
-        if used != frozenset(range(1, self.arity + 1)):
-            raise ValueError("slots must be contiguous starting at 1")
-        if not self.rhs.slots() <= self.lhs.slots():
-            raise ValueError("rhs uses slots absent from lhs")
+        self.names = tuple(names or map(_slot_name, range(1, self.arity + 1)))[: self.arity]
+        if gone := set(range(1, self.arity + 1)) - used:
+            name = self.names[min(gone) - 1]
+            raise ValueError(f"slots must be contiguous starting at 1: {name} has no term left once like terms are combined")
 
     def __str__(self) -> str:
         return f"{self.lhs} = {self.rhs}"
@@ -365,7 +368,6 @@ class IdentityTemplate:
 
 class IdentityVerdict(NamedTuple):
     holds: bool
-    mode: str
     counterexample: tuple[int, ...] | None = None
     residual: PermPolynomial | None = None
 
@@ -373,38 +375,19 @@ class IdentityVerdict(NamedTuple):
         return self.holds
 
 
-def set_partition_patterns(n: int) -> Iterator[tuple[int, ...]]:
-    """Restricted-growth strings of length ``n``, in lexicographic order:
-    one generator pattern per way of identifying slot variables."""
-    patterns = [(1,)] if n else []
-    for _ in range(n - 1):
-        patterns = [p + (v,) for p in patterns for v in range(1, max(p) + 2)]
-    return iter(patterns)
+def check_identity(template: IdentityTemplate) -> IdentityVerdict:
+    """Decide whether the template is a law of perm algebras, by one
+    substitution of distinct generators.
 
-
-def check_identity(template: IdentityTemplate, mode: str = "multilinear") -> IdentityVerdict:
-    """Decide whether the template is a law of perm algebras.
-
-    ``multilinear`` substitutes one tuple of distinct generators, which is
-    already universal for tree templates.  ``polarized`` additionally runs
-    every identification pattern of the slots (sound in characteristic 0),
-    reporting the first failing substitution.  A slot's generator lies
-    above the template's fixed letters ``x_1 .. x_m``: pattern entry ``p``
-    is ``x_{m+p}``, so no slot takes the letter of a fixed leaf, and the
-    counterexample lists the generators substituted.
+    Slot ``i`` becomes ``x_{m+i}``, above the template's fixed letters
+    ``x_1 .. x_m``, so no slot takes the letter of a fixed leaf.  When that
+    substitution expands to 0, every substitution does: any other tuple of
+    elements is its image under an endomorphism fixing ``x_1 .. x_m``.  On
+    failure the counterexample lists the generators substituted, and the
+    residual is what ``lhs - rhs`` expands to.
     """
-    if template.arity > 6:
-        raise ValueError("templates with more than 6 slots are not supported")
-    if mode not in ("multilinear", "polarized"):
-        raise ValueError(f"unknown mode {mode!r}")
     diff = template.lhs - template.rhs
     fixed = max((_top_letter(n) for n, _ in diff.items()), default=0)
-    patterns: list[tuple[int, ...]] = [tuple(range(1, template.arity + 1))]
-    if mode == "polarized":
-        patterns += [p for p in set_partition_patterns(template.arity) if p != patterns[0]]
-    for pattern in patterns:
-        letters = tuple(fixed + p for p in pattern)
-        residual = _expand(diff.items(), letters)
-        if residual:
-            return IdentityVerdict(False, mode, letters, residual)
-    return IdentityVerdict(True, mode)
+    letters = tuple(range(fixed + 1, fixed + template.arity + 1))
+    residual = _expand(diff.items(), letters)
+    return IdentityVerdict(False, letters, residual) if residual else IdentityVerdict(True)

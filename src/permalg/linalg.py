@@ -2,8 +2,10 @@
 
 Every entry is an ``int`` or a ``fractions.Fraction``, so ranks,
 memberships and solves are exact; a float or ``bool`` entry raises
-``TypeError``.  Integral entries stay ``int``s until a row is divided by
-its lead, which is done as a product with ``Fraction(1) / lead``.
+``TypeError``.  A row is divided by its lead as a product with
+``Fraction(1) / lead``, and a quotient that is integral is stored as an
+``int``, so integral entries stay ``int``s until a division leaves them
+fractional.
 ``Span`` is an incremental reduced row echelon form over any vectors whose
 ``items()`` give ``(column, coefficient)`` pairs: dicts, or a
 ``PermPolynomial``, whose columns are its canonical words.  Rows are stored
@@ -46,6 +48,7 @@ class Span:
         self._pivots: list = []  # ascending
         self._rows: dict[Any, dict[Any, Fraction | int]] = {}  # pivot -> sparse row
         self._witnesses: dict[Any, Any] = {}  # pivot -> witness
+        self._columns: set = set()  # every column a row has ever held
 
     @property
     def dim(self) -> int:
@@ -109,9 +112,12 @@ class Span:
             # never ``v / lead``: an int over an int is a float
             inv = -1 if lead == -1 else Fraction(1) / lead
             residue = {j: v * inv for j, v in residue.items()}
+            if inv != -1:  # an integral quotient is stored as an int
+                residue = {j: v.numerator if v.denominator == 1 else v for j, v in residue.items()}
             if witness is not None:
                 witness = inv * witness
-        for q in self._pivots[:at]:  # no row has a column below its pivot
+        # no row has a column below its pivot, nor one it never held
+        for q in self._pivots[:at] if pivot in self._columns else ():
             other = self._rows[q]
             f = other.get(pivot)
             if f:
@@ -119,6 +125,7 @@ class Span:
                 accumulate(other, ((j, f * x) for j, x in residue.items()))
                 if witness is not None:
                     self._witnesses[q] = self._witnesses[q] + f * witness
+        self._columns.update(residue)
         self._rows[pivot] = residue
         self._pivots.insert(at, pivot)
         if witness is not None:

@@ -255,7 +255,8 @@ def parse_expr(text: str) -> ExprSum:
 
 
 def parse_template(text: str) -> IdentityTemplate:
-    """Parse ``lhs = rhs`` in one pass, every name bound to a slot; ``rhs`` may be 0."""
+    """Parse ``lhs = rhs`` in one pass, every name bound to a slot; ``rhs``
+    may be 0.  The template keeps the names in slot order."""
     if text.count("=") != 1:
         raise ExprSyntaxError("template must contain exactly one '='", text.find("=") if "=" in text else len(text))
     slots: dict[str, Slot] = {}
@@ -267,7 +268,7 @@ def parse_template(text: str) -> IdentityTemplate:
         return slots[name]
 
     parser = _Parser(text, bind)
-    return IdentityTemplate(parser.parse("="), parser.parse())
+    return IdentityTemplate(parser.parse("="), parser.parse(), list(slots))
 
 
 def _letters(node: Node, message: str, at: int, left_normed: bool = False) -> list[Leaf | Slot]:

@@ -12,6 +12,8 @@ The word-by-word product multiplies every pair of terms, where
 ``PermPolynomial.__mul__`` groups the right factor by letter multiset.
 ``free_metabelian`` builds the free metabelian Lie algebras of bounded
 class from the perm side, an independent algebra to hold the envelope to.
+``set_partition_patterns`` lists every way of identifying a template's
+slots, which ``check_identity`` replaces with one distinct substitution.
 """
 
 from fractions import Fraction
@@ -63,6 +65,15 @@ def dynkin(f: PermPolynomial) -> PermPolynomial:
         if m.tail:
             out.append((PermMonomial(m.tail[0], tuple(sorted((m.head,) + m.tail[1:]))), -c))
     return PermPolynomial(out)
+
+
+def set_partition_patterns(n: int) -> Iterator[tuple[int, ...]]:
+    """Restricted-growth strings of length ``n``, in lexicographic order:
+    one generator pattern per way of identifying slot variables."""
+    patterns = [(1,)] if n else []
+    for _ in range(n - 1):
+        patterns = [p + (v,) for p in patterns for v in range(1, max(p) + 2)]
+    return iter(patterns)
 
 
 def sub_multidegrees(

@@ -126,6 +126,32 @@ def test_check_identity(runner):
     assert "witness" in result.output
 
 
+def test_check_identity_names_the_witness_by_the_template(runner):
+    """The witness uses the names the template bound, in slot order, so it
+    agrees with the residual; ``--polarized`` runs the same substitution."""
+    for flags in ([], ["--polarized"]):
+        out = invoke(runner, "check-identity", "--template", "b*a = a*b", *flags, expect=1)
+        assert out == "fails with witness b=x1, a=x2; residual: x1*x2 - x2*x1\n"
+    data = json.loads(invoke(runner, "check-identity", "--template", "q*p = p*q", "--json", expect=1))
+    assert data["counterexample"] == {"q": "x1", "p": "x2"}
+    assert data["residual"] == "x1*x2 - x2*x1"
+    out = invoke(runner, "check-identity", "--template", "x1*a = a*x1", expect=1)
+    assert out.startswith("fails with witness x1=x1, a=x2;")
+    # any number of slots, and slots on the right only
+    eight = "a*b*c*d*e*f*g*h"
+    assert invoke(runner, "check-identity", "--template", f"{eight} = a*b*c*d*e*f*h*g") == "holds\n"
+    invoke(runner, "check-identity", "--template", f"{eight} = b*a*c*d*e*f*g*h", expect=1)
+    assert invoke(runner, "check-identity", "--template", "0 = [a,b] + [b,a]") == "holds\n"
+
+
+def test_check_identity_names_a_slot_that_cancels(runner):
+    """``c`` is bound as slot 1, then dropped with its zero coefficient:
+    the error says so by name."""
+    result = runner.invoke(main, ["check-identity", "--template", "0*c + a*b = b*a"])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert "slots must be contiguous starting at 1: c has no term left" in result.stderr
+
+
 def test_dims_prints_exact_numbers_of_any_size(runner):
     """A dimension past CPython's default 4300-digit int-to-str limit
     prints in full, in text and in JSON.  The limit is process-wide, so it
@@ -202,6 +228,27 @@ def test_envelope_build_sizes_the_output_before_building_it(runner, monkeypatch)
     # two complement letters: 2 * C(d + 2, d - 1), plus one derived letter at degree 1
     assert str(2 * comb(10**9 + 2, 3) + 1) in result.stderr
     assert "Usage: main envelope build [OPTIONS]" in result.stderr
+
+
+def test_envelope_build_counts_the_rules_before_building_them(runner, monkeypatch, tmp_path):
+    """``envelope build`` counts its rules with ``Envelope.rule_count``,
+    ``|Y|*|Z| + C(|Z|, 2)``, and exits 2 above ``BUILD_LIMIT`` before
+    ``rules`` is called: 5000 abelian letters print few basis letters at
+    degree 1 but make ``C(5000, 2)`` rules."""
+    from permalg.envelope import Envelope
+
+    heisenberg = Envelope(load_algebra(f"{ALGEBRAS}/heisenberg.json"))  # Y = {e3}, Z = {e1, e2}
+    assert heisenberg.rule_count() == len(heisenberg.rules()) == 3
+
+    def refuse(self):
+        raise AssertionError("rules called")
+
+    monkeypatch.setattr(Envelope, "rules", refuse)
+    big = tmp_path / "dim5000.json"
+    big.write_text('{"dim": 5000}')
+    result = runner.invoke(main, ["envelope", "build", "--algebra", str(big), "--deg", "1"])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert f"build {comb(5000, 2)} rules; the limit is {cli.BUILD_LIMIT}" in result.stderr
 
 
 def test_to_bn(runner):

@@ -18,10 +18,12 @@ from permalg.expr import (
     check_identity,
     expand_node,
     left_normed,
-    set_partition_patterns,
     wrap,
 )
+from permalg.parser import parse_template
 from permalg.perm import PermMonomial, PermPolynomial
+
+from oracles import set_partition_patterns
 
 
 def expand_fold_oracle(e, mapping=None):
@@ -187,26 +189,36 @@ def test_expansion_matches_fold_on_random_trees(terms, cancelled, mapping):
     st.lists(st.tuples(fractions, slot_trees()), max_size=2),
 )
 def test_check_identity_matches_fold(lhs, extra):
-    """``check_identity`` reads the slots' letters off each pattern,
-    shifted above the template's fixed letters; the oracle substitutes
-    them.  The right side is the left mirrored plus ``extra``, so the
-    template holds whenever ``extra`` expands to zero."""
+    """``check_identity`` gives the verdict, counterexample and residual
+    of the distinct substitution, and no identification pattern fails
+    where it holds.  The right side is the left mirrored plus ``extra``,
+    so the template holds whenever ``extra`` expands to zero."""
     lhs = lhs + [(1, left_normed(Prod, [Slot(1), Slot(2), Slot(3)]))]
     rhs = [(c, mirrored(t)) for c, t in lhs] + extra
-    verdict = check_identity(IdentityTemplate(ExprSum(lhs), ExprSum(rhs)), "polarized")
-    diff = [(-c, t) for c, t in extra]
-    template = ExprSum(lhs) - ExprSum(rhs)
-    fixed = max((max(leaf_letters(t), default=0) for t, _ in template.items()), default=0)
-    patterns = [(1, 2, 3)] + [p for p in set_partition_patterns(3) if p != (1, 2, 3)]
-    for pattern in patterns:
+    template = IdentityTemplate(ExprSum(lhs), ExprSum(rhs))
+    verdict = check_identity(template)
+    (letters, distinct), *identified = pattern_residuals(template)
+    if distinct:
+        assert verdict == (False, letters, distinct)
+        assert_stored_exact(verdict.residual)
+    else:
+        assert verdict == (True, None, None)
+        assert not any(residual for _, residual in identified)
+
+
+def pattern_residuals(template):
+    """``lhs - rhs`` multiplied out under every identification pattern of
+    the slots, the distinct pattern first, as ``(letters, residual)``
+    pairs: pattern entry ``p`` is ``x_{m+p}``, above the fixed letters
+    ``x_1 .. x_m`` of the terms that do not cancel."""
+    terms = [(c, t) for t, c in (template.lhs - template.rhs).items()]
+    fixed = max((max(leaf_letters(t), default=0) for _, t in terms), default=0)
+    distinct = tuple(range(1, template.arity + 1))
+    out = []
+    for pattern in [distinct] + [p for p in set_partition_patterns(template.arity) if p != distinct]:
         letters = tuple(fixed + g for g in pattern)
-        residual = fold_sum(diff, {i: Leaf(g) for i, g in enumerate(letters, start=1)})
-        if residual:
-            assert verdict.counterexample == letters
-            assert verdict.residual == residual
-            assert_stored_exact(verdict.residual)
-            return
-    assert verdict.holds
+        out.append((letters, fold_sum(terms, {i: Leaf(g) for i, g in enumerate(letters, start=1)})))
+    return out
 
 
 def leaf_letters(e):
@@ -222,11 +234,10 @@ def test_check_identity_slots_avoid_fixed_letters():
     """``x1*a = a*x1`` fails at ``a = x2``; substituting ``x1`` for the
     slot, the fixed letter itself, would make it hold."""
     t = IdentityTemplate(Prod(Leaf(1), Slot(1)), Prod(Slot(1), Leaf(1)))
-    for mode in ("multilinear", "polarized"):
-        verdict = check_identity(t, mode)
-        assert not verdict.holds
-        assert verdict.counterexample == (2,)
-        assert verdict.residual == PermPolynomial.from_word((1, 2)) - PermPolynomial.from_word((2, 1))
+    verdict = check_identity(t)
+    assert not verdict.holds
+    assert verdict.counterexample == (2,)
+    assert verdict.residual == PermPolynomial.from_word((1, 2)) - PermPolynomial.from_word((2, 1))
     # a law holds whatever its fixed letters
     assert check_identity(IdentityTemplate(Prod(Prod(Leaf(3), Slot(1)), Slot(2)), Prod(Prod(Leaf(3), Slot(2)), Slot(1)))).holds
 
@@ -279,7 +290,8 @@ def test_commutativity_template_fails_with_witness():
     t = IdentityTemplate(wrap(a).prod(b), wrap(b).prod(a))
     verdict = check_identity(t)
     assert not verdict.holds
-    assert bool(IdentityVerdict(False, "multilinear")) is False
+    assert bool(IdentityVerdict(False)) is False
+    assert t.names == ("a", "b")
     assert verdict.counterexample == (1, 2)
     assert verdict.residual == PermPolynomial.from_word((1, 2)) - PermPolynomial.from_word((2, 1))
 
@@ -299,49 +311,67 @@ def test_right_commutativity_template():
     a, b, c = Slot(1), Slot(2), Slot(3)
     t = IdentityTemplate(wrap(a).prod(b).prod(c), wrap(a).prod(c).prod(b))
     assert check_identity(t).holds
-    assert check_identity(t, "polarized").holds
 
 
 def test_modes_agree_on_multilinear_templates():
-    a, b, c, d = (Slot(i) for i in range(1, 5))
-    templates = [
-        IdentityTemplate(wrap(a).anti(b), wrap(b).anti(a)),
-        IdentityTemplate(wrap(a).comm(b).comm(wrap(c).comm(d)), 0 * wrap(a)),
-        IdentityTemplate(wrap(a).prod(b), wrap(b).prod(a)),
+    """The distinct substitution agrees with the identification patterns
+    of the slots, the old ``polarized`` mode, which is now the oracle."""
+    texts = [
+        "{a,b} = {b,a}",
+        "[[a,b],[c,d]] = 0",
+        "a*b = b*a",
+        "2*<{a,b},c,d> = <{a,b},d,c> + <{a,c},b,d> + <{b,c},a,d>",
+        "a*a*b = a*b*a",
+        "{a,a} = 2*a*a",
+        "[a,b]*c = 0",
+        "a*[b,c] = 0",
     ]
-    for t in templates:
-        assert check_identity(t).holds == check_identity(t, "polarized").holds
+    for text in texts:
+        t = parse_template(text)
+        residuals = pattern_residuals(t)
+        assert check_identity(t).holds is not any(r for _, r in residuals), text
+    # fixed letters: ``x3*a*b = x3*b*a`` holds, ``x1*a = a*x1`` does not
+    for t in (
+        IdentityTemplate(Prod(Prod(Leaf(3), Slot(1)), Slot(2)), Prod(Prod(Leaf(3), Slot(2)), Slot(1))),
+        IdentityTemplate(Prod(Leaf(1), Slot(1)), Prod(Slot(1), Leaf(1))),
+    ):
+        assert check_identity(t).holds is not any(r for _, r in pattern_residuals(t))
 
 
 def test_polarized_covers_squares():
     # {a,a} = 2 a*a holds; a*a = 0 does not
     a = Slot(1)
     t = IdentityTemplate(wrap(a).anti(a), 2 * wrap(a).prod(a))
-    assert check_identity(t, "polarized").holds
+    assert check_identity(t).holds
     t2 = IdentityTemplate(wrap(a).prod(a), 0 * wrap(a))
-    assert not check_identity(t2, "polarized").holds
+    assert not check_identity(t2).holds
 
 
 def test_set_partition_patterns():
     pats = list(set_partition_patterns(3))
     assert pats == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)]
+    # the Bell numbers
+    assert [len(list(set_partition_patterns(n))) for n in range(6)] == [0, 1, 2, 5, 15, 52]
 
 
-def test_arity_bound():
-    slots_7 = [Slot(i) for i in range(1, 8)]
-    lhs = wrap(slots_7[0])
-    for s in slots_7[1:]:
-        lhs = lhs.prod(s)
-    t = IdentityTemplate(lhs, lhs)
-    with pytest.raises(ValueError, match="6"):
-        check_identity(t)
+def test_eight_slot_template_is_decided():
+    """No slot count is refused: right commutativity on 8 slots holds,
+    and commutativity of their last two fails."""
+    slots = [Slot(i) for i in range(1, 9)]
+    lhs = left_normed(Prod, slots)
+    assert check_identity(IdentityTemplate(lhs, left_normed(Prod, slots[:6] + slots[:5:-1]))).holds
+    verdict = check_identity(IdentityTemplate(lhs, left_normed(Prod, slots[1::-1] + slots[2:])))
+    assert not verdict.holds and verdict.counterexample == tuple(range(1, 9))
 
 
 def test_template_slot_validation():
-    with pytest.raises(ValueError, match="contiguous"):
+    with pytest.raises(ValueError, match="contiguous starting at 1: a has no term left"):
         IdentityTemplate(wrap(Slot(2)), wrap(Slot(2)))
-    with pytest.raises(ValueError, match="absent"):
-        IdentityTemplate(wrap(Slot(1)), wrap(Slot(1)).prod(Slot(2)))
+    # a slot on the right only is a slot like any other
+    t = IdentityTemplate(wrap(Slot(1)), wrap(Slot(1)).prod(Slot(2)))
+    assert t.arity == 2 and not check_identity(t).holds
+    assert check_identity(parse_template("0 = [a,b] + [b,a]")).holds
+    assert parse_template("q*p = p*q").names == ("q", "p")
 
 
 def test_deep_trees_hash_without_walking():

@@ -178,6 +178,17 @@ def test_span_rejects_float_entries():
     assert span.dim == 1
 
 
+def test_span_stores_integral_quotients_as_ints():
+    """Dividing a row by its lead keeps each integral quotient an ``int``;
+    only a quotient that is not integral is a ``Fraction``."""
+    span = Span()
+    assert span.add({1: 2, 2: 4, 3: 6})
+    assert [[type(c) for c in row.values()] for row in span.rows] == [[int, int, int]]
+    assert span.add({2: 3, 3: 1})
+    assert span.rows == [{1: 1, 3: F(7, 3)}, {2: 1, 3: F(1, 3)}]
+    assert [type(c) for c in span.rows[1].values()] == [int, F]
+
+
 def test_span_rejects_vectors_off_its_axis():
     """Columns are keys that compare with each other; a vector with a
     column that does not compare with the span's is refused before the
