@@ -229,6 +229,39 @@ def test_expand_jordan_express_word(benchmark, n, rounds):
     assert run(benchmark, expr.expand, (), rounds) == word
 
 
+def test_jordan_express_closure_components(benchmark):
+    """``jordan_express`` and its exactness check, as perfbench's closure
+    jobs run them, on their seven component shapes: every word of a seeded
+    rational component on k = 2..4 letters of degree 4..7, its letters
+    shuffled, expressed, expanded back and compared."""
+    rng = random.Random(1)
+    coefficients = [Fraction(p, q) for p in (-3, -1, 1, 2, 5) for q in (1, 1, 2, 3)]
+    components = []
+    for shape in [(2, 1, 1), (2, 2, 1), (3, 1, 1), (4, 3), (5, 2), (2, 2, 1, 1), (2, 2, 2, 1)]:
+        md = list(shape)
+        rng.shuffle(md)
+        words = enumerate_basis(len(md), sum(md), md)
+        components.append(PermPolynomial((m, rng.choice(coefficients)) for m in words))
+    assert run(benchmark, lambda: all(jordan_express(g).expand() == g for g in components), (), 50)
+
+
+def test_expand_prime_denominators_300(benchmark):
+    """``ExprSum.expand`` of a 300-term sum of seeded commutators,
+    anticommutators and associators over 4 letters whose coefficients have
+    the first 300 primes as denominators: the largest common denominator,
+    a product of 300 primes, for 40 words."""
+    rng = random.Random(1)
+    primes = [p for p in range(2, 2000) if all(p % q for q in range(2, int(p**0.5) + 1))][:300]
+    forms = ("[{}*{},{}]", "{{{},{}*{}}}", "<{},{},{}>")
+    terms = [
+        f"{rng.randint(1, 9)}/{p} " + forms[i % 3].format(*(f"x{rng.randint(1, 4)}" for _ in range(3)))
+        for i, p in enumerate(primes)
+    ]
+    total = parse_expr(" + ".join(terms))
+    expanded = run(benchmark, total.expand, (), 50)
+    assert len(expanded) == 40 and expanded == sum((parse_expr(t).expand() for t in terms), PermPolynomial.zero())
+
+
 def test_verify_J_identities(benchmark):
     """Six laws of the ``f``-calculus by ``check_identity`` plus two frozen
     expansions."""

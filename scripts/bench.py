@@ -13,7 +13,8 @@ archive`` into a temporary directory and runs the two trees' layers
 alternately, ``--pairs`` times each, every tree with its own source and
 its own ``benchmarks/``.  Each layer both trees have then gets the
 baseline's minimum over all its runs (``baseline_min_s``) and
-``ratio = min_s / baseline_min_s``, below 1 when this tree is faster::
+``ratio = min_s / baseline_min_s``, below 1 when this tree is faster; a
+layer only this tree has is written without them, and named on stderr::
 
     python scripts/bench.py --out BENCH_21.json --baseline HEAD~1 --pairs 5
 
@@ -75,19 +76,19 @@ def export(rev: str, into: Path) -> str | None:
 
 def paired(runs: list[dict], baseline_runs: list[dict]) -> dict:
     """Per layer: this tree's minimum over its runs, the median of its
-    medians, its rounds, the baseline's minimum and the ratio of minima."""
+    medians and its rounds; for a layer the baseline has too, also the
+    baseline's minimum and the ratio of minima.  A layer the baseline
+    lacks is written unpaired, and named on stderr."""
     layers = {}
-    for name in sorted(set(runs[0]) & set(baseline_runs[0])):
+    for name in sorted(runs[0]):
         mins = [run[name]["min_s"] for run in runs]
         medians = sorted(run[name]["median_s"] for run in runs)
+        layers[name] = {"min_s": min(mins), "median_s": medians[len(medians) // 2], "rounds": runs[0][name]["rounds"]}
+        if name not in baseline_runs[0]:
+            print(f"unpaired layer, not in the baseline: {name}", file=sys.stderr)
+            continue
         base = min(run[name]["min_s"] for run in baseline_runs)
-        layers[name] = {
-            "min_s": min(mins),
-            "median_s": medians[len(medians) // 2],
-            "rounds": runs[0][name]["rounds"],
-            "baseline_min_s": base,
-            "ratio": min(mins) / base,
-        }
+        layers[name].update(baseline_min_s=base, ratio=min(mins) / base)
     return layers
 
 

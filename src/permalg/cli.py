@@ -41,6 +41,7 @@ if TYPE_CHECKING:
 _JSON_DEFAULT = os.environ.get("PERMALG_OUTPUT", "text").strip().lower() == "json"
 BN_LIMIT = 10**6  # the most f-elements ``bn`` lists; a larger basis exits 2
 BUILD_LIMIT = 10**7  # the most basis letters ``envelope build`` prints; more exits 2
+RULES_LIMIT = 10**5  # the most rules ``envelope build`` builds (about 2 s of them); more exits 2
 CHECK_LIMIT = 10**6  # the most overlap words ``envelope check`` reduces; more exits 2
 WORDS_LIMIT = 10**6  # the most random words ``envelope check --words`` reduces; more exits 2
 
@@ -471,8 +472,8 @@ def envelope_build(path: str, d: int, use_unicode: bool, as_json: bool) -> None:
     letters = env.letter_count(d)  # the output grows with the basis letters printed
     if letters > BUILD_LIMIT:
         raise UsageError(f"envelope build would print {letters} basis letters; the limit is {BUILD_LIMIT}")
-    if (count := env.rule_count()) > BUILD_LIMIT:
-        raise UsageError(f"envelope build would build {count} rules; the limit is {BUILD_LIMIT}")
+    if (count := env.rule_count()) > RULES_LIMIT:
+        raise UsageError(f"envelope build would build {count} rules; the limit is {RULES_LIMIT}")
     rules = env.rules()
     basis = env.basis_up_to(d)
     data = {

@@ -23,9 +23,13 @@ With ``s(t)`` the coefficient sum of ``t``,
     Anti(l, r) = s(r)*l + s(l)*r,
 
 and a leaf ``x_i`` is ``{i: 1}``.  One :func:`fold` evaluates every node
-in integers, and the root's head ``h`` stands for ``W(h)``.  Multiplying
-the words out one product at a time gives the same answer and survives
-only as a test oracle.
+in integers, and the root's head ``h`` stands for ``W(h)``.  A sum of
+trees stays in integers too: the terms of one content are scaled to a
+common denominator, the lcm of their coefficients' denominators, and
+each output word divides once, so it stores an ``int`` when its
+coefficient is integral and builds one ``Fraction`` when it is not.
+Multiplying the words out one product at a time gives the same answer
+and survives only as a test oracle.
 
 A tree is walked by :func:`fold`, one post-order pass over an explicit
 stack, and the sort key and ``==`` keep stacks of their own; nothing
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .perm import Combination, PermMonomial, PermPolynomial, accumulate, exact, slice_word
@@ -175,15 +180,20 @@ def fold(root: Node, leaf: Callable, binary: Callable):
 
 
 def _expand(
-    terms: Iterable[tuple[Node, Fraction]], slots: Sequence[int] | None = None
+    terms: Iterable[tuple[Node, Fraction | int]], slots: Sequence[int] | None = None
 ) -> PermPolynomial:
-    """``sum coeff * node`` in the word basis.  Each tree folds to its
-    root's head vector (zeros allowed) and collects its letters; a slot
-    ``i`` is the letter ``slots[i - 1]``.  A node's value is ``(vector,
-    sum)``, and each vector belongs to one value only, so a node updates
-    its left child's in place.  A root head ``h`` with value ``c`` is the
-    slice word ``W(h)`` with coefficient ``coeff * c``; all terms
-    accumulate into one dict, dropping zeros."""
+    """``sum coeff * node`` in the word basis, in integers.  Each tree
+    folds to its root's head vector (zeros allowed) and collects its
+    letters; a slot ``i`` is the letter ``slots[i - 1]``.  A node's value
+    is ``(vector, sum)``, and each vector belongs to one value only, so a
+    node updates its left child's in place.  The trees group by content,
+    and a content's terms share one denominator ``den``, the lcm of their
+    coefficients' denominators: a root head ``h`` with value ``c`` adds the
+    ``int`` ``coeff * den * c`` to ``h``'s total.  Each nonzero total ``v``
+    is then the slice word ``W(h)`` with coefficient ``v / den``, an
+    ``int`` when it is integral and otherwise the word's one ``Fraction``.
+    A content's own denominator keeps the numbers small when many
+    contents carry unrelated denominators."""
     letters: list[int] = []
 
     def leaf(node: Leaf | Slot) -> tuple[dict[int, int], int]:
@@ -208,12 +218,23 @@ def _expand(
         # the node's sum: ls*rs for Prod, 0 for Comm, 2*ls*rs for Anti
         return vec, (ls + b) * rs
 
-    out: dict[PermMonomial, Fraction] = {}
+    groups: dict[tuple[int, ...], list[tuple[Fraction | int, dict[int, int]]]] = {}
     for node, coeff in terms:
         letters.clear()
         vec, _ = fold(node, leaf, binary)
-        content = tuple(sorted(letters))
-        accumulate(out, ((slice_word(content, h), coeff * c) for h, c in vec.items()))
+        groups.setdefault(tuple(sorted(letters)), []).append((coeff, vec))
+    out: dict[PermMonomial, Fraction | int] = {}
+    for content, group in groups.items():
+        den = lcm(*(coeff.denominator for coeff, _ in group))
+        acc: dict[int, int] = {}
+        for coeff, vec in group:
+            scale = coeff.numerator * (den // coeff.denominator)
+            for h, c in vec.items():
+                acc[h] = acc.get(h, 0) + scale * c
+        for h, v in acc.items():
+            if v:
+                q, r = divmod(v, den)
+                out[slice_word(content, h)] = Fraction(v, den) if r else q
     return PermPolynomial._of(out)
 
 

@@ -252,19 +252,21 @@ def verify_J_identities() -> IdentitySuiteReport:
 # anticommutator spans and Jordan expressibility
 
 
-def _f_terms(coeff: Fraction | int, head: int, args: Sequence[int]) -> list[tuple[Fraction, Node]]:
-    """``coeff * f(x_head; x_a1, {..{x_a2, x_a3}, ..})`` as its three
-    anticommutator terms, built without intermediate sums."""
+def _f_terms(q: Fraction | int, head: int, args: Sequence[int]) -> list[tuple[Fraction | int, Node]]:
+    """``4q * f(x_head; x_a1, {..{x_a2, x_a3}, ..})`` as its three
+    anticommutator terms ``-q``, ``3q`` and ``-q``, built without
+    intermediate sums."""
     a, b = Leaf(head), Leaf(args[0])
     c = left_normed(Anti, args[1:])
-    q = coeff * _QUARTER
-    return [(-q, Anti(Anti(a, b), c)), (3 * q, Anti(Anti(b, c), a)), (-q, Anti(Anti(a, c), b))]
+    neg = -q
+    return [(neg, Anti(Anti(a, b), c)), (3 * q, Anti(Anti(b, c), a)), (neg, Anti(Anti(a, c), b))]
 
 
-def _word_terms(mono: PermMonomial, coeff: Fraction | int) -> list[tuple[Fraction, Node]]:
+def _word_terms(mono: PermMonomial, coeff: Fraction | int) -> list[tuple[Fraction | int, Node]]:
     """``coeff * mono`` for a word of degree ``n >= 3``: its ``f``-element
-    over ``2^(n-3)`` (the law in the module docstring)."""
-    return _f_terms(Fraction(coeff, 2 ** (mono.degree - 3)), mono.head, mono.tail)
+    over ``2^(n-3)`` (the law in the module docstring), whose terms share
+    the one ``Fraction`` ``q = coeff / 2^(n-1)``."""
+    return _f_terms(Fraction(coeff, 1 << (mono.degree - 1)), mono.head, mono.tail)
 
 
 def _sj_rows(content: tuple[int, ...]) -> list[PermPolynomial]:
@@ -480,7 +482,7 @@ class FElement(NamedTuple):
     def expr(self) -> ExprSum:
         if len(self.args) < 2:
             raise ValueError("f-elements have degree >= 3")
-        return ExprSum(_f_terms(1, self.head, self.args))
+        return ExprSum(_f_terms(_QUARTER, self.head, self.args))
 
     def expand(self) -> PermPolynomial:
         return self.expr().expand()

@@ -7,7 +7,9 @@ words form a linear basis of the free algebra.  Elements are sparse
 rational combinations of canonical words with exact coefficients: each
 stored coefficient is a nonzero ``int`` or ``Fraction``, never a float or
 a ``bool``.  Integral inputs stay ``int``s, whose arithmetic is far
-cheaper than a ``Fraction``'s, and only a true rational pays for one.
+cheaper than a ``Fraction``'s, and only a true rational pays for one; an
+expansion (:mod:`permalg.expr`) stores every integral coefficient as an
+``int``, whatever its inputs.
 
 The slice law: a word's content is its letters in ascending order, and
 the words of one content ``C`` span a slice (a multidegree component).

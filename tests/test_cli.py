@@ -224,23 +224,35 @@ def test_envelope_build_sizes_the_output_before_building_it(runner, monkeypatch)
 
 def test_envelope_build_counts_the_rules_before_building_them(runner, monkeypatch, tmp_path):
     """``envelope build`` counts its rules with ``Envelope.rule_count``,
-    ``|Y|*|Z| + C(|Z|, 2)``, and exits 2 above ``BUILD_LIMIT`` before
+    ``|Y|*|Z| + C(|Z|, 2)``, and exits 2 above ``RULES_LIMIT`` before
     ``rules`` is called: 5000 abelian letters print few basis letters at
-    degree 1 but make ``C(5000, 2)`` rules."""
+    degree 1 but make ``C(5000, 2)`` rules, and so does the dim-1500
+    algebra, whose 1.1 million rules took 24 s to build and print under
+    the letters' limit alone."""
     from permalg.envelope import Envelope
 
-    heisenberg = Envelope(load_algebra(f"{ALGEBRAS}/heisenberg.json"))  # Y = {e3}, Z = {e1, e2}
-    assert heisenberg.rule_count() == len(heisenberg.rules()) == 3
+    heisenberg = f"{ALGEBRAS}/heisenberg.json"
+    env = Envelope(load_algebra(heisenberg))
+    assert env.rule_count() == len(env.rules()) == 3
+    args = ["envelope", "build", "--algebra", heisenberg, "--deg", "1"]  # Y = {e3}, Z = {e1, e2}
+    monkeypatch.setattr(cli, "RULES_LIMIT", 3)
+    assert "rules:" in invoke(runner, *args)
+    monkeypatch.setattr(cli, "RULES_LIMIT", 2)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2 and "build 3 rules; the limit is 2" in result.stderr
+    monkeypatch.undo()
 
     def refuse(self):
         raise AssertionError("rules called")
 
     monkeypatch.setattr(Envelope, "rules", refuse)
-    big = tmp_path / "dim5000.json"
-    big.write_text('{"dim": 5000}')
-    result = runner.invoke(main, ["envelope", "build", "--algebra", str(big), "--deg", "1"])
-    assert result.exit_code == 2 and result.stdout == ""
-    assert f"build {comb(5000, 2)} rules; the limit is {cli.BUILD_LIMIT}" in result.stderr
+    for dim in (5000, 1500):
+        big = tmp_path / f"dim{dim}.json"
+        big.write_text(f'{{"dim": {dim}}}')
+        result = runner.invoke(main, ["envelope", "build", "--algebra", str(big), "--deg", "1"])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert f"build {comb(dim, 2)} rules; the limit is {cli.RULES_LIMIT}" in result.stderr
+        assert "Usage: main envelope build [OPTIONS]" in result.stderr
 
 
 def test_to_bn(runner):

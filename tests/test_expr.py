@@ -184,6 +184,44 @@ def test_expansion_matches_fold_on_random_trees(terms, cancelled, mapping):
     assert_stored_exact(got)
 
 
+def is_stored_canonical(c):
+    """A coefficient as an expansion stores it: an ``int`` when it is
+    integral, and a ``Fraction`` only when it is not."""
+    return is_stored_exact(c) and (type(c) is int) == (c.denominator == 1)
+
+
+# numerators over mixed denominators, some of them integral, so that the
+# common denominator of a sum is usually larger than any one of them
+mixed_fractions = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12]))
+
+
+@given(
+    st.lists(st.tuples(mixed_fractions, slot_trees()), max_size=4),
+    st.lists(st.tuples(mixed_fractions, st.integers(-3, 3), slot_trees()), max_size=3),
+    st.lists(st.tuples(mixed_fractions, slot_trees()), max_size=3),
+    st.fixed_dictionaries({i: st.one_of(leaves(4), trees()) for i in (1, 2, 3)}),
+)
+def test_integer_expansion_over_mixed_denominators(free, whole, cancelled, mapping):
+    """Expansion over one common denominator matches the fold oracle.
+    Each ``whole`` triple ``(c, m, t)`` is ``c*t + (m - c)*mirrored(t)``,
+    which expands to ``m`` times ``t`` with integral coefficients, and each
+    ``cancelled`` pair ``c*t - c*mirrored(t)`` expands to zero; neither
+    pair is one tree, so the denominators meet only in the sum.  Every
+    stored coefficient is an ``int`` exactly when it is integral."""
+    integral = [term for c, m, t in whole for term in ((c, t), (m - c, mirrored(t)))]
+    cancelling = cancelled + [(-c, mirrored(t)) for c, t in cancelled]
+    zero = PermPolynomial.zero()
+    for items, expected in (
+        (free + integral + cancelling, fold_sum(free + integral, mapping)),
+        (integral + cancelling, fold_sum([(m, t) for _, m, t in whole], mapping)),
+        (cancelling, zero),
+    ):
+        got = ExprSum(items).substitute(mapping).expand()
+        assert got == expected
+        assert all(is_stored_canonical(c) for _, c in got.items())
+    assert all(type(c) is int for _, c in ExprSum(integral).substitute(mapping).expand().items())
+
+
 @given(
     st.lists(st.tuples(fractions, slot_trees()), min_size=1, max_size=3),
     st.lists(st.tuples(fractions, slot_trees()), max_size=2),

@@ -152,6 +152,21 @@ def test_jordan_express_mixed_degrees():
     assert expr.expand() == g
 
 
+@given(st.integers(1, 4), st.integers(3, 8), st.data())
+def test_jordan_express_matches_the_f_comb_formula(k, n, data):
+    """On a rational component of degree ``n``, ``jordan_express`` gives
+    the same terms as ``c / 2^(n-3) * f_comb(x_head, x_a1, {..{x_a2,
+    x_a3}, ..})`` summed over its words ``c * x_head*x_a1*...``."""
+    md = data.draw(st.sampled_from(list(multidegrees(k, n))))
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    g = PermPolynomial((m, data.draw(coeffs)) for m in enumerate_basis(k, n, md))
+    expected = ExprSum()
+    for m, c in g.items():
+        a1, *rest = m.tail
+        expected = expected + Fraction(c, 2 ** (n - 3)) * f_comb(Leaf(m.head), Leaf(a1), left_normed(Anti, rest))
+    assert jordan_express(g) == expected
+
+
 @given(
     st.integers(2, 3),
     st.integers(3, 5),

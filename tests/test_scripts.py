@@ -1,5 +1,6 @@
 """Smoke test: each script in ``scripts/`` runs to completion on small input."""
 
+import importlib.util
 import json
 import os
 import platform
@@ -69,9 +70,17 @@ def test_bench_script_writes_one_layer(tmp_path):
     assert 0 < layer["min_s"] <= layer["median_s"] and layer["rounds"] == 50
 
 
-def test_bench_script_pairs_a_baseline(tmp_path):
+def test_bench_script_pairs_a_baseline(tmp_path, capsys):
     """``scripts/bench.py --baseline`` exports the commit, runs both trees'
-    layers and writes both minima with their ratio."""
+    layers and writes both minima with their ratio.  A layer the baseline
+    lacks, as one a change adds, is written unpaired and named on stderr."""
+    spec = importlib.util.spec_from_file_location("bench", REPO / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    run = {"min_s": 2.0, "median_s": 3.0, "rounds": 5}
+    layers = bench.paired([{"old": run, "new": run}], [{"old": {**run, "min_s": 4.0}, "gone": run}])
+    assert layers == {"new": run, "old": {**run, "baseline_min_s": 4.0, "ratio": 0.5}}
+    assert capsys.readouterr().err == "unpaired layer, not in the baseline: new\n"
     pytest.importorskip("pytest_benchmark")
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=REPO, capture_output=True, text=True)
     if head.returncode != 0:
