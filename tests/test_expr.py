@@ -210,11 +210,10 @@ def test_integer_expansion_over_mixed_denominators(free, whole, cancelled, mappi
     stored coefficient is an ``int`` exactly when it is integral."""
     integral = [term for c, m, t in whole for term in ((c, t), (m - c, mirrored(t)))]
     cancelling = cancelled + [(-c, mirrored(t)) for c, t in cancelled]
-    zero = PermPolynomial.zero()
     for items, expected in (
         (free + integral + cancelling, fold_sum(free + integral, mapping)),
         (integral + cancelling, fold_sum([(m, t) for _, m, t in whole], mapping)),
-        (cancelling, zero),
+        (cancelling, PermPolynomial.zero()),
     ):
         got = ExprSum(items).substitute(mapping).expand()
         assert got == expected
