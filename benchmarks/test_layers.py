@@ -53,6 +53,14 @@ def test_lie_span_oracle_4_5(benchmark):
     assert space.dim == len(ml_basis(4, 5))
 
 
+def test_lie_span_oracle_3_6(benchmark):
+    """The second whole-degree oracle call of perfbench ``closure``: 28
+    slices in 16 exponent patterns at the top degree, against 56 in 15 at
+    ``(4, 5)``."""
+    space = run(benchmark, lie_span_oracle, (3, 6), 20)
+    assert space.dim == len(ml_basis(3, 6))
+
+
 def test_is_lie_oracle_basis_4_5(benchmark):
     """``is_lie`` on every row of the ``lie_span_oracle(4, 5)`` basis: one
     coefficient sum per slice each."""

@@ -13,8 +13,12 @@ archive`` into a temporary directory and runs the two trees' layers
 alternately, ``--pairs`` times each, every tree with its own source and
 its own ``benchmarks/``.  Each layer both trees have then gets the
 baseline's minimum over all its runs (``baseline_min_s``) and
-``ratio = min_s / baseline_min_s``, below 1 when this tree is faster; a
-layer only this tree has is written without them, and named on stderr::
+``ratio = min_s / baseline_min_s``, below 1 when this tree is faster.  A
+layer only this tree has is run from this tree's ``benchmarks/`` against
+the baseline's source, once per pair and alternating with the other runs,
+and paired with those runs.  When that run fails, say because the layer
+uses API the baseline lacks, the layer is written without a ratio and
+named on stderr::
 
     python scripts/bench.py --out BENCH_21.json --baseline HEAD~1 --pairs 5
 
@@ -36,6 +40,7 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+LAYERS = "benchmarks/test_layers.py"
 
 
 def git(*args: str) -> str:
@@ -43,15 +48,16 @@ def git(*args: str) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else ""
 
 
-def run_layers(tree: Path, keyword: str | None, scratch: Path) -> dict | None:
-    """One pytest-benchmark run of ``tree``'s layers against ``tree``'s
-    source: ``{layer: {"min_s", "median_s", "rounds"}}``, or None when
+def run_layers(tree: Path, chosen: list[str], scratch: Path, src: Path | None = None) -> dict | None:
+    """One pytest-benchmark run, from ``tree``, of the layers the pytest
+    arguments ``chosen`` name, against ``src`` (``tree``'s own source by
+    default): ``{layer: {"min_s", "median_s", "rounds"}}``, or None when
     the run fails."""
     raw = scratch / "benchmark.json"
-    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(src or tree / "src"), os.environ.get("PYTHONPATH")]))
     # the layers use no hypothesis, whose plugin takes about a second to import
-    cmd = [sys.executable, "-m", "pytest", "benchmarks/test_layers.py", "-q", "-p", "no:cacheprovider"]
-    cmd += ["-p", "no:hypothesispytest", f"--benchmark-json={raw}", *(["-k", keyword] if keyword else [])]
+    cmd = [sys.executable, "-m", "pytest", *chosen, "-q", "-p", "no:cacheprovider"]
+    cmd += ["-p", "no:hypothesispytest", f"--benchmark-json={raw}"]
     if subprocess.run(cmd, cwd=tree, env={**os.environ, "PYTHONPATH": path}).returncode != 0:
         return None
     benchmarks = json.loads(raw.read_text())["benchmarks"]
@@ -92,6 +98,46 @@ def paired(runs: list[dict], baseline_runs: list[dict]) -> dict:
     return layers
 
 
+def alternate(tree: Path, base_tree: Path, chosen: list[str], pairs: int, scratch: Path) -> dict | None:
+    """Run both trees' layers ``pairs`` times, alternating which goes first,
+    and pair them; None when a run of either tree fails.
+
+    Each layer only ``tree`` has runs alone, from ``tree`` against
+    ``base_tree``'s source, on the baseline's side of every pair: last in
+    the first pair, which names those layers, first in the second, and so
+    on.  Those runs are its baseline runs.  A layer whose run fails there,
+    as one that uses API the baseline lacks does, is named on stderr and
+    left unpaired."""
+    runs: list[dict] = []
+    baseline_runs: list[dict] = []
+    crossed: list[dict] = []  # per pair, the runs of the new layers against the baseline's source
+    new: list[str] = []
+    failed: set[str] = set()
+    for i in range(pairs):
+        for step in ("base", "tree", "new") if i % 2 == 0 else ("new", "tree", "base"):
+            if step != "new":
+                layers = run_layers(base_tree if step == "base" else tree, chosen, scratch)
+                if layers is None:
+                    return None
+                (baseline_runs if step == "base" else runs).append(layers)
+                continue
+            if i == 0:
+                new = sorted(set(runs[0]) - set(baseline_runs[0]))
+            crossed.append({})
+            for name in new:
+                if name in failed:
+                    continue
+                layers = run_layers(tree, [f"{LAYERS}::{name}"], scratch, base_tree / "src")
+                if layers is None:
+                    print(f"layer failed against the baseline's source: {name}", file=sys.stderr)
+                    failed.add(name)
+                else:
+                    crossed[-1].update(layers)
+    for base, cross in zip(baseline_runs, crossed):
+        base.update((name, run) for name, run in cross.items() if name not in failed)
+    return paired(runs, baseline_runs)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", type=Path, required=True, help="the JSON file to write")
@@ -108,10 +154,11 @@ def main() -> int:
         "commit": commit,
         "tree_clean": commit and not git("status", "--porcelain", "--", "src", "benchmarks"),
     }
+    chosen = [LAYERS, *(["-k", args.keyword] if args.keyword else [])]
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
         if args.baseline is None:
-            layers = run_layers(REPO, args.keyword, scratch)
+            layers = run_layers(REPO, chosen, scratch)
             if layers is None:
                 return 1
         else:
@@ -120,17 +167,9 @@ def main() -> int:
             if base_commit is None:
                 print(f"unknown revision {args.baseline!r}", file=sys.stderr)
                 return 2
-            runs: list[dict] = []
-            baseline_runs: list[dict] = []
-            for i in range(args.pairs):
-                # alternate which tree goes first, so neither always runs on a warmer machine
-                order = [(base_tree, baseline_runs), (REPO, runs)]
-                for tree, into in order if i % 2 == 0 else order[::-1]:
-                    layers = run_layers(tree, args.keyword, scratch)
-                    if layers is None:
-                        return 1
-                    into.append(layers)
-            layers = paired(runs, baseline_runs)
+            layers = alternate(REPO, base_tree, chosen, args.pairs, scratch)
+            if layers is None:
+                return 1
             report["baseline"] = {"rev": args.baseline, "commit": base_commit}
             report["pairs"] = args.pairs
     report["layers"] = layers

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from math import comb
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -534,6 +535,12 @@ def envelope_check(path: str, seed: int, words: int, as_json: bool) -> None:
     if words > WORDS_LIMIT:
         raise UsageError(f"envelope check would reduce {words} random words; the limit is {WORDS_LIMIT}")
     algebra = _algebra_or_usage(path)
+    # |Y| <= |pairs| gives |Z| >= dim - |pairs|, so there are at least
+    # C(dim - |pairs|, 3) z-overlaps: refuse on that before the basis split
+    pairs = len(algebra.table)
+    if (least := comb(max(algebra.dim - pairs, 0), 3)) > CHECK_LIMIT:
+        at_least = "at least " if pairs else ""  # with no pairs, Y is empty and the count exact
+        raise UsageError(f"envelope check would reduce {at_least}{least} overlap words; the limit is {CHECK_LIMIT}")
     try:
         env = Envelope(algebra)
     except InvalidLieAlgebra as exc:

@@ -31,9 +31,19 @@ independently of this law.  The closure works one multidegree slice at a
 time and brackets each lower slice with one letter: a Lie subalgebra
 generated by a set is spanned by the left-normed brackets of its elements,
 so one-letter brackets of the lower slices reach every bracket of the
-slice.  Slices are computed per call: a call of ``lie_span_oracle`` builds
-the lower slices it needs in a dict of its own and keeps nothing once it
-returns.
+slice.
+
+The renaming law: slices whose multidegrees share an exponent pattern,
+the nonzero exponents in order (``(2,0,1,1)`` and ``(0,2,1,1)`` both have
+``(2,1,1)``), are one slice up to the names of the letters.  Renaming the
+letters ``1..r`` onto an increasing support is an endomorphism of the free
+perm algebra.  It maps canonical words to canonical words (a sorted tail
+stays sorted) and keeps their order, so it keeps pivots and reduced
+echelon rows, and it commutes with ``u * x - x * u``.  So the closure
+closes each pattern once, on the letters ``1..r``, and renames its rows
+onto every multidegree of that pattern.  That work is per call: a call of
+``lie_span_oracle`` keeps the patterns it closed in a dict of its own and
+keeps nothing once it returns.
 """
 
 from __future__ import annotations
@@ -41,8 +51,8 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .expr import Comm, ExprSum, expand_node, left_normed, node_str
-from .linalg import Subspace
-from .perm import PermPolynomial, accumulate, enumerate_basis, multidegrees, slice_word
+from .linalg import Span, Subspace
+from .perm import PermMonomial, PermPolynomial, accumulate, enumerate_basis, multidegrees, slice_word
 
 __all__ = [
     "MLMonomial",
@@ -131,8 +141,16 @@ def ml_basis(
     ]
 
 
-def _lie_component(md: tuple[int, ...], memo: dict[tuple[int, ...], Subspace]) -> Subspace:
-    """Bracket-closure span of one multidegree slice, built inductively.
+def _rename(p: PermPolynomial, support: tuple[int, ...]) -> PermPolynomial:
+    """``p`` with letter ``j`` renamed to ``support[j - 1]``, for ``support``
+    increasing: a sorted tail stays sorted."""
+    return PermPolynomial._of(
+        {PermMonomial(support[m.head - 1], tuple(support[t - 1] for t in m.tail)): c for m, c in p.items()}
+    )
+
+
+def _lie_component(md: tuple[int, ...], memo: dict[tuple[int, ...], list[PermPolynomial]]) -> list[PermPolynomial]:
+    """Echelon rows of the bracket-closure span of one multidegree slice.
 
     The slice is spanned by ``[u, x_i]`` for ``u`` in the slice of
     ``md - e_i``: the subalgebra a set generates is spanned by left-normed
@@ -140,24 +158,33 @@ def _lie_component(md: tuple[int, ...], memo: dict[tuple[int, ...], Subspace]) -
     as ``[[u, v], w] - [[u, w], v]``), and a left-normed bracket ends in one
     letter.  Bracketing pairs of lower slices over every split spans the
     same subspace, so the echelon rows are the same, at many more products.
-    Slices already built are looked up in ``memo``, and new ones stored there.
+
+    Each exponent pattern (the nonzero entries of ``md``, in order) is
+    closed once, on the letters ``1..r`` and on a bare ``Span``, and its
+    rows are kept in ``memo``.  ``md`` gets them with letter ``j`` renamed
+    to the ``j``-th letter of its support.  The renaming preserves the
+    order of letters, so it is an endomorphism of the free perm algebra
+    that maps canonical words to canonical words in the same order and
+    commutes with ``u * x - x * u``: it carries each step of the pattern's
+    closure onto the same step of ``md``'s, and the pattern's reduced
+    echelon rows onto ``md``'s, with the same pivots in the same order.
     """
-    if md in memo:
-        return memo[md]
-    k = len(md)
-    n = sum(md)
-    space = memo[md] = Subspace(enumerate_basis(k, n, md))
-    if n == 1:
-        gen = md.index(1) + 1
-        space.add(PermPolynomial.generator(gen))
-        return space
-    for i, e in enumerate(md):
-        if not e:
-            continue
-        x = PermPolynomial.generator(i + 1)
-        for u in _lie_component(md[:i] + (e - 1,) + md[i + 1 :], memo).basis():
-            space.add(u * x - x * u)
-    return space
+    pattern = tuple(e for e in md if e)
+    rows = memo.get(pattern)
+    if rows is None:
+        span = Span()
+        if pattern == (1,):
+            span.add(PermPolynomial.generator(1))
+        else:
+            for i, e in enumerate(pattern):
+                x = PermPolynomial.generator(i + 1)
+                for u in _lie_component(pattern[:i] + (e - 1,) + pattern[i + 1 :], memo):
+                    span.add(u * x - x * u)
+        rows = memo[pattern] = [PermPolynomial._of(row) for row in span.rows]
+    support = tuple(i for i, e in enumerate(md, start=1) if e)
+    if support[-1] == len(support):  # already on the letters 1..r
+        return rows
+    return [_rename(p, support) for p in rows]
 
 
 def lie_span_oracle(
@@ -166,14 +193,12 @@ def lie_span_oracle(
     """Degree-``n`` slice of the commutator subalgebra, by brute-force closure."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    memo: dict[tuple[int, ...], Subspace] = {}
+    memo: dict[tuple[int, ...], list[PermPolynomial]] = {}
     if multidegree is not None:
         md = tuple(multidegree)
         if len(md) != k or sum(md) != n:
             raise ValueError("multidegree must have length k and total n")
-        return _lie_component(md, memo)
-    space = Subspace(enumerate_basis(k, n))
-    for md in multidegrees(k, n):
-        for p in _lie_component(md, memo).basis():
-            space.add(p)
-    return space
+        return Subspace(enumerate_basis(k, n, md), _lie_component(md, memo))
+    return Subspace(
+        enumerate_basis(k, n), (p for md in multidegrees(k, n) for p in _lie_component(md, memo))
+    )

@@ -331,6 +331,35 @@ def test_envelope_check_counts_the_overlaps_before_reducing_them(runner, monkeyp
     assert "reduce 20708500 overlap words; the limit is 1000000" in result.stderr
 
 
+def test_envelope_check_refuses_before_the_basis_split(runner, monkeypatch, tmp_path):
+    """A basis too large for ``CHECK_LIMIT`` on the count that holds before
+    the split, ``C(dim - |pairs|, 3)`` z-overlaps, exits 2 without building
+    an ``Envelope``; below that bound the exact count still decides."""
+    from permalg.envelope import Envelope
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Envelope constructed")
+
+    big = tmp_path / "big.json"
+    big.write_text('{"dim": 100000}')
+    bracketed = tmp_path / "bracketed.json"  # dim 200, one pair: at least C(199, 3) overlaps
+    bracketed.write_text('{"dim": 200, "brackets": [{"i": 1, "j": 2, "value": [[3, "1"]]}]}')
+    with monkeypatch.context() as patch:
+        patch.setattr(Envelope, "__init__", refuse)
+        result = runner.invoke(main, ["envelope", "check", "--algebra", str(big)])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert f"reduce {comb(100000, 3)} overlap words; the limit is {cli.CHECK_LIMIT}" in result.stderr
+        result = runner.invoke(main, ["envelope", "check", "--algebra", str(bracketed)])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert f"reduce at least {comb(199, 3)} overlap words" in result.stderr
+    # C(181, 3) = 971,970 is under the limit; the split gives |Y| = 1, |Z| = 182
+    # and C(182, 2) + C(182, 3) = 1,004,731 overlaps, which the exact count refuses
+    bracketed.write_text('{"dim": 183, "brackets": [{"i": 1, "j": 2, "value": [[3, "1"]]}]}')
+    result = runner.invoke(main, ["envelope", "check", "--algebra", str(bracketed)])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert "reduce 1004731 overlap words" in result.stderr
+
+
 def test_envelope_check_bounds_the_random_words(runner, monkeypatch):
     """``--words`` above ``WORDS_LIMIT`` exits 2 before the algebra is
     read or any word is reduced."""

@@ -210,17 +210,26 @@ def _all_splits_closure(md, memo):
 
 
 def test_one_letter_closure_matches_all_splits_closure():
-    """Bracketing with one letter spans what bracketing every pair of lower
-    slices spans: the same echelon rows on every multidegree with k <= 3
-    letters and degree n <= 6."""
+    """Bracketing with one letter, once per exponent pattern and renamed
+    onto each multidegree, spans what bracketing every pair of lower slices
+    of that very multidegree spans: the same echelon rows on every
+    multidegree with k <= 3 letters and degree n <= 6, and with k = 4 and
+    n <= 5, where gaps and repeated patterns such as (2,0,1,1) and
+    (0,1,0,2) occur.  The whole-degree space holds exactly the rows of its
+    slices."""
     memo = {}
-    for k in (1, 2, 3):
-        for n in range(1, 7):
+    for k, top in ((1, 6), (2, 6), (3, 6), (4, 5)):
+        for n in range(1, top + 1):
             for md in multidegrees(k, n):
                 fast, slow = lie_span_oracle(k, n, md), _all_splits_closure(md, memo)
                 assert fast.monomials == slow.monomials
                 assert fast._span.pivots == slow._span.pivots, md
                 assert fast.basis() == slow.basis(), md
+    whole = lie_span_oracle(4, 5)
+    slices = [lie_span_oracle(4, 5, md)._span for md in multidegrees(4, 5)]
+    assert dict(zip(whole._span.pivots, whole._span.rows)) == {
+        p: row for span in slices for p, row in zip(span.pivots, span.rows)
+    }
 
 
 def test_oracle_multilinear_dimension_to_degree_8():

@@ -73,7 +73,9 @@ def test_bench_script_writes_one_layer(tmp_path):
 def test_bench_script_pairs_a_baseline(tmp_path, capsys):
     """``scripts/bench.py --baseline`` exports the commit, runs both trees'
     layers and writes both minima with their ratio.  A layer the baseline
-    lacks, as one a change adds, is written unpaired and named on stderr."""
+    lacks, as one a change adds, runs from this tree against the baseline's
+    source and pairs with those runs; only when that run fails is it
+    written unpaired and named on stderr."""
     spec = importlib.util.spec_from_file_location("bench", REPO / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
@@ -82,6 +84,28 @@ def test_bench_script_pairs_a_baseline(tmp_path, capsys):
     assert layers == {"new": run, "old": {**run, "baseline_min_s": 4.0, "ratio": 0.5}}
     assert capsys.readouterr().err == "unpaired layer, not in the baseline: new\n"
     pytest.importorskip("pytest_benchmark")
+    # two trees of a one-function package: the newer adds ``fresh`` and two
+    # layers, one that the baseline's source runs and one that needs ``fresh``
+    layer = "def test_{}(benchmark):\n    benchmark.pedantic(mini.{}, rounds=2, iterations=1)\n"
+    trees = {}
+    for name, api, tests in [
+        ("base", ["old"], [("old", "old")]),
+        ("tree", ["old", "fresh"], [("old", "old"), ("new", "old"), ("needs_fresh", "fresh")]),
+    ]:
+        trees[name] = tmp_path / name
+        (trees[name] / "src" / "mini").mkdir(parents=True)
+        (trees[name] / "src" / "mini" / "__init__.py").write_text("".join(f"def {f}():\n    return 1\n" for f in api))
+        (trees[name] / "benchmarks").mkdir()
+        text = "import mini\n\n" + "\n".join(layer.format(*t) for t in tests)
+        (trees[name] / "benchmarks" / "test_layers.py").write_text(text)
+    (tmp_path / "scratch").mkdir()
+    layers = bench.alternate(trees["tree"], trees["base"], [bench.LAYERS], 2, tmp_path / "scratch")
+    assert sorted(layers) == ["test_needs_fresh", "test_new", "test_old"]
+    assert layers["test_new"]["ratio"] == layers["test_new"]["min_s"] / layers["test_new"]["baseline_min_s"] > 0
+    assert "ratio" in layers["test_old"] and "ratio" not in layers["test_needs_fresh"]
+    err = capsys.readouterr().err
+    assert err.count("layer failed against the baseline's source: test_needs_fresh") == 1
+    assert "unpaired layer, not in the baseline: test_needs_fresh" in err and "test_new" not in err
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=REPO, capture_output=True, text=True)
     if head.returncode != 0:
         pytest.skip("not a git checkout")
