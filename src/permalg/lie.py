@@ -149,7 +149,9 @@ def _rename(p: PermPolynomial, support: tuple[int, ...]) -> PermPolynomial:
     )
 
 
-def _lie_component(md: tuple[int, ...], memo: dict[tuple[int, ...], list[PermPolynomial]]) -> list[PermPolynomial]:
+def _lie_component(
+    md: tuple[int, ...], memo: dict[tuple[int, ...], list[PermPolynomial]]
+) -> list[PermPolynomial]:
     """Echelon rows of the bracket-closure span of one multidegree slice.
 
     The slice is spanned by ``[u, x_i]`` for ``u`` in the slice of
