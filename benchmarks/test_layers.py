@@ -237,11 +237,10 @@ def test_expand_jordan_express_word(benchmark, n, rounds):
     assert run(benchmark, expr.expand, (), rounds) == word
 
 
-def test_jordan_express_closure_components(benchmark):
-    """``jordan_express`` and its exactness check, as perfbench's closure
-    jobs run them, on their seven component shapes: every word of a seeded
-    rational component on k = 2..4 letters of degree 4..7, its letters
-    shuffled, expressed, expanded back and compared."""
+def closure_components() -> list[PermPolynomial]:
+    """The seven component shapes of perfbench's closure ``jordan_express``
+    jobs: every word of a seeded rational component on k = 2..4 letters of
+    degree 4..7, its letters shuffled."""
     rng = random.Random(1)
     coefficients = [Fraction(p, q) for p in (-3, -1, 1, 2, 5) for q in (1, 1, 2, 3)]
     components = []
@@ -250,7 +249,21 @@ def test_jordan_express_closure_components(benchmark):
         rng.shuffle(md)
         words = enumerate_basis(len(md), sum(md), md)
         components.append(PermPolynomial((m, rng.choice(coefficients)) for m in words))
+    return components
+
+
+def test_jordan_express_closure_components(benchmark):
+    """``jordan_express`` and its exactness check, as perfbench's closure
+    jobs run them: each component expressed, expanded back and compared."""
+    components = closure_components()
     assert run(benchmark, lambda: all(jordan_express(g).expand() == g for g in components), (), 50)
+
+
+def test_jordan_express_build_closure_components(benchmark):
+    """The witness build alone, on the same components: no expansion."""
+    components = closure_components()
+    witnesses = run(benchmark, lambda: [jordan_express(g) for g in components], (), 50)
+    assert all(w.expand() == g for w, g in zip(witnesses, components))
 
 
 def test_expand_prime_denominators_300(benchmark):

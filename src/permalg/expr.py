@@ -22,21 +22,29 @@ With ``s(t)`` the coefficient sum of ``t``,
     Prod(l, r) = s(r)*l,   Comm(l, r) = s(r)*l - s(l)*r,
     Anti(l, r) = s(r)*l + s(l)*r,
 
-and a leaf ``x_i`` is ``{i: 1}``.  One :func:`fold` evaluates every node
-in integers, and the root's head ``h`` stands for ``W(h)``.  A sum of
-trees stays in integers too: the terms of one content are scaled to a
-common denominator, the lcm of their coefficients' denominators, and
-each output word divides once, so it stores an ``int`` when its
-coefficient is integral and builds one ``Fraction`` when it is not.
-Multiplying the words out one product at a time gives the same answer
-and survives only as a test oracle.
+and a leaf ``x_i`` is ``{i: 1}``.  Each node's sum is fixed when it is
+built: ``s(l)*s(r)`` times 1 for ``Prod``, 0 for ``Comm`` and 2 for
+``Anti``.  The law is linear in each child's vector, so it unrolls into
+weights: the root has weight 1, a node of weight ``w`` gives its left
+child ``w*s(r)`` and its right child 0, ``-w*s(l)`` or ``w*s(l)``, and
+the head vector is the sum over the leaves of their weights at their
+letters.  One top-down walk computes it in integers, and a head ``h``
+stands for ``W(h)``.  A sum of trees stays in
+integers too: the terms of one content are scaled to a common
+denominator, the lcm of their coefficients' denominators, and each output
+word divides once, so it stores an ``int`` when its coefficient is
+integral and builds one ``Fraction`` when it is not.  Multiplying the
+words out one product at a time gives the same answer and survives only
+as a test oracle.
 
-A tree is walked by :func:`fold`, one post-order pass over an explicit
-stack, and the sort key and ``==`` keep stacks of their own; nothing
+Expansion keeps a stack of ``(node, weight)`` pairs, :func:`fold` (one
+post-order pass over an explicit stack) walks a tree for every other
+value, and the sort key and ``==`` keep stacks of their own; nothing
 recurses, so trees of any depth expand, print, substitute and compare.
-Nodes are ``__slots__`` classes, immutable in use: a binary node's hash
-and leaf count are fixed when it is built.  A leaf equals only a leaf and
-a slot only a slot, so ``Leaf(1)`` and ``Slot(1)`` are two terms of a sum.
+Nodes are ``__slots__`` classes, immutable in use: a node's hash, leaf
+count and coefficient sum are fixed when it is built.  A leaf equals only
+a leaf and a slot only a slot, so ``Leaf(1)`` and ``Slot(1)`` are two
+terms of a sum.
 """
 
 from __future__ import annotations
@@ -70,13 +78,16 @@ __all__ = [
 
 
 class _Atom:
-    """A leaf or a slot: equal to a node of its own kind with its index."""
+    """A leaf or a slot: equal to a node of its own kind with its index.
+    It expands to one letter, so its coefficient sum is 1."""
 
-    __slots__ = ("index",)
+    __slots__ = ("index", "_hash")
     _size = 1  # leaf count, as a binary node has it
+    _sum = 1
 
     def __init__(self, index: int) -> None:
         self.index = index
+        self._hash = hash((self._tag, index))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -84,7 +95,7 @@ class _Atom:
         return self.index == other.index
 
     def __hash__(self) -> int:
-        return hash((self._tag, self.index))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(index={self.index!r})"
@@ -101,15 +112,18 @@ class Slot(_Atom):
 
 
 class _Binary:
-    """A node with two children.  Its hash and leaf count are computed once,
-    from its kind and its children's, so neither walks the tree."""
+    """A node with two children.  Its hash, leaf count and coefficient sum
+    ``_sum`` are computed once, from its kind and its children's, so none
+    of them walks the tree.  The sum is ``_factor * s(l) * s(r)``: ``l*r``
+    for ``Prod``, ``0`` for ``Comm`` and ``2*l*r`` for ``Anti``."""
 
-    __slots__ = ("left", "right", "_hash", "_size")
+    __slots__ = ("left", "right", "_hash", "_size", "_sum")
 
     def __init__(self, left: "Node", right: "Node") -> None:
         self.left, self.right = left, right
-        self._hash = hash((self._tag, left, right))
+        self._hash = hash((self._tag, left._hash, right._hash))
         self._size = left._size + right._size
+        self._sum = self._factor * left._sum * right._sum
 
     def __hash__(self) -> int:
         return self._hash
@@ -141,16 +155,19 @@ class _Binary:
 class Prod(_Binary):
     __slots__ = ()
     _tag = 2
+    _factor = 1
 
 
 class Comm(_Binary):
     __slots__ = ()
     _tag = 3
+    _factor = 0
 
 
 class Anti(_Binary):
     __slots__ = ()
     _tag = 4
+    _factor = 2
 
 
 Node = Union[Leaf, Slot, Prod, Comm, Anti]
@@ -182,46 +199,45 @@ def fold(root: Node, leaf: Callable, binary: Callable):
 def _expand(
     terms: Iterable[tuple[Node, Fraction | int]], slots: Sequence[int] | None = None
 ) -> PermPolynomial:
-    """``sum coeff * node`` in the word basis, in integers.  Each tree
-    folds to its root's head vector (zeros allowed) and collects its
-    letters; a slot ``i`` is the letter ``slots[i - 1]``.  A node's value
-    is ``(vector, sum)``, and each vector belongs to one value only, so a
-    node updates its left child's in place.  The trees group by content,
-    and a content's terms share one denominator ``den``, the lcm of their
-    coefficients' denominators: a root head ``h`` with value ``c`` adds the
-    ``int`` ``coeff * den * c`` to ``h``'s total.  Each nonzero total ``v``
-    is then the slice word ``W(h)`` with coefficient ``v / den``, an
-    ``int`` when it is integral and otherwise the word's one ``Fraction``.
-    A content's own denominator keeps the numbers small when many
-    contents carry unrelated denominators."""
-    letters: list[int] = []
-
-    def leaf(node: Leaf | Slot) -> tuple[dict[int, int], int]:
-        i = node.index
-        if type(node) is Slot:
-            if slots is None or not 1 <= i <= len(slots):
-                raise UnboundSlotError(f"unbound template slot {_slot_name(i)}")
-            i = slots[i - 1]
-        letters.append(i)
-        return {i: 1}, 1
-
-    def binary(node: Node, left, right) -> tuple[dict[int, int], int]:
-        (vec, ls), (rv, rs) = left, right
-        if rs != 1:
-            for h in vec:
-                vec[h] *= rs
-        kind = type(node)
-        b = 0 if kind is Prod else -ls if kind is Comm else ls
-        if b:
-            for h, c in rv.items():
-                vec[h] = vec.get(h, 0) + b * c
-        # the node's sum: ls*rs for Prod, 0 for Comm, 2*ls*rs for Anti
-        return vec, (ls + b) * rs
-
+    """``sum coeff * node`` in the word basis, in integers.  Each tree is
+    walked once, top-down, on an explicit stack of ``(node, weight)``
+    pairs; the root has weight 1.  A binary node of weight ``w`` gives its
+    left child ``w * s(r)`` and its right child ``(_factor - 1) * w * s(l)``
+    (0, ``-w * s(l)`` or ``w * s(l)``), and a leaf adds its weight to its
+    letter's head coefficient; a slot ``i`` is the letter
+    ``slots[i - 1]``.  Every leaf, of weight 0 too, gives its letter to
+    the content.  The trees group by content, and a content's terms share
+    one denominator ``den``, the lcm of their coefficients'
+    denominators: a head ``h`` with coefficient ``c`` adds the ``int``
+    ``coeff * den * c`` to ``h``'s total.  Each nonzero total ``v`` is
+    then the slice word ``W(h)`` with coefficient ``v / den``, an ``int``
+    when it is integral and otherwise the word's one ``Fraction``.  A
+    content's own denominator keeps the numbers small when many contents
+    carry unrelated denominators."""
     groups: dict[tuple[int, ...], list[tuple[Fraction | int, dict[int, int]]]] = {}
     for node, coeff in terms:
-        letters.clear()
-        vec, _ = fold(node, leaf, binary)
+        vec: dict[int, int] = {}
+        letters: list[int] = []
+        todo = [(node, 1)]
+        pop = todo.pop
+        while todo:
+            n, w = pop()
+            kind = type(n)
+            if kind is Leaf:
+                i = n.index
+            elif kind is Slot:
+                i = n.index
+                if slots is None or not 1 <= i <= len(slots):
+                    raise UnboundSlotError(f"unbound template slot {_slot_name(i)}")
+                i = slots[i - 1]
+            else:
+                left, right = n.left, n.right
+                # the left child goes on top, so slots are met left to right
+                todo += ((right, (n._factor - 1) * w * left._sum), (left, w * right._sum))
+                continue
+            letters.append(i)
+            if w:
+                vec[i] = vec.get(i, 0) + w
         groups.setdefault(tuple(sorted(letters)), []).append((coeff, vec))
     out: dict[PermMonomial, Fraction | int] = {}
     for content, group in groups.items():

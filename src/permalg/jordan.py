@@ -255,9 +255,13 @@ def verify_J_identities() -> IdentitySuiteReport:
 def _f_terms(q: Fraction | int, head: int, args: Sequence[int]) -> list[tuple[Fraction | int, Node]]:
     """``4q * f(x_head; x_a1, {..{x_a2, x_a3}, ..})`` as its three
     anticommutator terms ``-q``, ``3q`` and ``-q``, built without
-    intermediate sums."""
-    a, b = Leaf(head), Leaf(args[0])
+    intermediate sums.  When ``head == a1`` the last two are one tree,
+    ``{{x_head, c}, x_head}``, and it comes once with ``2q``."""
+    a = Leaf(head)
     c = left_normed(Anti, args[1:])
+    if head == args[0]:
+        return [(-q, Anti(Anti(a, a), c)), (2 * q, Anti(Anti(a, c), a))]
+    b = Leaf(args[0])
     neg = -q
     return [(neg, Anti(Anti(a, b), c)), (3 * q, Anti(Anti(b, c), a)), (neg, Anti(Anti(a, c), b))]
 

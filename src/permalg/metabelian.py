@@ -75,13 +75,14 @@ class MetabelianLieAlgebra:
         if dim < 1:
             raise AlgebraFormatError("dimension must be at least 1")
         self.dim = dim
-        self.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(1, dim + 1))
-        if not all(isinstance(label, str) and label for label in self.labels):
-            raise AlgebraFormatError("labels must be non-empty strings")
-        if len(self.labels) != dim:
-            raise AlgebraFormatError(f"expected {dim} labels, got {len(self.labels)}")
-        if len(set(self.labels)) != dim:
-            raise AlgebraFormatError("labels must be unique")
+        self._labels = None if labels is None else tuple(labels)
+        if self._labels is not None:
+            if not all(isinstance(label, str) and label for label in self._labels):
+                raise AlgebraFormatError("labels must be non-empty strings")
+            if len(self._labels) != dim:
+                raise AlgebraFormatError(f"expected {dim} labels, got {len(self._labels)}")
+            if len(set(self._labels)) != dim:
+                raise AlgebraFormatError("labels must be unique")
         self.table: dict[tuple[int, int], Vec] = {}
         for (i, j), value in (brackets or {}).items():
             if not all(type(x) is int for x in (i, j, *value)):
@@ -96,6 +97,15 @@ class MetabelianLieAlgebra:
             vec = accumulate({}, ((b, exact(c)) for b, c in value.items()))
             if vec:
                 self.table[(i, j)] = vec
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The basis labels; ``e1`` .. ``e<dim>`` when none were given, built
+        on first use, so a caller can refuse a large ``dim`` before paying
+        for them."""
+        if self._labels is None:
+            self._labels = tuple(f"e{i}" for i in range(1, self.dim + 1))
+        return self._labels
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "MetabelianLieAlgebra":

@@ -9,6 +9,14 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# more examples for the differential tests of the expansion kernel:
+# pytest tests/test_expr.py tests/test_jordan.py --hypothesis-profile deep
+settings.register_profile(
+    "deep",
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile("suite")
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 from permalg import cli
 from permalg.cli import main
 from permalg.jordan import bn_basis, jordan_express
-from permalg.metabelian import load_algebra
+from permalg.metabelian import AlgebraFormatError, MetabelianLieAlgebra, load_algebra
 from permalg.parser import parse_expr
 from permalg.perm import PermPolynomial, dimension
 
@@ -358,6 +359,25 @@ def test_envelope_check_refuses_before_the_basis_split(runner, monkeypatch, tmp_
     result = runner.invoke(main, ["envelope", "check", "--algebra", str(bracketed)])
     assert result.exit_code == 2 and result.stdout == ""
     assert "reduce 1004731 overlap words" in result.stderr
+
+
+def test_envelope_check_sizes_the_algebra_before_building_its_labels(runner, tmp_path):
+    """A ten-million-letter basis with no labels is refused on its overlap
+    count without building ``e1`` .. ``e10000000`` first: the default
+    labels are built on first use, and unique by construction."""
+    big = tmp_path / "huge.json"
+    big.write_text('{"dim": 10000000}')
+    start = time.perf_counter()
+    result = runner.invoke(main, ["envelope", "check", "--algebra", str(big)])
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 2 and result.stdout == ""
+    assert f"reduce {comb(10**7, 3)} overlap words; the limit is {cli.CHECK_LIMIT}" in result.stderr
+    assert elapsed < 2.0, elapsed
+    # the labels every command prints are the same, built on first use
+    assert MetabelianLieAlgebra(3).labels == ("e1", "e2", "e3")
+    assert MetabelianLieAlgebra(2, ["a", "b"]).labels == ("a", "b")
+    with pytest.raises(AlgebraFormatError, match="unique"):
+        MetabelianLieAlgebra(2, ["a", "a"])
 
 
 def test_envelope_check_bounds_the_random_words(runner, monkeypatch):

@@ -147,6 +147,45 @@ def test_deep_chain_expands():
     assert same.terms() == [(PermMonomial(1, (1,) * 4999), Fraction(2**4999))]
 
 
+def test_node_sum_is_the_expansion_coefficient_sum():
+    """A node's ``_sum``, fixed when it is built, is the coefficient sum of
+    its expansion, on every tree the exhaustive test walks."""
+    words = [p for n in range(1, 5) for p in set_partition_patterns(n)]
+    words += [(1, 2, 3, 4, 5), (1, 1, 1, 1, 1)]
+    for word in words:
+        for tree in all_trees(word):
+            assert tree._sum == sum(c for _, c in expand_node(tree).items()), tree
+    assert Slot(1)._sum == 1
+
+
+def test_deep_right_nested_product_expands():
+    """``x1*(x2*(...*x5000))`` expands without recursion to the one word
+    headed by ``x1``: every right child has weight 0, and still gives its
+    letters to the word."""
+    chain = Leaf(5000)
+    for i in range(4999, 0, -1):
+        chain = Prod(Leaf(i), chain)
+    got = expand_node(chain)
+    assert got.terms() == [(PermMonomial(1, tuple(range(2, 5001))), 1)]
+    assert_stored_exact(got)
+
+
+def test_expansion_does_not_fold(monkeypatch):
+    """Expansion walks each tree once by leaf weights, not by ``fold``."""
+    from permalg import expr
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fold called")
+
+    monkeypatch.setattr(expr, "fold", refuse)
+    tree = Anti(Comm(Leaf(1), Leaf(4)), Prod(Leaf(2), Leaf(3)))
+    assert expand_node(tree) == expand_fold_oracle(tree)
+    terms = [(Fraction(1, 2), tree), (3, Comm(Leaf(2), Leaf(1)))]
+    assert ExprSum(terms).expand() == fold_sum(terms)
+    template = Anti(Comm(Leaf(1), Slot(1)), Prod(Leaf(2), Leaf(3)))
+    assert expr._expand([(template, 1)], (4,)) == expand_node(tree)
+
+
 def slot_trees():
     return st.recursive(
         st.one_of(leaves(3), st.integers(1, 3).map(Slot)),

@@ -167,6 +167,27 @@ def test_jordan_express_matches_the_f_comb_formula(k, n, data):
     assert jordan_express(g) == expected
 
 
+@pytest.mark.parametrize("word", [(1, 1, 2, 3), (2, 2, 2), (1, 1, 1, 2), (2, 2, 3, 3, 4)])
+def test_f_element_with_its_head_first_has_two_terms(word):
+    """When the head is also the first argument, ``{{b,c},a}`` and
+    ``{{a,c},b}`` are one tree, so the ``f``-element is built as two
+    terms; the witness and ``FElement.expr()`` equal the three-term
+    ``f_comb`` and print as it does."""
+    from permalg.jordan import _f_terms
+
+    head, a1, *rest = word
+    assert len(_f_terms(Fraction(1, 4), head, word[1:])) == 2
+    three = f_comb(Leaf(head), Leaf(a1), left_normed(Anti, rest))
+    fe = FElement(head, tuple(word[1:]))
+    assert fe.expr() == three and str(fe.expr()) == str(three)
+    assert fe.expand() == x(word, 2 ** (len(word) - 3))
+    g = x(word, Fraction(-5, 3))
+    expected = Fraction(-5, 3 * 2 ** (len(word) - 3)) * three
+    witness = jordan_express(g)
+    assert witness == expected and str(witness) == str(expected)
+    assert witness.expand() == g
+
+
 @given(
     st.integers(2, 3),
     st.integers(3, 5),
