@@ -29,13 +29,12 @@ weights: the root has weight 1, a node of weight ``w`` gives its left
 child ``w*s(r)`` and its right child 0, ``-w*s(l)`` or ``w*s(l)``, and
 the head vector is the sum over the leaves of their weights at their
 letters.  One top-down walk computes it in integers, and a head ``h``
-stands for ``W(h)``.  A sum of trees stays in
-integers too: the terms of one content are scaled to a common
-denominator, the lcm of their coefficients' denominators, and each output
-word divides once, so it stores an ``int`` when its coefficient is
-integral and builds one ``Fraction`` when it is not.  Multiplying the
-words out one product at a time gives the same answer and survives only
-as a test oracle.
+stands for ``W(h)``.  A sum of trees stays in integers too: the terms of
+one content are scaled to a common denominator, the lcm of their
+coefficients' denominators, and each output word divides once, so it
+stores an ``int`` when its coefficient is integral and builds one
+``Fraction`` when it is not.  Multiplying the words out one product at a
+time gives the same answer and survives only as a test oracle.
 
 Expansion keeps a stack of ``(node, weight)`` pairs, :func:`fold` (one
 post-order pass over an explicit stack) walks a tree for every other

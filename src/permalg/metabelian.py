@@ -75,8 +75,9 @@ class MetabelianLieAlgebra:
         if dim < 1:
             raise AlgebraFormatError("dimension must be at least 1")
         self.dim = dim
-        self._labels = None if labels is None else tuple(labels)
-        if self._labels is not None:
+        self._labels = None  # e1 .. e<dim>, unique by construction: see labels
+        if labels is not None:
+            self._labels = tuple(labels)
             if not all(isinstance(label, str) and label for label in self._labels):
                 raise AlgebraFormatError("labels must be non-empty strings")
             if len(self._labels) != dim:
