@@ -6,7 +6,8 @@ algebra gives the full polynomial ring in three variables."""
 import argparse
 from pathlib import Path
 
-from permalg import Envelope, load_algebra
+from permalg import load_algebra
+from permalg.envelope import gk_estimate
 
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
@@ -16,8 +17,8 @@ def main():
     parser.add_argument("--dmax", type=int, default=12)
     args = parser.parse_args()
     for name in ("heisenberg", "abelian3", "abelian1", "affine2"):
-        env = Envelope(load_algebra(ALGEBRAS / f"{name}.json"))
-        report = env.gk_estimate(args.dmax)
+        algebra = load_algebra(ALGEBRAS / f"{name}.json")
+        report = gk_estimate(algebra.dim, algebra.derived_dim(), args.dmax)
         counts = " ".join(str(c) for c in report.per_degree)
         print(f"{name:11s} per-degree counts: {counts}")
         print(

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from math import comb
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -41,6 +40,7 @@ if TYPE_CHECKING:
 
 _JSON_DEFAULT = os.environ.get("PERMALG_OUTPUT", "text").strip().lower() == "json"
 BN_LIMIT = 10**6  # the most f-elements ``bn`` lists; a larger basis exits 2
+GK_LIMIT = 10**7  # the most digits ``gk`` may print, bounded from --max-deg and |Z|; more exits 2
 BUILD_LIMIT = 10**7  # the most basis letters ``envelope build`` prints; more exits 2
 RULES_LIMIT = 10**5  # the most rules ``envelope build`` builds (about 2 s of them); more exits 2
 CHECK_LIMIT = 10**6  # the most overlap words ``envelope check`` reduces; more exits 2
@@ -303,16 +303,20 @@ def _algebra_or_usage(path: str) -> MetabelianLieAlgebra:
         raise UsageError(str(exc)) from None
 
 
-def _load_or_usage(path: str) -> Envelope:
+def _exit_invalid(exc: Exception) -> None:
+    print(f"algebra is not a valid metabelian Lie algebra: {exc}", file=sys.stderr)
+    sys.exit(1)
+
+
+def _envelope_or_exit(algebra: MetabelianLieAlgebra) -> Envelope:
+    """The ``Envelope``, which validates and splits: call it once the job is sized."""
     from .envelope import Envelope
     from .metabelian import InvalidLieAlgebra
 
-    algebra = _algebra_or_usage(path)
     try:
         return Envelope(algebra)
     except InvalidLieAlgebra as exc:
-        print(f"algebra is not a valid metabelian Lie algebra: {exc}", file=sys.stderr)
-        sys.exit(1)
+        _exit_invalid(exc)
 
 
 def _emit_expansion(expression: str, as_json: bool) -> None:
@@ -467,20 +471,24 @@ envelope = main.commands["envelope"] = _Group("envelope", "Enveloping perm algeb
 @envelope.command("build", _ALGEBRA, _DEG, _UNICODE)
 def envelope_build(path: str, d: int, use_unicode: bool, as_json: bool) -> None:
     """Relations and normal-form basis monomials up to a degree."""
+    from .envelope import letter_count, rule_count
+
     if d < 1:
         raise UsageError("need --deg >= 1")
-    env = _load_or_usage(path)
-    letters = env.letter_count(d)  # the output grows with the basis letters printed
-    if letters > BUILD_LIMIT:
-        raise UsageError(f"envelope build would print {letters} basis letters; the limit is {BUILD_LIMIT}")
-    if (count := env.rule_count()) > RULES_LIMIT:
+    algebra = _algebra_or_usage(path)
+    dim, y = algebra.dim, algebra.derived_dim()
+    # rules first: under RULES_LIMIT, |Z| is small enough that the letters count fast
+    if (count := rule_count(dim, y)) > RULES_LIMIT:
         raise UsageError(f"envelope build would build {count} rules; the limit is {RULES_LIMIT}")
+    if (letters := letter_count(dim, y, d)) > BUILD_LIMIT:  # the output grows with the letters printed
+        raise UsageError(f"envelope build would print {letters} basis letters; the limit is {BUILD_LIMIT}")
+    env = _envelope_or_exit(algebra)
     rules = env.rules()
     basis = env.basis_up_to(d)
     data = {
         "algebra": {"dim": env.dim, "labels": list(env.algebra.labels)},
         "split": {
-            "derived": [env.label(i) for i in env.split.y_indices],
+            "derived": [env.label(i) for i in range(1, env.y_count + 1)],
             "complement": [env.label(i) for i in env.z_indices],
             "changed_basis": env.split.changed_basis,
         },
@@ -506,7 +514,7 @@ def envelope_nf(path: str, expression: str, use_unicode: bool, as_json: bool) ->
     # envelope.py, the largest module here, compiles first, so its
     # compile-time peak sits on the smaller heap: importing the parser
     # first raised this command's peak RSS by ~0.2 MiB
-    env = _load_or_usage(path)
+    env = _envelope_or_exit(_algebra_or_usage(path))
     from .parser import parse_envelope_expr
 
     terms = _parse_or_usage(parse_envelope_expr, expression, env.original.labels)
@@ -527,7 +535,7 @@ def envelope_nf(path: str, expression: str, use_unicode: bool, as_json: bool) ->
 )
 def envelope_check(path: str, seed: int, words: int, as_json: bool) -> None:
     """Validate the algebra, reduce all overlaps, and verify the embedding."""
-    from .envelope import Envelope
+    from .envelope import Envelope, overlap_count
     from .metabelian import InvalidLieAlgebra
 
     if words < 0:
@@ -535,12 +543,8 @@ def envelope_check(path: str, seed: int, words: int, as_json: bool) -> None:
     if words > WORDS_LIMIT:
         raise UsageError(f"envelope check would reduce {words} random words; the limit is {WORDS_LIMIT}")
     algebra = _algebra_or_usage(path)
-    # |Y| <= |pairs| gives |Z| >= dim - |pairs|, so there are at least
-    # C(dim - |pairs|, 3) z-overlaps: refuse on that before the basis split
-    pairs = len(algebra.table)
-    if (least := comb(max(algebra.dim - pairs, 0), 3)) > CHECK_LIMIT:
-        at_least = "at least " if pairs else ""  # with no pairs, Y is empty and the count exact
-        raise UsageError(f"envelope check would reduce {at_least}{least} overlap words; the limit is {CHECK_LIMIT}")
+    if (overlaps := overlap_count(algebra.dim, algebra.derived_dim())) > CHECK_LIMIT:
+        raise UsageError(f"envelope check would reduce {overlaps} overlap words; the limit is {CHECK_LIMIT}")
     try:
         env = Envelope(algebra)
     except InvalidLieAlgebra as exc:
@@ -550,8 +554,6 @@ def envelope_check(path: str, seed: int, words: int, as_json: bool) -> None:
             "metabelian_violations": [list(t) for t, _ in exc.report.metabelian_violations],
         }
         _emit(as_json, data, f"invalid algebra: {data}", 1)
-    if (overlaps := env.overlap_count()) > CHECK_LIMIT:
-        raise UsageError(f"envelope check would reduce {overlaps} overlap words; the limit is {CHECK_LIMIT}")
     comps = env.check_compositions()
     embed = env.embed_check()
     agreement = env.strategy_agreement(words=words, seed=seed)
@@ -578,10 +580,21 @@ def envelope_check(path: str, seed: int, words: int, as_json: bool) -> None:
 @main.command("gk", _ALGEBRA, _Param("--max-deg", "INTEGER"))
 def gk(path: str, dmax: int, as_json: bool) -> None:
     """Growth table and slope estimate for the enveloping algebra."""
+    from .envelope import gk_estimate
+    from .metabelian import InvalidLieAlgebra
+
     if dmax < 4:
         raise UsageError("need --max-deg >= 4")
-    env = _load_or_usage(path)
-    report = env.gk_estimate(dmax)
+    algebra = _algebra_or_usage(path)
+    dim, y = algebra.dim, algebra.derived_dim()
+    # each row prints three numbers, each at most the last cumulative count
+    # |Y| - 1 + C(dmax + k, k) <= dim + (dmax + k)^min(dmax, k), with k = |Z|
+    k = dim - y
+    if (digits := 3 * dmax * (min(dmax, k) * len(str(dmax + k)) + len(str(dim)))) > GK_LIMIT:
+        raise UsageError(f"gk would print up to {digits} digits; the limit is {GK_LIMIT}")
+    if not (valid := algebra.validate()).ok:
+        _exit_invalid(InvalidLieAlgebra(valid))
+    report = gk_estimate(dim, y, dmax)
     data = {
         "dmax": dmax,
         "degrees": list(report.degrees),

@@ -37,6 +37,9 @@ first steps (on ``y' z_j z_i``, absorbing ``z_j`` or ``z_i``; on
 ``z_i' z_k z_j``, ``z_k`` or ``z_j``), so a composition residual is the
 rightmost normal form of the word minus its leftmost one.
 
+The counts ``*_count`` and ``gk_estimate`` are closed forms in ``dim`` and
+``|Y|`` alone, so they size a job before an ``Envelope`` is built.
+
 The input algebra, its validation and the basis split are in
 :mod:`permalg.metabelian`.
 """
@@ -47,7 +50,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate as running_totals, combinations, combinations_with_replacement
-from math import ceil, comb, log
+from math import comb, log
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -61,6 +64,11 @@ __all__ = [
     "GrowthReport",
     "RewriteRule",
     "StrategyAgreementReport",
+    "degree_count",
+    "gk_estimate",
+    "letter_count",
+    "overlap_count",
+    "rule_count",
 ]
 
 
@@ -132,23 +140,61 @@ class GrowthReport(NamedTuple):
 
 
 def _ls_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    """Least squares ``y = a + b*x``; returns (a, b)."""
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    var = sum((x - mx) ** 2 for x in xs)
-    if var == 0:
-        return my, 0.0
-    b = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / var
+    """Least squares ``y = a + b*x`` over at least two distinct ``x``; returns (a, b)."""
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    b = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
     return my - b * mx, b
+
+
+def degree_count(dim: int, y: int, n: int) -> int:
+    """Basis monomials of degree ``n``: ``dim`` letters ``x'``, then
+    ``C(n + |Z| - 1, n)`` words ``z_i1' z_i2 ... z_in``, with ``|Z| = dim - y``."""
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    return dim if n == 1 else comb(n + dim - y - 1, n)
+
+
+def letter_count(dim: int, y: int, d: int) -> int:
+    """Letters in the basis monomials up to degree ``d``: ``k*C(d+k, d-1)``
+    for ``k = |Z|``, plus the ``y`` derived letters of degree 1."""
+    if d < 1:
+        raise ValueError("degree bound must be >= 1")
+    k = dim - y
+    return k * comb(d + k, d - 1) + y
+
+
+def rule_count(dim: int, y: int) -> int:
+    """The rules :meth:`Envelope.rules` builds: ``|Y|*|Z| + C(|Z|, 2)``."""
+    return y * (dim - y) + comb(dim - y, 2)
+
+
+def overlap_count(dim: int, y: int) -> int:
+    """The overlap words :meth:`Envelope.check_compositions` reduces: ``C(|Z|, 2) * |Y| + C(|Z|, 3)``."""
+    return comb(dim - y, 2) * y + comb(dim - y, 3)
+
+
+def gk_estimate(dim: int, y: int, dmax: int) -> GrowthReport:
+    """Growth of cumulative basis counts, with slope estimates taken
+    over the top half of the degree range."""
+    if dmax < 4:
+        raise ValueError("need dmax >= 4")
+    degrees = tuple(range(1, dmax + 1))
+    per_degree = tuple(degree_count(dim, y, n) for n in degrees)
+    cumulative = tuple(running_totals(per_degree))
+    start = (dmax + 1) // 2
+    window = list(range(start, dmax + 1))
+    logs = {d: log(cumulative[d - 1]) for d in range(start - 1, dmax + 1)}
+    _, raw = _ls_fit([log(d) for d in window], [logs[d] for d in window])
+    succ = [(logs[d] - logs[d - 1]) / (log(d) - log(d - 1)) for d in window]
+    intercept, _ = _ls_fit([1.0 / d for d in window], succ)
+    return GrowthReport(degrees, per_degree, cumulative, (start, dmax), raw, intercept)
 
 
 class Envelope:
     """The enveloping perm algebra of a validated metabelian Lie algebra."""
 
     def __init__(self, algebra: MetabelianLieAlgebra):
-        report = algebra.validate()
-        if not report.ok:
+        if not (report := algebra.validate()).ok:
             raise InvalidLieAlgebra(report)
         self.split = split_basis(algebra)
         self.algebra = self.split.algebra
@@ -168,8 +214,7 @@ class Envelope:
     def monomial_str(self, m: PermMonomial, unicode: bool = False) -> str:
         lbl = self.label(m.head)
         dotted = f"{lbl[0]}̇{lbl[1:]}" if unicode else f"d({lbl})"
-        parts = [dotted] + [self.label(i) for i in m.tail]
-        return "*".join(parts)
+        return "*".join([dotted, *map(self.label, m.tail)])
 
     def element_str(self, e: PermPolynomial, unicode: bool = False) -> str:
         ordered = sorted(e.items(), key=lambda kv: env_key(kv[0], self.y_count), reverse=True)
@@ -190,15 +235,8 @@ class Envelope:
         redexes += [PermMonomial(i, (j,)) for j in zs for i in zs if i > j]
         return [RewriteRule(m, PermPolynomial._of(self._chain(m, "leftmost"))) for m in redexes]
 
-    def rule_count(self) -> int:
-        """The rules :meth:`rules` builds: ``|Y|*|Z| + C(|Z|, 2)``."""
-        return self.y_count * len(self.z_indices) + comb(len(self.z_indices), 2)
-
     def rule_str(self, rule: RewriteRule, unicode: bool = False) -> str:
-        return (
-            f"{self.monomial_str(rule.redex, unicode)} -> "
-            f"{self.element_str(rule.reduct, unicode)}"
-        )
+        return f"{self.monomial_str(rule.redex, unicode)} -> {self.element_str(rule.reduct, unicode)}"
 
     # -- reduction
 
@@ -254,12 +292,6 @@ class Envelope:
 
     # -- composition (overlap) checking
 
-    def overlap_count(self) -> int:
-        """The overlap words :meth:`check_compositions` reduces:
-        ``C(|Z|, 2) * |Y| + C(|Z|, 3)``."""
-        k = len(self.z_indices)
-        return comb(k, 2) * self.y_count + comb(k, 3)
-
     def check_compositions(self) -> CompositionReport:
         """Reduce every one-dot overlap word both ways; all differences must
         vanish for the rules to be a complete rewriting system.  Each entry
@@ -275,62 +307,19 @@ class Envelope:
             entries.append(CompositionEntry(kind, letters, not diff, self.element_str(diff)))
         return CompositionReport(entries)
 
-    # -- basis and growth
+    # -- basis
 
     def basis_degree(self, n: int) -> list[PermMonomial]:
         if n < 1:
             raise ValueError("degree must be >= 1")
         if n == 1:
             return [PermMonomial(i) for i in range(1, self.dim + 1)]
-        return [
-            PermMonomial(word[0], word[1:])
-            for word in combinations_with_replacement(self.z_indices, n)
-        ]
+        return [PermMonomial(word[0], word[1:]) for word in combinations_with_replacement(self.z_indices, n)]
 
     def basis_up_to(self, d: int) -> dict[int, list[PermMonomial]]:
         if d < 1:
             raise ValueError("degree bound must be >= 1")
         return {n: self.basis_degree(n) for n in range(1, d + 1)}
-
-    def degree_count(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("degree must be >= 1")
-        if n == 1:
-            return self.dim
-        nz = len(self.z_indices)
-        return comb(n + nz - 1, n)
-
-    def letter_count(self, d: int) -> int:
-        """Letters in the basis monomials up to degree ``d``: the sum of
-        ``n * degree_count(n)``, which is ``k*C(d+k, d-1)`` plus the
-        ``dim - k`` derived letters of degree 1, with ``k = |Z|``."""
-        if d < 1:
-            raise ValueError("degree bound must be >= 1")
-        k = len(self.z_indices)
-        return k * comb(d + k, d - 1) + self.dim - k
-
-    def gk_estimate(self, dmax: int) -> GrowthReport:
-        """Growth of cumulative basis counts, with slope estimates taken
-        over the top half of the degree range."""
-        if dmax < 4:
-            raise ValueError("need dmax >= 4")
-        degrees = tuple(range(1, dmax + 1))
-        per_degree = tuple(self.degree_count(n) for n in degrees)
-        cumulative = tuple(running_totals(per_degree))
-        start = max(2, ceil(dmax / 2))
-        window = list(range(start, dmax + 1))
-        logs = {d: log(cumulative[d - 1]) for d in range(1, dmax + 1)}
-        _, raw = _ls_fit([log(d) for d in window], [logs[d] for d in window])
-        succ = [(logs[d] - logs[d - 1]) / (log(d) - log(d - 1)) for d in window]
-        intercept, _ = _ls_fit([1.0 / d for d in window], succ)
-        return GrowthReport(
-            degrees=degrees,
-            per_degree=per_degree,
-            cumulative=cumulative,
-            window=(start, dmax),
-            loglog_slope=raw,
-            slope=intercept,
-        )
 
     # -- embedding
 
@@ -349,9 +338,7 @@ class Envelope:
 
     # -- randomized strategy agreement
 
-    def strategy_agreement(
-        self, words: int, seed: int, max_degree: int = 6
-    ) -> StrategyAgreementReport:
+    def strategy_agreement(self, words: int, seed: int, max_degree: int = 6) -> StrategyAgreementReport:
         rng = random.Random(seed)
         disagreements = 0
         for _ in range(words):
@@ -364,9 +351,7 @@ class Envelope:
 
     # -- input in original coordinates
 
-    def element_from_original(
-        self, terms: Iterable[tuple[Fraction, int, Sequence[int]]]
-    ) -> PermPolynomial:
+    def element_from_original(self, terms: Iterable[tuple[Fraction, int, Sequence[int]]]) -> PermPolynomial:
         """Build an element from (coefficient, dotted original index, plain
         original indices) triples: each term is its coefficient times the
         perm product of the letters' adapted images, the dotted one first."""

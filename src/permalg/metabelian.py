@@ -87,9 +87,7 @@ class MetabelianLieAlgebra:
         self.table: dict[tuple[int, int], Vec] = {}
         for (i, j), value in (brackets or {}).items():
             if not all(type(x) is int for x in (i, j, *value)):
-                raise AlgebraFormatError(
-                    f"bracket ({i!r},{j!r}) -> {list(value)!r} needs integer indices"
-                )
+                raise AlgebraFormatError(f"bracket ({i!r},{j!r}) -> {list(value)!r} needs integer indices")
             if not (1 <= i < j <= dim):
                 raise AlgebraFormatError(f"bracket pair ({i},{j}) must satisfy 1 <= i < j <= dim")
             for b in value:
@@ -161,28 +159,39 @@ class MetabelianLieAlgebra:
             ),
         )
 
+    def _derived_span(self) -> Span:
+        """The span of the brackets: the derived subalgebra, in original coordinates."""
+        derived = Span()
+        for pair in sorted(self.table):
+            derived.add(self.table[pair])
+        return derived
+
+    def derived_dim(self) -> int:
+        """``|Y|``, the dimension of the derived subalgebra: with ``dim``, every envelope count."""
+        return self._derived_span().dim
+
     def validate(self) -> LieValidationReport:
-        """Jacobi on the triples that hold a pair with a nonzero bracket,
-        the metabelian law on pairs of such pairs; every other triple and
-        quadruple brackets to zero.  Both lists ascend by index tuple."""
+        """Jacobi on the triples where some ``[[e_p,e_q],e_t]`` can be nonzero, as
+        ``(p, q)`` is a pair and ``t`` pairs with a letter of its bracket; the
+        metabelian law on pairs of pairs.  Both lists ascend by index tuple."""
         jacobi, metabelian = [], []
-        basis = range(1, self.dim + 1)
-        triples = {tuple(sorted((*pair, t))) for pair in self.table for t in basis if t not in pair}
+        adjacent: dict[int, set[int]] = {}  # letter -> the letters it has a pair with
+        for i, j in self.table:
+            adjacent.setdefault(i, set()).add(j)
+            adjacent.setdefault(j, set()).add(i)
+        triples = {
+            tuple(sorted((p, q, t)))
+            for (p, q), value in self.table.items()
+            for t in set().union(*(adjacent.get(b, ()) for b in value)) - {p, q}
+        }
         for i, j, k in sorted(triples):
-            r = accumulate(
-                {},
-                chain.from_iterable(
-                    self.bracket(self.bracket_basis(p, q), {t: 1}).items()
-                    for p, q, t in ((i, j, k), (j, k, i), (k, i, j))
-                ),
-            )
-            if r:
+            terms = (self.bracket(self.bracket_basis(p, q), {t: 1}) for p, q, t in ((i, j, k), (j, k, i), (k, i, j)))
+            if r := accumulate({}, chain.from_iterable(term.items() for term in terms)):
                 jacobi.append(((i, j, k), r))
         pairs = sorted(self.table)
         for n, (a, b) in enumerate(pairs):
             for c, d in pairs[n:]:
-                r = self.bracket(self.table[(a, b)], self.table[(c, d)])
-                if r:
+                if r := self.bracket(self.table[(a, b)], self.table[(c, d)]):
                     metabelian.append(((a, b, c, d), r))
         return LieValidationReport(jacobi, metabelian)
 
@@ -233,20 +242,14 @@ def random_metabelian(dim: int, rng: random.Random) -> MetabelianLieAlgebra:
     if rng.random() < 0.5 and dim >= 2:
         # one outer derivation acting on an abelian ideal spanned by e2..ed
         for j in range(2, dim + 1):
-            vec = {b: rng.randint(-3, 3) for b in range(2, dim + 1) if rng.random() < 0.6}
-            vec = {b: c for b, c in vec.items() if c}
-            if vec:
-                brackets[(1, j)] = vec
+            brackets[(1, j)] = {b: rng.randint(-3, 3) for b in range(2, dim + 1) if rng.random() < 0.6}
     else:
         # two-step nilpotent: brackets of the first block land in the center
-        m = max(2, dim - 1)
+        m = dim - 1
         for i in range(1, m + 1):
             for j in range(i + 1, m + 1):
-                vec = {b: rng.randint(-2, 2) for b in range(m + 1, dim + 1) if rng.random() < 0.8}
-                vec = {b: c for b, c in vec.items() if c}
-                if vec:
-                    brackets[(i, j)] = vec
-    return MetabelianLieAlgebra(dim, brackets=brackets)
+                brackets[(i, j)] = {b: rng.randint(-2, 2) for b in range(m + 1, dim + 1) if rng.random() < 0.8}
+    return MetabelianLieAlgebra(dim, brackets=brackets)  # which drops zero values and empty brackets
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +270,6 @@ class BasisSplit(NamedTuple):
     y_count: int
     new_in_old: tuple[Vec, ...]
     unit_images: tuple[Combination, ...]  # original e_i over the adapted basis
-
-    @property
-    def y_indices(self) -> tuple[int, ...]:
-        return tuple(range(1, self.y_count + 1))
 
     @property
     def z_indices(self) -> tuple[int, ...]:
@@ -307,9 +306,7 @@ def split_basis(algebra: MetabelianLieAlgebra) -> BasisSplit:
     """
     n = algebra.dim
     units = [{i: 1} for i in range(1, n + 1)]
-    derived = Span()
-    for pair in sorted(algebra.table):
-        derived.add(algebra.table[pair])
+    derived = algebra._derived_span()
     # the r-th accepted vector carries the witness {r: 1}, so the witness of
     # an original unit vector is its image over the adapted basis
     chosen = Span()

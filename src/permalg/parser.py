@@ -1,6 +1,7 @@
 """Text grammar for expressions and identity templates.
 
-Grammar (loosest to tightest): leading unary minus, then ``+``/``-``, then
+Grammar (loosest to tightest): leading unary minus, then ``+``/``-``
+(either may carry one sign: ``x1 - -x2`` is ``x1 + x2``), then
 juxtaposition or ``*``.  Atoms are names, rational scalars ``p`` or
 ``p/q``, bracket forms ``[a,b]`` (commutator), ``{a,b}`` (anticommutator),
 ``<a,b,c>`` (associator), parentheses, and, in envelope expressions,
@@ -136,6 +137,9 @@ class _Parser:
             kind, text, _ = self.peek()
             if kind == "sym" and text in "+-":
                 self.next()
+                if (sign := self.peek())[0] == "sym" and sign[1] in "+-":
+                    self.next()
+                    text = "+" if text == sign[1] else "-"
                 term = self.product()
                 acc = acc + term if text == "+" else acc - term
             else:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from permalg.envelope import Envelope
+from permalg.envelope import Envelope, gk_estimate
 from permalg.expr import (
     Anti,
     ExprSum,
@@ -217,10 +217,10 @@ def test_criterion_7_heisenberg_envelope():
 
 
 def test_criterion_8_growth_slopes():
-    heis = Envelope(MetabelianLieAlgebra(3, ["e1", "e2", "e3"], {(1, 2): {3: 1}}))
-    ab3 = Envelope(MetabelianLieAlgebra(3))
-    s_heis = heis.gk_estimate(12).slope
-    s_ab3 = ab3.gk_estimate(12).slope
+    heis = MetabelianLieAlgebra(3, ["e1", "e2", "e3"], {(1, 2): {3: 1}})
+    ab3 = MetabelianLieAlgebra(3)
+    s_heis = gk_estimate(3, heis.derived_dim(), 12).slope
+    s_ab3 = gk_estimate(3, ab3.derived_dim(), 12).slope
     ok = abs(s_heis - 2) <= 0.25 and abs(s_ab3 - 3) <= 0.25
     _verdict("8 growth slopes", ok, f"heisenberg {s_heis:.3f}, abelian-3 {s_ab3:.3f}")
 

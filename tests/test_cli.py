@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from permalg import cli
 from permalg.cli import main
 from permalg.jordan import bn_basis, jordan_express
-from permalg.metabelian import AlgebraFormatError, MetabelianLieAlgebra, load_algebra
+from permalg.metabelian import AlgebraFormatError, MetabelianLieAlgebra, load_algebra, random_metabelian, split_basis
 from permalg.parser import parse_expr
 from permalg.perm import PermPolynomial, dimension
 
@@ -199,7 +199,7 @@ def test_bn_sizes_the_basis_before_building_it(runner, monkeypatch):
 
 def test_envelope_build_sizes_the_output_before_building_it(runner, monkeypatch):
     """``envelope build`` counts the basis letters it would print with
-    ``Envelope.letter_count`` and exits 2 with the count above
+    ``envelope.letter_count`` and exits 2 with the count above
     ``BUILD_LIMIT``, without calling ``basis_up_to``."""
     from permalg.envelope import Envelope
 
@@ -224,17 +224,17 @@ def test_envelope_build_sizes_the_output_before_building_it(runner, monkeypatch)
 
 
 def test_envelope_build_counts_the_rules_before_building_them(runner, monkeypatch, tmp_path):
-    """``envelope build`` counts its rules with ``Envelope.rule_count``,
+    """``envelope build`` counts its rules with ``envelope.rule_count``,
     ``|Y|*|Z| + C(|Z|, 2)``, and exits 2 above ``RULES_LIMIT`` before
     ``rules`` is called: 5000 abelian letters print few basis letters at
     degree 1 but make ``C(5000, 2)`` rules, and so does the dim-1500
     algebra, whose 1.1 million rules took 24 s to build and print under
     the letters' limit alone."""
-    from permalg.envelope import Envelope
+    from permalg.envelope import Envelope, rule_count
 
     heisenberg = f"{ALGEBRAS}/heisenberg.json"
     env = Envelope(load_algebra(heisenberg))
-    assert env.rule_count() == len(env.rules()) == 3
+    assert rule_count(env.dim, env.y_count) == len(env.rules()) == 3
     args = ["envelope", "build", "--algebra", heisenberg, "--deg", "1"]  # Y = {e3}, Z = {e1, e2}
     monkeypatch.setattr(cli, "RULES_LIMIT", 3)
     assert "rules:" in invoke(runner, *args)
@@ -306,16 +306,16 @@ def test_envelope_commands(runner):
 
 def test_envelope_check_counts_the_overlaps_before_reducing_them(runner, monkeypatch, tmp_path):
     """``envelope check`` counts the overlap words with
-    ``Envelope.overlap_count`` and exits 2 above ``CHECK_LIMIT``, before
+    ``envelope.overlap_count`` and exits 2 above ``CHECK_LIMIT``, before
     ``check_compositions``; every stock algebra is under the limit."""
-    from permalg.envelope import Envelope
+    from permalg.envelope import Envelope, overlap_count
 
     for path in sorted(Path(ALGEBRAS).glob("*.json")):
         result = runner.invoke(main, ["envelope", "check", "--algebra", str(path)])
         assert result.exit_code == (1 if path.name == "sl2.json" else 0), result.output
         assert "limit" not in result.stderr
     heisenberg = f"{ALGEBRAS}/heisenberg.json"  # Y = {e3}, Z = {e1, e2}: one y-overlap
-    assert Envelope(load_algebra(heisenberg)).overlap_count() == 1
+    assert overlap_count(3, load_algebra(heisenberg).derived_dim()) == 1
     monkeypatch.setattr(cli, "CHECK_LIMIT", 0)
     result = runner.invoke(main, ["envelope", "check", "--algebra", heisenberg])
     assert result.exit_code == 2 and "reduce 1 overlap words; the limit is 0" in result.stderr
@@ -332,33 +332,79 @@ def test_envelope_check_counts_the_overlaps_before_reducing_them(runner, monkeyp
     assert "reduce 20708500 overlap words; the limit is 1000000" in result.stderr
 
 
-def test_envelope_check_refuses_before_the_basis_split(runner, monkeypatch, tmp_path):
-    """A basis too large for ``CHECK_LIMIT`` on the count that holds before
-    the split, ``C(dim - |pairs|, 3)`` z-overlaps, exits 2 without building
-    an ``Envelope``; below that bound the exact count still decides."""
-    from permalg.envelope import Envelope
+def test_envelope_check_refuses_before_the_basis_split(runner, monkeypatch, tmp_path, rng):
+    """Every envelope count is a closed form in ``dim`` and ``|Y|``, which
+    ``derived_dim`` takes from the brackets alone.  So ``envelope check``
+    and ``envelope build`` refuse on the exact count, and ``gk`` answers,
+    without splitting the basis; the refusals do not validate either."""
+    stock = [load_algebra(path) for path in sorted(Path(ALGEBRAS).glob("*.json"))]
+    for algebra in stock + [random_metabelian(d, rng) for d in range(1, 9) for _ in range(4)]:
+        assert algebra.derived_dim() == split_basis(algebra).y_count
 
     def refuse(*args, **kwargs):
-        raise AssertionError("Envelope constructed")
+        raise AssertionError("the algebra was validated or its basis split")
 
-    big = tmp_path / "big.json"
-    big.write_text('{"dim": 100000}')
-    bracketed = tmp_path / "bracketed.json"  # dim 200, one pair: at least C(199, 3) overlaps
-    bracketed.write_text('{"dim": 200, "brackets": [{"i": 1, "j": 2, "value": [[3, "1"]]}]}')
+    huge = tmp_path / "huge.json"  # Y is empty
+    huge.write_text('{"dim": 10000000}')
+    paired = tmp_path / "paired.json"  # Y = {e3}
+    paired.write_text('{"dim": 2000000, "brackets": [{"i": 1, "j": 2, "value": [[3, "1"]]}]}')
+    bracketed = tmp_path / "bracketed.json"  # C(182, 2) + C(182, 3) = 1,004,731 overlaps
+    bracketed.write_text('{"dim": 183, "brackets": [{"i": 1, "j": 2, "value": [[3, "1"]]}]}')
+
+    def timed(*args):
+        start = time.perf_counter()
+        result = runner.invoke(main, [*args])
+        assert time.perf_counter() - start < 2.0, args
+        return result
+
     with monkeypatch.context() as patch:
-        patch.setattr(Envelope, "__init__", refuse)
-        result = runner.invoke(main, ["envelope", "check", "--algebra", str(big)])
-        assert result.exit_code == 2 and result.stdout == ""
-        assert f"reduce {comb(100000, 3)} overlap words; the limit is {cli.CHECK_LIMIT}" in result.stderr
+        patch.setattr("permalg.envelope.split_basis", refuse)
+        for path, dim, y in ((huge, 10**7, 0), (paired, 2 * 10**6, 1)):
+            k = dim - y
+            result = timed("gk", "--algebra", str(path), "--max-deg", "4", "--json")
+            assert result.exit_code == 0, result.output
+            assert json.loads(result.stdout)["per_degree"] == [dim, comb(k + 1, 2), comb(k + 2, 3), comb(k + 3, 4)]
+            with monkeypatch.context() as strict:
+                strict.setattr(MetabelianLieAlgebra, "validate", refuse)
+                result = timed("envelope", "check", "--algebra", str(path))
+                assert result.exit_code == 2 and result.stdout == ""
+                overlaps = comb(k, 2) * y + comb(k, 3)
+                assert f"reduce {overlaps} overlap words; the limit is {cli.CHECK_LIMIT}\n" in result.stderr
+                result = timed("envelope", "build", "--algebra", str(path), "--deg", "1")
+                assert result.exit_code == 2 and result.stdout == ""
+                assert f"build {y * k + comb(k, 2)} rules; the limit is {cli.RULES_LIMIT}\n" in result.stderr
+        patch.setattr(MetabelianLieAlgebra, "validate", refuse)
         result = runner.invoke(main, ["envelope", "check", "--algebra", str(bracketed)])
         assert result.exit_code == 2 and result.stdout == ""
-        assert f"reduce at least {comb(199, 3)} overlap words" in result.stderr
-    # C(181, 3) = 971,970 is under the limit; the split gives |Y| = 1, |Z| = 182
-    # and C(182, 2) + C(182, 3) = 1,004,731 overlaps, which the exact count refuses
-    bracketed.write_text('{"dim": 183, "brackets": [{"i": 1, "j": 2, "value": [[3, "1"]]}]}')
-    result = runner.invoke(main, ["envelope", "check", "--algebra", str(bracketed)])
+        assert "reduce 1004731 overlap words" in result.stderr
+
+
+def test_gk_bounds_the_printed_size(runner, monkeypatch):
+    """``gk`` bounds the digits it would print from ``--max-deg`` and
+    ``|Z|`` and exits 2 above ``GK_LIMIT`` before ``gk_estimate`` runs:
+    each row's three numbers are at most ``dim + (dmax + k)^min(dmax, k)``,
+    for ``k = |Z|``."""
+    heisenberg = f"{ALGEBRAS}/heisenberg.json"  # dim 3, |Z| = 2
+    args = ["gk", "--algebra", heisenberg, "--max-deg", "12"]
+    monkeypatch.setattr(cli, "GK_LIMIT", 3 * 12 * (2 * 2 + 1))
+    invoke(runner, *args)
+    monkeypatch.setattr(cli, "GK_LIMIT", 3 * 12 * (2 * 2 + 1) - 1)
+    result = runner.invoke(main, args)
     assert result.exit_code == 2 and result.stdout == ""
-    assert "reduce 1004731 overlap words" in result.stderr
+    assert "print up to 180 digits; the limit is 179\n" in result.stderr
+    monkeypatch.undo()
+
+    def refuse(*args):
+        raise AssertionError("gk_estimate called")
+
+    monkeypatch.setattr("permalg.envelope.gk_estimate", refuse)
+    start = time.perf_counter()
+    result = runner.invoke(main, ["gk", "--algebra", heisenberg, "--max-deg", "1000000000"])
+    assert time.perf_counter() - start < 2.0
+    assert result.exit_code == 2 and result.stdout == ""
+    digits = 3 * 10**9 * (2 * 10 + 1)
+    assert f"gk would print up to {digits} digits; the limit is {cli.GK_LIMIT}\n" in result.stderr
+    assert "Usage: main gk [OPTIONS]" in result.stderr
 
 
 def test_envelope_check_sizes_the_algebra_before_building_its_labels(runner, tmp_path):

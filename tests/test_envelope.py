@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from permalg.envelope import Envelope
+from permalg.envelope import Envelope, degree_count, gk_estimate, letter_count
 from permalg.linalg import Subspace
 from permalg.metabelian import (
     AlgebraFormatError,
@@ -92,6 +92,30 @@ def random_brackets(dim, rng):
     return MetabelianLieAlgebra(dim, brackets=brackets)
 
 
+def relabelled(algebra, dim, rng):
+    """``algebra`` with its letters sent to distinct random letters of
+    ``1..dim``; the letters hit by none are free: they have no pair."""
+    image = dict(zip(range(1, algebra.dim + 1), rng.sample(range(1, dim + 1), algebra.dim)))
+    brackets = {}
+    for (i, j), value in algebra.table.items():
+        sign = 1 if image[i] < image[j] else -1
+        brackets[tuple(sorted((image[i], image[j])))] = {image[b]: sign * c for b, c in value.items()}
+    return MetabelianLieAlgebra(dim, brackets=brackets)
+
+
+def value_letters(dim, rng):
+    """Random brackets among the first few letters whose values may land on
+    the others, which then occur only as bracket values."""
+    m = rng.randint(2, dim - 1)
+    brackets = {
+        (i, j): {rng.randint(1, dim): rng.randint(-2, 2) for _ in range(2)}
+        for i in range(1, m + 1)
+        for j in range(i + 1, m + 1)
+        if rng.random() < 0.5
+    }
+    return MetabelianLieAlgebra(dim, brackets=brackets)
+
+
 def test_validate_matches_all_pairs_oracle(rng):
     def valid(algebra):
         report = algebra.validate()
@@ -103,6 +127,15 @@ def test_validate_matches_all_pairs_oracle(rng):
     algebras = [load_algebra(p) for p in sorted(ALGEBRAS.glob("*.json"))]
     algebras += [MetabelianLieAlgebra.from_dict(SL2), abelian(5)]
     algebras += [random_metabelian(d, rng) for d in range(1, 8) for _ in range(6)]
+    # free letters between the bracketed ones, and letters that are only values
+    algebras += [relabelled(random_metabelian(d, rng), rng.randint(d, 12), rng) for d in range(2, 8)]
+    algebras += [relabelled(random_brackets(d, rng), rng.randint(d, 12), rng) for d in range(2, 8)]
+    algebras += [value_letters(d, rng) for d in range(3, 13) for _ in range(2)]
+    # [[e1,e2],e4] = [e3,e4] = e3: Jacobi fails on (1, 2, 4), where e4 has a
+    # pair with the value letter e3 and none with e1 or e2; e5 is free
+    through_value = MetabelianLieAlgebra(5, brackets={(1, 2): {3: 1}, (3, 4): {3: 1}})
+    assert through_value.validate() == ([((1, 2, 4), {3: 1})], [])
+    algebras.append(through_value)
     invalid = sum(not valid(a) for a in algebras)
     # rounds of 60 random-bracket algebras until 30 of all are invalid, at
     # any seed; the cap only stops a draw that would never get there
@@ -128,7 +161,8 @@ def test_validate_skips_zero_brackets(monkeypatch):
     assert MetabelianLieAlgebra(60).validate().ok
     assert calls == 0
     assert heisenberg().validate().ok
-    assert calls == 3 + 1  # the triple (1, 2, 3) and the pair of pairs ((1, 2), (1, 2))
+    # the pair of pairs ((1, 2), (1, 2)); e3 has no pair, so no triple can fail Jacobi
+    assert calls == 1
 
 
 def bracket_entry(**changes):
@@ -383,7 +417,7 @@ def test_basis_up_to_heisenberg():
                 assert all(t == "e2" for t in tail_lbls)
             else:
                 assert all(t in ("e1", "e2") for t in tail_lbls)
-    counts = [env.degree_count(n) for n in range(1, 9)]
+    counts = [degree_count(3, 1, n) for n in range(1, 9)]
     assert counts == [3, 3, 4, 5, 6, 7, 8, 9]
 
 
@@ -392,39 +426,37 @@ def test_basis_abelian_counts():
     for d in range(1, 7):
         expected = (d + 1) * (d + 2) // 2 if d >= 2 else 3
         assert len(env.basis_degree(d)) == expected
-        assert env.degree_count(d) == expected
+        assert degree_count(3, 0, d) == expected
 
 
 def test_degree_count_matches_enumeration(rng):
     for d in (2, 3, 4, 5):
-        env = Envelope(random_metabelian(d, rng))
+        algebra = random_metabelian(d, rng)
+        y, env = algebra.derived_dim(), Envelope(algebra)
         for n in range(1, 7):
-            assert env.degree_count(n) == len(env.basis_degree(n))
-            assert env.letter_count(n) == sum(m.degree for monos in env.basis_up_to(n).values() for m in monos)
+            assert degree_count(d, y, n) == len(env.basis_degree(n))
+            assert letter_count(d, y, n) == sum(m.degree for monos in env.basis_up_to(n).values() for m in monos)
 
 
 def test_degree_count_refuses_degree_below_one():
     env = Envelope(heisenberg())
     for n in (0, -1):
         with pytest.raises(ValueError, match="degree must be >= 1"):
-            env.degree_count(n)
+            degree_count(3, 1, n)
         with pytest.raises(ValueError, match="degree must be >= 1"):
             env.basis_degree(n)
         with pytest.raises(ValueError, match="degree bound must be >= 1"):
-            env.letter_count(n)
+            letter_count(3, 1, n)
 
 
 def test_gk_estimates():
-    heis = Envelope(heisenberg())
-    g = heis.gk_estimate(12)
+    g = gk_estimate(3, heisenberg().derived_dim(), 12)
     assert abs(g.slope - 2) <= 0.25
-    ab3 = Envelope(abelian(3))
-    assert abs(ab3.gk_estimate(12).slope - 3) <= 0.25
-    ab1 = Envelope(abelian(1))
-    assert abs(ab1.gk_estimate(12).slope - 1) <= 0.25
+    assert abs(gk_estimate(3, abelian(3).derived_dim(), 12).slope - 3) <= 0.25
+    assert abs(gk_estimate(1, 0, 12).slope - 1) <= 0.25
     assert g.cumulative[-1] == sum(g.per_degree)
     with pytest.raises(ValueError):
-        heis.gk_estimate(3)
+        gk_estimate(3, 1, 3)
 
 
 def test_is_normal_is_basis_membership():

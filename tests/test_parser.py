@@ -40,6 +40,14 @@ def test_parse_scalars_and_signs():
     assert parse_expr("-x1 + x2").expand() == -(x((1,)) + x((2,)))
     assert parse_expr("x1 - x2").expand() == x((1,)) - x((2,))
     assert parse_expr("0").expand().is_zero
+    # a sign after + or - belongs to the next term
+    assert parse_expr("x1 + -3/2*x3") == parse_expr("x1 - 3/2*x3")
+    assert parse_expr("x1 - -x2") == parse_expr("x1 + x2")
+    assert parse_expr("x1 - +x2") == parse_expr("x1 - x2")
+    assert parse_expr("x1 + -x2*x3 - -2 x4").expand() == x((1,)) - x((2, 3)) + x((4,), 2)
+    for text in ("x1 + - -x2", "x1 - -", "x1 * -x2"):
+        with pytest.raises(ExprSyntaxError):
+            parse_expr(text)
 
 
 def test_parse_associator():
