@@ -1,9 +1,9 @@
 """Per-layer timings of the slice closures, the Lie sum test, ``to_bn``,
 the perm product, the row echelon, the coordinates read off its
 witnesses, the expression-tree walks (expansion, printing, equality),
-identity checking, the envelope's input in original coordinates and its
-normal form, and the CLI (a whole ``python -m permalg`` child, and
-dispatch in process).
+identity checking, algebra validation, the envelope's input in original
+coordinates and its normal form, and the CLI (a whole ``python -m
+permalg`` child, and dispatch in process).
 
 Run from the repository root (not part of the default test run, which
 collects ``tests/`` only)::
@@ -157,6 +157,16 @@ def test_envelope_abelian_500(benchmark):
     ``table``, so ``split_basis`` brackets no pair of adapted rows."""
     env = run(benchmark, Envelope, (MetabelianLieAlgebra(500),), 5)
     assert env.split.y_count == 0
+
+
+def test_validate_two_step_nilpotent_34(benchmark):
+    """``validate`` on ``random_metabelian(34, Random(2))``, a two-step
+    nilpotent algebra with 359 pairs whose values all lie in the centre
+    ``e34``.  ``e34`` has no pair, so no triple can fail Jacobi and no two
+    values can bracket to nonzero: the law is decided without a bracket."""
+    algebra = random_metabelian(34, random.Random(2))
+    assert len(algebra.table) == 359 and all(list(v) == [34] for v in algebra.table.values())
+    assert run(benchmark, algebra.validate, (), 20).ok
 
 
 def test_element_from_original_skew2_tail_6(benchmark):

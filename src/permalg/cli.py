@@ -44,7 +44,6 @@ GK_LIMIT = 10**7  # the most digits ``gk`` may print, bounded from --max-deg and
 BUILD_LIMIT = 10**7  # the most basis letters ``envelope build`` prints; more exits 2
 RULES_LIMIT = 10**5  # the most rules ``envelope build`` builds (about 2 s of them); more exits 2
 CHECK_LIMIT = 10**6  # the most overlap words ``envelope check`` reduces; more exits 2
-WORDS_LIMIT = 10**6  # the most random words ``envelope check --words`` reduces; more exits 2
 
 
 class UsageError(Exception):
@@ -511,13 +510,12 @@ def envelope_build(path: str, d: int, use_unicode: bool, as_json: bool) -> None:
 @envelope.command("nf", _ALGEBRA, _EXPRESSION, _UNICODE)
 def envelope_nf(path: str, expression: str, use_unicode: bool, as_json: bool) -> None:
     """Normal form of a dotted-word expression (dots spelled d(name))."""
-    # envelope.py, the largest module here, compiles first, so its
-    # compile-time peak sits on the smaller heap: importing the parser
-    # first raised this command's peak RSS by ~0.2 MiB
-    env = _envelope_or_exit(_algebra_or_usage(path))
     from .parser import parse_envelope_expr
 
-    terms = _parse_or_usage(parse_envelope_expr, expression, env.original.labels)
+    algebra = _algebra_or_usage(path)
+    # the expression is read in original labels, so a malformed one exits 2 before the split
+    terms = _parse_or_usage(parse_envelope_expr, expression, algebra.labels)
+    env = _envelope_or_exit(algebra)
     nf = env.normal_form(env.element_from_original(terms))
     terms = [
         {"coefficient": str(c), "dotted": env.label(m.head), "tail": [env.label(i) for i in m.tail]}
@@ -531,17 +529,12 @@ def envelope_nf(path: str, expression: str, use_unicode: bool, as_json: bool) ->
     "check",
     _ALGEBRA,
     _Param("--seed", "INTEGER", "seed for the random strategy-agreement check", 0),
-    _Param("--words", "INTEGER", "random words per strategy comparison", 50),
 )
-def envelope_check(path: str, seed: int, words: int, as_json: bool) -> None:
+def envelope_check(path: str, seed: int, as_json: bool) -> None:
     """Validate the algebra, reduce all overlaps, and verify the embedding."""
     from .envelope import Envelope, overlap_count
     from .metabelian import InvalidLieAlgebra
 
-    if words < 0:
-        raise UsageError("need --words >= 0")
-    if words > WORDS_LIMIT:
-        raise UsageError(f"envelope check would reduce {words} random words; the limit is {WORDS_LIMIT}")
     algebra = _algebra_or_usage(path)
     if (overlaps := overlap_count(algebra.dim, algebra.derived_dim())) > CHECK_LIMIT:
         raise UsageError(f"envelope check would reduce {overlaps} overlap words; the limit is {CHECK_LIMIT}")
@@ -556,7 +549,7 @@ def envelope_check(path: str, seed: int, words: int, as_json: bool) -> None:
         _emit(as_json, data, f"invalid algebra: {data}", 1)
     comps = env.check_compositions()
     embed = env.embed_check()
-    agreement = env.strategy_agreement(words=words, seed=seed)
+    agreement = env.strategy_agreement(words=50, seed=seed)
     ok = comps.all_trivial and embed.ok and agreement.ok
     nontrivial = [
         {"kind": e.kind, "letters": list(e.letters), "residual": e.residual} for e in comps.entries if not e.trivial

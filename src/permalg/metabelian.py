@@ -8,6 +8,11 @@ basis so the derived subalgebra comes first, which is the form the
 rewriting system in :mod:`permalg.envelope` is stated in.  Vectors are
 sparse ``{basis index: coefficient}`` dicts; a ``Span`` takes them as
 they are, since its columns are the vectors' own keys.
+
+By bilinearity ``[u, v]`` can be nonzero only when a letter of ``u`` and a
+letter of ``v`` form a pair in ``table``.  Both ``validate`` (the
+metabelian law, on the bracket values) and ``split_basis`` (on the adapted
+rows) bracket only such pairs of vectors.
 """
 
 from __future__ import annotations
@@ -76,6 +81,7 @@ class MetabelianLieAlgebra:
             raise AlgebraFormatError("dimension must be at least 1")
         self.dim = dim
         self._labels = None  # e1 .. e<dim>, unique by construction: see labels
+        self._derived: Span | None = None  # see _derived_span
         if labels is not None:
             self._labels = tuple(labels)
             if not all(isinstance(label, str) and label for label in self._labels):
@@ -159,12 +165,25 @@ class MetabelianLieAlgebra:
             ),
         )
 
+    def _bracket_support(self, vectors: Sequence[Vec]) -> list[tuple[int, int]]:
+        """The index pairs ``r < s`` of ``vectors``, ascending, where a letter
+        of ``vectors[r]`` and one of ``vectors[s]`` form a pair in ``table``:
+        the only pairs whose bracket can be nonzero."""
+        holders: dict[int, list[int]] = {}  # letter -> indices of the vectors holding it
+        for r, v in enumerate(vectors):
+            for i in v:
+                holders.setdefault(i, []).append(r)
+        joined = ((r, s) for i, j in self.table for r in holders.get(i, ()) for s in holders.get(j, ()) if r != s)
+        return sorted({(min(r, s), max(r, s)) for r, s in joined})
+
     def _derived_span(self) -> Span:
-        """The span of the brackets: the derived subalgebra, in original coordinates."""
-        derived = Span()
-        for pair in sorted(self.table):
-            derived.add(self.table[pair])
-        return derived
+        """The span of the brackets: the derived subalgebra, in original
+        coordinates, built on first use and kept."""
+        if self._derived is None:
+            self._derived = Span()
+            for pair in sorted(self.table):
+                self._derived.add(self.table[pair])
+        return self._derived
 
     def derived_dim(self) -> int:
         """``|Y|``, the dimension of the derived subalgebra: with ``dim``, every envelope count."""
@@ -173,7 +192,8 @@ class MetabelianLieAlgebra:
     def validate(self) -> LieValidationReport:
         """Jacobi on the triples where some ``[[e_p,e_q],e_t]`` can be nonzero, as
         ``(p, q)`` is a pair and ``t`` pairs with a letter of its bracket; the
-        metabelian law on pairs of pairs.  Both lists ascend by index tuple."""
+        metabelian law on the pairs of pairs whose values can bracket to
+        nonzero.  Both lists ascend by index tuple."""
         jacobi, metabelian = [], []
         adjacent: dict[int, set[int]] = {}  # letter -> the letters it has a pair with
         for i, j in self.table:
@@ -189,10 +209,10 @@ class MetabelianLieAlgebra:
             if r := accumulate({}, chain.from_iterable(term.items() for term in terms)):
                 jacobi.append(((i, j, k), r))
         pairs = sorted(self.table)
-        for n, (a, b) in enumerate(pairs):
-            for c, d in pairs[n:]:
-                if r := self.bracket(self.table[(a, b)], self.table[(c, d)]):
-                    metabelian.append(((a, b, c, d), r))
+        values = [self.table[pair] for pair in pairs]
+        for r, s in self._bracket_support(values):
+            if w := self.bracket(values[r], values[s]):
+                metabelian.append((pairs[r] + pairs[s], w))
         return LieValidationReport(jacobi, metabelian)
 
     def __repr__(self) -> str:
@@ -329,24 +349,10 @@ def split_basis(algebra: MetabelianLieAlgebra) -> BasisSplit:
                 base += "_"
             labels.append(base)
 
-    # two adapted rows can bracket to nonzero only if they hold the two
-    # sides of a pair in ``table``
-    holders: dict[int, list[int]] = {}  # original index -> adapted rows holding it
-    for r, row in enumerate(new_rows, start=1):
-        for i in row:
-            holders.setdefault(i, []).append(r)
-    pairs = {
-        (min(r, s), max(r, s))
-        for i, j in algebra.table
-        for r in holders[i]
-        for s in holders[j]
-        if r != s
-    }
     brackets: dict[tuple[int, int], Vec] = {}
-    for r, s in sorted(pairs):
-        w = _combine(images, algebra.bracket(new_rows[r - 1], new_rows[s - 1]))
-        if w:
-            brackets[(r, s)] = w
+    for r, s in algebra._bracket_support(new_rows):
+        if w := _combine(images, algebra.bracket(new_rows[r], new_rows[s])):
+            brackets[(r + 1, s + 1)] = w
     adapted = MetabelianLieAlgebra(n, labels, brackets)
     return BasisSplit(
         algebra=adapted,

@@ -296,8 +296,6 @@ def test_envelope_commands(runner):
     out = invoke(runner, "envelope", "check", "--algebra", f"{ALGEBRAS}/heisenberg.json", "--seed", "5", "--json")
     data = json.loads(out)
     assert data["ok"] is True
-    out = invoke(runner, "envelope", "check", "--algebra", f"{ALGEBRAS}/heisenberg.json", "--words", "0", "--json")
-    assert json.loads(out)["confluence"] == {"seed": 0, "words": 0, "agree": True}
     result = runner.invoke(main, ["envelope", "check", "--algebra", f"{ALGEBRAS}/sl2.json"])
     assert result.exit_code == 1
     result = runner.invoke(main, ["envelope", "build", "--algebra", f"{ALGEBRAS}/sl2.json", "--deg", "2"])
@@ -407,6 +405,30 @@ def test_gk_bounds_the_printed_size(runner, monkeypatch):
     assert "Usage: main gk [OPTIONS]" in result.stderr
 
 
+def test_envelope_nf_reads_its_expression_before_the_split(runner, monkeypatch, tmp_path):
+    """``envelope nf`` reads its expression in the algebra's own labels
+    before it validates the algebra or splits its basis, so a malformed
+    expression exits 2 at once, on an invalid algebra too."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the algebra was validated or its basis split")
+
+    paired = tmp_path / "paired.json"  # one pair [e1,e2] = e3
+    paired.write_text('{"dim": 200000, "brackets": [{"i": 1, "j": 2, "value": [[3, "1"]]}]}')
+    with monkeypatch.context() as patch:
+        patch.setattr("permalg.envelope.split_basis", refuse)
+        patch.setattr(MetabelianLieAlgebra, "validate", refuse)
+        for path in (str(paired), f"{ALGEBRAS}/sl2.json"):
+            for expression in ("d(e2)*", "d(e200001)*e1", "e1*e2"):
+                start = time.perf_counter()
+                result = runner.invoke(main, ["envelope", "nf", "--algebra", path, "--", expression])
+                assert time.perf_counter() - start < 2.0, (path, expression)
+                assert (result.exit_code, result.stdout) == (2, ""), result.output
+                assert "Usage: main envelope nf" in result.stderr and "Traceback" not in result.output
+    result = runner.invoke(main, ["envelope", "nf", "--algebra", f"{ALGEBRAS}/sl2.json", "d(e2)*e1"])
+    assert result.exit_code == 1 and "not a valid metabelian Lie algebra" in result.stderr
+
+
 def test_envelope_check_sizes_the_algebra_before_building_its_labels(runner, tmp_path):
     """A ten-million-letter basis with no labels is refused on its overlap
     count without building ``e1`` .. ``e10000000`` first: the default
@@ -424,27 +446,6 @@ def test_envelope_check_sizes_the_algebra_before_building_its_labels(runner, tmp
     assert MetabelianLieAlgebra(2, ["a", "b"]).labels == ("a", "b")
     with pytest.raises(AlgebraFormatError, match="unique"):
         MetabelianLieAlgebra(2, ["a", "a"])
-
-
-def test_envelope_check_bounds_the_random_words(runner, monkeypatch):
-    """``--words`` above ``WORDS_LIMIT`` exits 2 before the algebra is
-    read or any word is reduced."""
-    from permalg.envelope import Envelope
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("reduction started")
-
-    monkeypatch.setattr(Envelope, "__init__", refuse)
-    heisenberg = f"{ALGEBRAS}/heisenberg.json"
-    result = runner.invoke(main, ["envelope", "check", "--algebra", heisenberg, "--words", str(10**18)])
-    assert result.exit_code == 2 and result.stdout == ""
-    assert f"reduce {10**18} random words; the limit is {cli.WORDS_LIMIT}" in result.stderr
-    monkeypatch.setattr(cli, "WORDS_LIMIT", 10)
-    result = runner.invoke(main, ["envelope", "check", "--algebra", heisenberg, "--words", "11"])
-    assert result.exit_code == 2 and "reduce 11 random words; the limit is 10" in result.stderr
-    monkeypatch.undo()
-    monkeypatch.setattr(cli, "WORDS_LIMIT", 10)
-    assert json.loads(invoke(runner, "envelope", "check", "--algebra", heisenberg, "--words", "10", "--json"))["ok"]
 
 
 def test_jordan_express_names_the_first_offending_slice(runner):
@@ -656,9 +657,9 @@ GROUP = "[OPTIONS] COMMAND [ARGS]..."
             "Invalid value for '--algebra': File 'nope.json' does not exist.",
         ),
         (
-            ["envelope", "check", "--algebra", "algebras/heisenberg.json", "--words", "-1"],
+            ["envelope", "check", "--algebra", "algebras/heisenberg.json", "--words", "5"],
             "envelope check [OPTIONS]",
-            "need --words >= 0",
+            "No such option '--words'.",
         ),
         (
             # ``c`` is bound as slot 1, then dropped with its zero coefficient

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from permalg.envelope import Envelope, degree_count, gk_estimate, letter_count
-from permalg.linalg import Subspace
+from permalg.linalg import Span, Subspace
 from permalg.metabelian import (
     AlgebraFormatError,
     InvalidLieAlgebra,
@@ -116,6 +116,26 @@ def value_letters(dim, rng):
     return MetabelianLieAlgebra(dim, brackets=brackets)
 
 
+def upper_triangular():
+    """The upper-triangular 3x3 matrices, ``h1 h2 h3 x y z`` for ``E11 E22
+    E33 E12 E23 E13``: a Lie algebra, so Jacobi holds, but not metabelian,
+    as ``[[h1,x],[h2,y]] = [x,y] = z`` brackets two values with no letter in
+    common."""
+    return MetabelianLieAlgebra(
+        6,
+        ["h1", "h2", "h3", "x", "y", "z"],
+        {
+            (1, 4): {4: 1},
+            (1, 6): {6: 1},
+            (2, 4): {4: -1},
+            (2, 5): {5: 1},
+            (3, 5): {5: -1},
+            (3, 6): {6: -1},
+            (4, 5): {6: 1},
+        },
+    )
+
+
 def test_validate_matches_all_pairs_oracle(rng):
     def valid(algebra):
         report = algebra.validate()
@@ -125,7 +145,12 @@ def test_validate_matches_all_pairs_oracle(rng):
         return report.ok
 
     algebras = [load_algebra(p) for p in sorted(ALGEBRAS.glob("*.json"))]
-    algebras += [MetabelianLieAlgebra.from_dict(SL2), abelian(5)]
+    algebras += [MetabelianLieAlgebra.from_dict(SL2), abelian(5), free_metabelian(3, 3)[0]]
+    triangular = upper_triangular()
+    # the four pairs of [h, x] and [h', y], as x and y span the values with a pair
+    metabelian = [((1, 4, 2, 5), {6: 1}), ((1, 4, 3, 5), {6: -1}), ((2, 4, 2, 5), {6: -1}), ((2, 4, 3, 5), {6: 1})]
+    assert triangular.validate() == ([], metabelian)
+    algebras.append(triangular)
     algebras += [random_metabelian(d, rng) for d in range(1, 8) for _ in range(6)]
     # free letters between the bracketed ones, and letters that are only values
     algebras += [relabelled(random_metabelian(d, rng), rng.randint(d, 12), rng) for d in range(2, 8)]
@@ -161,8 +186,47 @@ def test_validate_skips_zero_brackets(monkeypatch):
     assert MetabelianLieAlgebra(60).validate().ok
     assert calls == 0
     assert heisenberg().validate().ok
-    # the pair of pairs ((1, 2), (1, 2)); e3 has no pair, so no triple can fail Jacobi
-    assert calls == 1
+    # one pair, whose value e3 has no pair: no triple can fail Jacobi, and
+    # no two values can bracket to nonzero
+    assert calls == 0
+
+
+def test_validate_brackets_no_pair_of_derived_values(monkeypatch):
+    """In ``L(4, 4)`` every value lies in the derived letters, and no two
+    of them form a pair, so the metabelian law makes no bracket call."""
+    algebra, _ = free_metabelian(4, 4)
+    values = {id(v) for v in algebra.table.values()}
+    calls = 0
+    bracket = MetabelianLieAlgebra.bracket
+
+    def counting(self, u, v):
+        nonlocal calls
+        calls += id(u) in values and id(v) in values
+        return bracket(self, u, v)
+
+    monkeypatch.setattr(MetabelianLieAlgebra, "bracket", counting)
+    assert algebra.validate().ok
+    assert calls == 0
+
+
+def test_derived_span_is_built_once(monkeypatch):
+    """``derived_dim`` and ``split_basis`` read one derived span, built on
+    first use: sizing a job and then building its ``Envelope`` adds each
+    bracket value to a span once."""
+    algebra, _ = free_metabelian(3, 3)
+    values = {id(v) for v in algebra.table.values()}
+    adds = 0
+    add = Span.add
+
+    def counting(self, vec, witness=None):
+        nonlocal adds
+        adds += id(vec) in values
+        return add(self, vec, witness)
+
+    monkeypatch.setattr(Span, "add", counting)
+    y = algebra.derived_dim()
+    assert Envelope(algebra).y_count == y
+    assert adds == len(algebra.table)
 
 
 def bracket_entry(**changes):
