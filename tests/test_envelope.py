@@ -147,7 +147,7 @@ def test_validate_matches_all_pairs_oracle(rng):
     algebras = [load_algebra(p) for p in sorted(ALGEBRAS.glob("*.json"))]
     algebras += [MetabelianLieAlgebra.from_dict(SL2), abelian(5), free_metabelian(3, 3)[0]]
     triangular = upper_triangular()
-    # the four pairs of [h, x] and [h', y], as x and y span the values with a pair
+    # [x, y] = z is the one nonzero bracket of two values: each [h, x] = ±x with each [h', y] = ±y
     metabelian = [((1, 4, 2, 5), {6: 1}), ((1, 4, 3, 5), {6: -1}), ((2, 4, 2, 5), {6: -1}), ((2, 4, 3, 5), {6: 1})]
     assert triangular.validate() == ([], metabelian)
     algebras.append(triangular)
