@@ -124,6 +124,13 @@ def test_sj_span_3_5(benchmark):
     assert space.dim == len(space.monomials)
 
 
+def test_sj_span_2_6(benchmark):
+    """The other whole-degree ``sj_span`` call of perfbench ``closure``: 12
+    rows in 7 contents, against 45 in 21 at ``(3, 5)``."""
+    space = run(benchmark, sj_span, (2, 6), 20)
+    assert space.dim == len(space.monomials) == 12
+
+
 def test_span_solve_dependent_degree_5(benchmark):
     """Coordinates over the 5 words of a degree-5 component from 9
     vectors, 4 of which depend on earlier ones and get coordinate 0."""

@@ -68,10 +68,19 @@ not part of the target's reaches nothing there.
   So the slice gets ``g^`` and ``W(h)`` for every letter ``h`` of ``d``,
   and these already hold every chain.
 
-Slices are values computed per call: ``_sj_rows`` gives the echelon rows
-of a slice in closed form (a letter, the anticommutator of
-two letters, or from degree 3 on every word), and nothing is kept between
-calls.  The slice closures that check both closed forms live in
+Slices and witnesses are values computed per call.  ``_sj_rows`` gives
+the echelon rows of a slice in closed form (a letter, the anticommutator
+of two letters, or from degree 3 on every word).  The ``f``-element
+witnesses of one call come from one node store, :class:`_FWitnesses`:
+under the perm law a word is its head plus the multiset of its letters,
+so the words of one content use the same leaves and often the same
+left-normed chains.  The store builds each letter's leaf once, each chain
+prefix once, keyed by the prefix's ``id`` and the next letter, and each
+witness tree once.  Within one content a tree's coefficient is summed as
+an ``int`` over ``lcm(coefficient denominators) << (n-1)``, and each
+distinct tree gets one coefficient, an ``int`` when it is integral.
+Nothing is kept between calls.  The slice closures that check both
+closed forms, and the word-by-word witness build, live in
 ``tests/oracles.py``.
 """
 
@@ -80,6 +89,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .expr import (
@@ -92,7 +102,6 @@ from .expr import (
     Slot,
     associator,
     check_identity,
-    left_normed,
     wrap,
 )
 from .linalg import Subspace
@@ -252,25 +261,103 @@ def verify_J_identities() -> IdentitySuiteReport:
 # anticommutator spans and Jordan expressibility
 
 
-def _f_terms(q: Fraction | int, head: int, args: Sequence[int]) -> list[tuple[Fraction | int, Node]]:
-    """``4q * f(x_head; x_a1, {..{x_a2, x_a3}, ..})`` as its three
-    anticommutator terms ``-q``, ``3q`` and ``-q``, built without
-    intermediate sums.  When ``head == a1`` the last two are one tree,
-    ``{{x_head, c}, x_head}``, and it comes once with ``2q``."""
-    a = Leaf(head)
-    c = left_normed(Anti, args[1:])
-    if head == args[0]:
-        return [(-q, Anti(Anti(a, a), c)), (2 * q, Anti(Anti(a, c), a))]
-    b = Leaf(args[0])
-    neg = -q
-    return [(neg, Anti(Anti(a, b), c)), (3 * q, Anti(Anti(b, c), a)), (neg, Anti(Anti(a, c), b))]
+class _FWitnesses:
+    """One call's store of ``f``-element witness trees.
 
+    It builds each letter's :class:`Leaf` once, each left-normed chain
+    prefix once, keyed by the ``id`` of the prefix before it and the next
+    letter (O(1) key work per step, however long the chain), and each
+    witness tree ``{{x,y},z}`` once, keyed by the ``id``s of ``x``, ``y``
+    and ``z``.  So two leaves, two chains or two witness trees of the store
+    are one object exactly when they are equal, and sums over the trees
+    merge by identity, with no tree walk.  Each coefficient ``v / den`` that is not integral is one
+    ``Fraction`` per call.  The store lives as long as the call that made
+    it."""
 
-def _word_terms(mono: PermMonomial, coeff: Fraction | int) -> list[tuple[Fraction | int, Node]]:
-    """``coeff * mono`` for a word of degree ``n >= 3``: its ``f``-element
-    over ``2^(n-3)`` (the law in the module docstring), whose terms share
-    the one ``Fraction`` ``q = coeff / 2^(n-1)``."""
-    return _f_terms(Fraction(coeff, 1 << (mono.degree - 1)), mono.head, mono.tail)
+    __slots__ = ("_leaves", "_chains", "_trees", "_fractions")
+
+    def __init__(self) -> None:
+        self._leaves: dict[int, Leaf] = {}
+        self._chains: dict[tuple[int, int], Anti] = {}
+        self._trees: dict[tuple[int, int, int], Anti] = {}
+        self._fractions: dict[tuple[int, int], Fraction] = {}
+
+    def leaf(self, i: int) -> Leaf:
+        node = self._leaves.get(i)
+        if node is None:
+            node = self._leaves[i] = Leaf(i)
+        return node
+
+    def word(self, head: int, args: Sequence[int]) -> tuple[Anti, Anti, Anti]:
+        """The trees ``{{a,b},c}``, ``{{b,c},a}`` and ``{{a,c},b}`` of
+        ``f(x_head; x_a1, {..{x_a2, x_a3}, ..})``, with ``a = x_head``,
+        ``b = x_a1`` and ``c`` the chain of the other letters.  When
+        ``head == a1`` the last two are one tree.  At degree 3 the chain is
+        a leaf, so all three trees have the shape ``{{x,y},z}`` of three
+        letters, and trees of one word or of two can be equal.  Equal
+        trees are one object."""
+        leaf, chains, trees = self.leaf, self._chains, self._trees
+        c = leaf(args[1])
+        for i in args[2:]:
+            key = (id(c), i)
+            node = chains.get(key)
+            if node is None:
+                node = chains[key] = Anti(c, leaf(i))
+            c = node
+        a, b = leaf(head), leaf(args[0])
+        out = []
+        for x, y, z in ((a, b, c), (b, c, a), (a, c, b)):
+            key = (id(x), id(y), id(z))
+            tree = trees.get(key)
+            if tree is None:
+                tree = trees[key] = Anti(Anti(x, y), z)
+            out.append(tree)
+        return tuple(out)
+
+    def content(
+        self, words: Sequence[tuple[int, Sequence[int], Fraction | int]], n: int
+    ) -> dict[Node, Fraction | int]:
+        """``sum c * x_head * x_args`` over the ``(head, args, c)`` words of
+        one content of degree ``n >= 3``, through anticommutators: by the
+        ``2^(n-3)`` law each word is ``q * (-t1 + 3*t2 - t3)`` on the trees
+        of :meth:`word`, with ``q = c / 2^(n-1)``.  Each distinct tree sums
+        ``int`` units over ``den = lcm(denominators) << (n-1)``."""
+        den = lcm(*[c.denominator for _, _, c in words])
+        totals: dict[Node, int] = {}
+        get = totals.get
+        for head, args, c in words:
+            units = c.numerator * (den // c.denominator)
+            t1, t2, t3 = self.word(head, args)
+            totals[t1] = get(t1, 0) - units
+            totals[t2] = get(t2, 0) + 3 * units
+            totals[t3] = get(t3, 0) - units
+        return self._coefficients(totals, den << (n - 1))
+
+    def row(self, head: int, args: Sequence[int]) -> dict[Node, Fraction | int]:
+        """The :meth:`content` of the one word ``x_head * x_args`` with
+        coefficient 1: its trees' units are -1, 3 and -1, and the
+        coefficients they sum to are shared by every row of the call."""
+        t1, t2, t3 = self.word(head, args)
+        totals = {t1: -1}
+        totals[t2] = totals.get(t2, 0) + 3
+        totals[t3] = totals.get(t3, 0) - 1
+        return self._coefficients(totals, 1 << len(args))
+
+    def _coefficients(self, totals: dict[Node, int], den: int) -> dict[Node, Fraction | int]:
+        """Each nonzero sum ``v`` as the coefficient ``v / den``: an ``int``
+        when it is integral, otherwise the call's one ``Fraction`` of it."""
+        fractions = self._fractions
+        out: dict[Node, Fraction | int] = {}
+        for tree, v in totals.items():
+            if v:
+                if v % den:
+                    q = fractions.get((v, den))
+                    if q is None:
+                        q = fractions[v, den] = Fraction(v, den)
+                else:
+                    q = v // den
+                out[tree] = q
+        return out
 
 
 def _sj_rows(content: tuple[int, ...]) -> list[PermPolynomial]:
@@ -283,20 +370,20 @@ def _sj_rows(content: tuple[int, ...]) -> list[PermPolynomial]:
     if len(content) == 2 and content[0] != content[1]:
         lo, hi = content
         return [PermPolynomial.from_word((lo, hi)) + PermPolynomial.from_word((hi, lo))]
-    return [PermPolynomial.from_monomial(slice_word(content, h)) for h in sorted(set(content))]
+    return [PermPolynomial._of({slice_word(content, h): 1}) for h in sorted(set(content))]
 
 
-def _row_witness(lead: PermMonomial) -> list[tuple[Fraction, Node]]:
-    """The witness, as ``(coeff, node)`` terms, of the :func:`_sj_rows` row
-    with lead word ``lead``: the letter itself, ``{x_b,x_a}`` for the row
-    led by ``x_a*x_b`` (halved when ``a = b``, as ``{x,x} = 2*x*x``), or
-    the word's ``f``-element over ``2^(n-3)``."""
+def _row_witness(store: _FWitnesses, lead: PermMonomial) -> dict[Node, Fraction | int]:
+    """The witness, as ``{node: coeff}``, of the :func:`_sj_rows` row with
+    lead word ``lead``, built in ``store``: the letter itself, ``{x_b,x_a}``
+    for the row led by ``x_a*x_b`` (halved when ``a = b``, as
+    ``{x,x} = 2*x*x``), or the word's ``f``-element over ``2^(n-3)``."""
     if not lead.tail:
-        return [(1, Leaf(lead.head))]
+        return {store.leaf(lead.head): 1}
     if lead.degree == 2:
         (b,) = lead.tail
-        return [(_HALF if b == lead.head else 1, Anti(Leaf(b), Leaf(lead.head)))]
-    return _word_terms(lead, 1)
+        return {Anti(store.leaf(b), store.leaf(lead.head)): _HALF if b == lead.head else 1}
+    return store.row(lead.head, lead.tail)
 
 
 def sj_span(k: int, n: int) -> Subspace:
@@ -305,9 +392,10 @@ def sj_span(k: int, n: int) -> Subspace:
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     space = Subspace(enumerate_basis(k, n))
+    store = _FWitnesses()
     for content in combinations_with_replacement(range(1, k + 1), n):
         for row in _sj_rows(content):
-            space.add(row, ExprSum(_row_witness(row.terms()[0][0])))
+            space.add(row, ExprSum._of(_row_witness(store, row.terms()[0][0])))
     return space
 
 
@@ -331,11 +419,13 @@ def jordan_express(g: PermPolynomial) -> ExprSum:
     ``2^(n-3)`` law of this module a word ``w`` of degree ``n`` is
     ``f(w) / 2^(n-3)``, so ``sum c_w w`` is ``sum c_w / 2^(n-3) * f(w)``.
     """
-    terms: list[tuple[Fraction, Node]] = []
+    store = _FWitnesses()
+    # trees of different contents differ, so the contents' terms never merge
+    terms: dict[Node, Fraction | int] = {}
     for content, comp in reversed(g.components().items()):
         n = len(content)
         if n == 1:
-            terms += [(c, Leaf(m.head)) for m, c in comp.items()]
+            terms.update((store.leaf(m.head), c) for m, c in comp.items())
         elif n == 2:
             # the slice is one row; comp must be a multiple of it
             (row,) = _sj_rows(content)
@@ -343,11 +433,10 @@ def jordan_express(g: PermPolynomial) -> ExprSum:
             c = comp.coefficient(lead)
             if comp != c * row:
                 raise NotJordanElement(comp)
-            terms += [(c * a, node) for a, node in _row_witness(lead)]
+            terms.update((node, c * a) for node, a in _row_witness(store, lead).items())
         else:
-            for m, c in comp.items():
-                terms += _word_terms(m, c)
-    return ExprSum(terms)
+            terms.update(store.content([(m.head, m.tail, c) for m, c in comp.items()], n))
+    return ExprSum._of(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +573,14 @@ class FElement(NamedTuple):
         return 1 + len(self.args)
 
     def expr(self) -> ExprSum:
+        return ExprSum._of(_FWitnesses().content((self._word(1),), self.degree))
+
+    def _word(self, coeff: Fraction | int) -> tuple[int, tuple[int, ...], Fraction | int]:
+        """``coeff`` times this element as a word of :meth:`_FWitnesses.content`:
+        the element is ``2^(n-3)`` times its word."""
         if len(self.args) < 2:
             raise ValueError("f-elements have degree >= 3")
-        return ExprSum(_f_terms(_QUARTER, self.head, self.args))
+        return self.head, self.args, coeff * (1 << (len(self.args) - 2))
 
     def expand(self) -> PermPolynomial:
         return self.expr().expand()
@@ -535,6 +629,14 @@ def to_bn(word: Sequence[int]) -> list[tuple[Fraction, FElement]]:
 
 
 def expand_bn(combination: Iterable[tuple[Fraction, FElement]]) -> PermPolynomial:
-    return ExprSum(
-        (exact(coeff) * c, node) for coeff, fe in combination for node, c in fe.expr().items()
-    ).expand()
+    """The word polynomial of an ``f``-element combination: its elements
+    grouped by content, each content's witness trees built and summed once."""
+    contents: dict[tuple[int, ...], list] = {}
+    for coeff, fe in combination:
+        word = fe._word(exact(coeff))
+        contents.setdefault(tuple(sorted((fe.head, *fe.args))), []).append(word)
+    store = _FWitnesses()
+    terms: dict[Node, Fraction | int] = {}
+    for content, words in contents.items():
+        terms.update(store.content(words, len(content)))
+    return ExprSum._of(terms).expand()

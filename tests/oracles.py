@@ -14,6 +14,9 @@ The word-by-word product multiplies every pair of terms, where
 class from the perm side, an independent algebra to hold the envelope to.
 ``set_partition_patterns`` lists every way of identifying a template's
 slots, which ``check_identity`` replaces with one distinct substitution.
+``jordan_express_oracle`` builds every word's ``f``-element trees afresh
+and merges equal trees by ``ExprSum``, where ``jordan_express`` builds each
+distinct tree once per call and sums its coefficients in integers.
 """
 
 from fractions import Fraction
@@ -21,8 +24,8 @@ from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from permalg.envelope import Envelope, env_key
-from permalg.expr import ExprSum, Leaf
-from permalg.jordan import _sj_rows
+from permalg.expr import Anti, ExprSum, Leaf, Node, left_normed
+from permalg.jordan import NotJordanElement, _sj_rows
 from permalg.lie import ml_basis
 from permalg.linalg import Subspace
 from permalg.metabelian import MetabelianLieAlgebra
@@ -65,6 +68,44 @@ def dynkin(f: PermPolynomial) -> PermPolynomial:
         if m.tail:
             out.append((PermMonomial(m.tail[0], tuple(sorted((m.head,) + m.tail[1:]))), -c))
     return PermPolynomial(out)
+
+
+def f_terms_oracle(q: Fraction | int, head: int, args: Sequence[int]) -> list[tuple[Fraction | int, Node]]:
+    """``4q * f(x_head; x_a1, {..{x_a2, x_a3}, ..})`` as its three
+    anticommutator terms ``-q``, ``3q`` and ``-q``, every node built anew.
+    When ``head == a1`` the last two are one tree, and it comes once with
+    ``2q``."""
+    a = Leaf(head)
+    c = left_normed(Anti, args[1:])
+    if head == args[0]:
+        return [(-q, Anti(Anti(a, a), c)), (2 * q, Anti(Anti(a, c), a))]
+    b = Leaf(args[0])
+    return [(-q, Anti(Anti(a, b), c)), (3 * q, Anti(Anti(b, c), a)), (-q, Anti(Anti(a, c), b))]
+
+
+def jordan_express_oracle(g: PermPolynomial) -> ExprSum:
+    """``permalg.jordan.jordan_express`` word by word: a letter is itself, a
+    degree-2 component is its lead coefficient times ``{x_b,x_a}`` (halved
+    for ``x_a*x_a``), and a word ``c * w`` of degree ``n >= 3`` is
+    ``c / 2^(n-3)`` times its ``f``-element, with
+    ``q = c / 2^(n-1)``.  ``ExprSum`` merges the terms of all the words."""
+    terms: list[tuple[Fraction | int, Node]] = []
+    for content, comp in reversed(g.components().items()):
+        n = len(content)
+        if n == 1:
+            terms += [(c, Leaf(m.head)) for m, c in comp.items()]
+        elif n == 2:
+            (row,) = _sj_rows(content)
+            lead, _ = row.terms()[0]
+            c = comp.coefficient(lead)
+            if comp != c * row:
+                raise NotJordanElement(comp)
+            (b,) = lead.tail
+            terms.append((c * Fraction(1, 2) if b == lead.head else c, Anti(Leaf(b), Leaf(lead.head))))
+        else:
+            for m, c in comp.items():
+                terms += f_terms_oracle(Fraction(c, 1 << (n - 1)), m.head, m.tail)
+    return ExprSum(terms)
 
 
 def set_partition_patterns(n: int) -> Iterator[tuple[int, ...]]:

@@ -23,7 +23,7 @@ from permalg.jordan import (
 from permalg.linalg import Subspace
 from permalg.perm import PermMonomial, PermPolynomial, dimension, enumerate_basis, letters, multidegrees
 
-from oracles import ideal_closure_oracle, sj_closure_oracle
+from oracles import f_terms_oracle, ideal_closure_oracle, jordan_express_oracle, sj_closure_oracle
 
 x = PermPolynomial.from_word
 
@@ -51,7 +51,7 @@ def test_sj_span_dimensions():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_closed_form_slices_match_closure_oracle(k):
-    from permalg.jordan import _row_witness, _sj_rows
+    from permalg.jordan import _FWitnesses, _row_witness, _sj_rows
 
     for n in range(1, 8):
         for md in (md for md in product(range(n + 1), repeat=k) if sum(md) == n):
@@ -65,7 +65,7 @@ def test_closed_form_slices_match_closure_oracle(k):
             closed = _sj_rows(letters(md))
             assert closed == oracle.basis()
             for row in closed:
-                assert ExprSum(_row_witness(row.terms()[0][0])).expand() == row
+                assert ExprSum._of(_row_witness(_FWitnesses(), row.terms()[0][0])).expand() == row
 
 
 def test_sj_span_witnesses_expand_to_rows():
@@ -173,10 +173,11 @@ def test_f_element_with_its_head_first_has_two_terms(word):
     ``{{a,c},b}`` are one tree, so the ``f``-element is built as two
     terms; the witness and ``FElement.expr()`` equal the three-term
     ``f_comb`` and print as it does."""
-    from permalg.jordan import _f_terms
+    from permalg.jordan import _FWitnesses
 
     head, a1, *rest = word
-    assert len(_f_terms(Fraction(1, 4), head, word[1:])) == 2
+    _, second, third = _FWitnesses().word(head, word[1:])
+    assert second is third
     three = f_comb(Leaf(head), Leaf(a1), left_normed(Anti, rest))
     fe = FElement(head, tuple(word[1:]))
     assert fe.expr() == three and str(fe.expr()) == str(three)
@@ -308,8 +309,8 @@ def test_ideal_component_builds_no_witnesses(monkeypatch):
     import permalg.jordan as jordan
 
     calls = []
-    build = jordan._word_terms
-    monkeypatch.setattr(jordan, "_word_terms", lambda *args: calls.append(args) or build(*args))
+    build = jordan._FWitnesses.word
+    monkeypatch.setattr(jordan._FWitnesses, "word", lambda *args: calls.append(args) or build(*args))
     ideal_component("jordan", [x((1, 2)) + x((2, 1)), x((3, 3))], (2, 2, 1))
     assert len(calls) == 0
     sj_span(2, 3)  # the probe sees the witnesses sj_span does build
@@ -433,3 +434,110 @@ def test_felement_roundtrip_through_to_bn():
     # expanding an f-element and re-solving it via the triple-product route
     fe = FElement(2, (1, 3))
     assert expand_bn([(Fraction(1), fe)]) == fe.expand()
+
+
+# ---------------------------------------------------------------------------
+# the per-call witness builder against the word-by-word oracle
+
+# (k, n) of every multidegree the differential tests cover
+WITNESS_DEGREES = [(k, n) for k in (1, 2, 3) for n in range(1, 8)] + [(4, n) for n in range(1, 6)]
+COEFFICIENTS = [Fraction(p, q) for p in (-5, -3, -1, 1, 2, 4, 6) for q in (1, 2, 3, 4, 12)]
+
+
+def same_witness(got, want):
+    """Equal as sums, printed alike, the same coefficient on every tree,
+    and every integral coefficient of an ``f``-element tree an ``int``."""
+    assert got == want
+    assert str(got) == str(want)
+    assert [c for _, c in got.terms()] == [c for _, c in want.terms()]
+    assert all(type(c) is int for node, c in got.items() if node._size > 2 and c.denominator == 1)
+
+
+def seeded_component(rng, k, n, md):
+    """The words of ``md`` with seeded coefficients, stored as an ``int``
+    when integral; at degree 2 a multiple of the slice's one row, which
+    is all ``jordan_express`` accepts there."""
+    pick = lambda: (lambda c: c.numerator if c.denominator == 1 else c)(rng.choice(COEFFICIENTS))
+    if n == 2:
+        (row,) = sj_closure_oracle(md).basis()
+        return pick() * row
+    return PermPolynomial._of({m: pick() for m in enumerate_basis(k, n, md)})
+
+
+@pytest.mark.parametrize("k, n", WITNESS_DEGREES)
+def test_jordan_express_matches_word_by_word_oracle(k, n, rng):
+    for md in multidegrees(k, n):
+        g = seeded_component(rng, k, n, md)
+        same_witness(jordan_express(g), jordan_express_oracle(g))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_jordan_express_of_many_contents_matches_oracle(k, rng):
+    """Every content of degrees 1 to 5 at once: contents never share a
+    tree, so each content's sum stands as it is."""
+    g = PermPolynomial.zero()
+    for n in range(1, 6):
+        for md in multidegrees(k, n):
+            g = g + seeded_component(rng, k, n, md)
+    same_witness(jordan_express(g), jordan_express_oracle(g))
+
+
+def test_shared_tree_cancels_like_the_oracle(rng):
+    """``{{x_b, c}, x_a}`` is a tree of the word headed by ``a`` (with
+    coefficient ``3q``) and of the word headed by ``b`` (with ``-q``) when
+    ``b`` is the least other letter of ``a``'s word and ``a`` of ``b``'s.
+    With ``c_b = 3*c_a`` it sums to zero and leaves both witnesses.  At
+    degree 3 with a repeated letter a third term can be that tree too, so
+    those contents are left out."""
+    cancelled = 0
+    for k, n in WITNESS_DEGREES:
+        for md in multidegrees(k, n) if n >= 3 else ():
+            content = letters(md)
+            if n == 3 and len(set(content)) < 3:
+                continue
+            for a, b in product(sorted(set(content)), repeat=2):
+                rest_a, rest_b = list(content), list(content)
+                rest_a.remove(a)
+                rest_b.remove(b)
+                if a == b or min(rest_a) != b or min(rest_b) != a:
+                    continue
+                g = seeded_component(rng, k, n, md)
+                c = g.coefficient(PermMonomial(a, tuple(rest_a)))
+                word_b = PermMonomial(b, tuple(rest_b))
+                g = g + PermPolynomial.from_monomial(word_b, 3 * c - g.coefficient(word_b))
+                rest_a.remove(b)
+                shared = Anti(Anti(Leaf(b), left_normed(Anti, rest_a)), Leaf(a))
+                got = jordan_express(g)
+                assert got.coefficient(shared) == 0
+                same_witness(got, jordan_express_oracle(g))
+                cancelled += 1
+    assert cancelled > 100, cancelled
+
+
+@pytest.mark.parametrize("k, n", WITNESS_DEGREES)
+def test_sj_span_witnesses_match_oracle(k, n):
+    space = sj_span(k, n)
+    for row, witness in zip(space.basis(), space.expressions):
+        same_witness(witness, jordan_express_oracle(row))
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for k, n in WITNESS_DEGREES if n >= 3])
+def test_f_elements_and_expand_bn_match_oracle(k, n, rng):
+    """``FElement.expr()`` is the witness of ``2^(n-3)`` times its word; and
+    ``expand_bn`` of a seeded combination, with one element repeated and a
+    lower degree mixed in, expands the oracle's terms."""
+    basis = bn_basis(k, n)
+    for fe in basis:
+        word = PermPolynomial.from_monomial(PermMonomial(fe.head, fe.args), 2 ** (n - 3))
+        same_witness(fe.expr(), jordan_express_oracle(word))
+    combination = [(rng.choice(COEFFICIENTS), fe) for fe in basis + basis[:2]]
+    if n > 3:
+        combination += [(rng.choice(COEFFICIENTS), fe) for fe in bn_basis(k, n - 1)]
+    want = ExprSum(
+        (coeff * c, node)
+        for coeff, fe in combination
+        for c, node in f_terms_oracle(Fraction(1, 4), fe.head, fe.args)
+    ).expand()
+    got = expand_bn(combination)
+    assert got == want and str(got) == str(want)
+    assert [c for _, c in got.terms()] == [c for _, c in want.terms()]
