@@ -321,7 +321,11 @@ class _FWitnesses:
         one content of degree ``n >= 3``, through anticommutators: by the
         ``2^(n-3)`` law each word is ``q * (-t1 + 3*t2 - t3)`` on the trees
         of :meth:`word`, with ``q = c / 2^(n-1)``.  Each distinct tree sums
-        ``int`` units over ``den = lcm(denominators) << (n-1)``."""
+        ``int`` units over ``den = lcm(denominators) << (n-1)``, and a
+        nonzero sum ``v`` is the coefficient ``v / den``: an ``int`` when
+        it is integral, otherwise the call's one ``Fraction`` of it, so the
+        rows of ``sj_span``, each one word with coefficient 1, share the
+        coefficients ``-q``, ``3q`` and ``2q``."""
         den = lcm(*[c.denominator for _, _, c in words])
         totals: dict[Node, int] = {}
         get = totals.get
@@ -331,21 +335,7 @@ class _FWitnesses:
             totals[t1] = get(t1, 0) - units
             totals[t2] = get(t2, 0) + 3 * units
             totals[t3] = get(t3, 0) - units
-        return self._coefficients(totals, den << (n - 1))
-
-    def row(self, head: int, args: Sequence[int]) -> dict[Node, Fraction | int]:
-        """The :meth:`content` of the one word ``x_head * x_args`` with
-        coefficient 1: its trees' units are -1, 3 and -1, and the
-        coefficients they sum to are shared by every row of the call."""
-        t1, t2, t3 = self.word(head, args)
-        totals = {t1: -1}
-        totals[t2] = totals.get(t2, 0) + 3
-        totals[t3] = totals.get(t3, 0) - 1
-        return self._coefficients(totals, 1 << len(args))
-
-    def _coefficients(self, totals: dict[Node, int], den: int) -> dict[Node, Fraction | int]:
-        """Each nonzero sum ``v`` as the coefficient ``v / den``: an ``int``
-        when it is integral, otherwise the call's one ``Fraction`` of it."""
+        den <<= n - 1
         fractions = self._fractions
         out: dict[Node, Fraction | int] = {}
         for tree, v in totals.items():
@@ -383,7 +373,7 @@ def _row_witness(store: _FWitnesses, lead: PermMonomial) -> dict[Node, Fraction 
     if lead.degree == 2:
         (b,) = lead.tail
         return {Anti(store.leaf(b), store.leaf(lead.head)): _HALF if b == lead.head else 1}
-    return store.row(lead.head, lead.tail)
+    return store.content(((lead.head, lead.tail, 1),), lead.degree)
 
 
 def sj_span(k: int, n: int) -> Subspace:

@@ -453,15 +453,19 @@ def same_witness(got, want):
     assert all(type(c) is int for node, c in got.items() if node._size > 2 and c.denominator == 1)
 
 
+def seeded_coefficient(rng):
+    """One of ``COEFFICIENTS``, stored as an ``int`` when integral."""
+    c = rng.choice(COEFFICIENTS)
+    return c.numerator if c.denominator == 1 else c
+
+
 def seeded_component(rng, k, n, md):
-    """The words of ``md`` with seeded coefficients, stored as an ``int``
-    when integral; at degree 2 a multiple of the slice's one row, which
-    is all ``jordan_express`` accepts there."""
-    pick = lambda: (lambda c: c.numerator if c.denominator == 1 else c)(rng.choice(COEFFICIENTS))
+    """The words of ``md`` with seeded coefficients; at degree 2 a multiple
+    of the slice's one row, which is all ``jordan_express`` accepts there."""
     if n == 2:
         (row,) = sj_closure_oracle(md).basis()
-        return pick() * row
-    return PermPolynomial._of({m: pick() for m in enumerate_basis(k, n, md)})
+        return seeded_coefficient(rng) * row
+    return PermPolynomial._of({m: seeded_coefficient(rng) for m in enumerate_basis(k, n, md)})
 
 
 @pytest.mark.parametrize("k, n", WITNESS_DEGREES)
