@@ -315,7 +315,7 @@ class _FWitnesses:
         return tuple(out)
 
     def content(
-        self, words: Sequence[tuple[int, Sequence[int], Fraction | int]], n: int
+        self, words: Sequence[tuple[int, Sequence[int], Fraction | int]]
     ) -> dict[Node, Fraction | int]:
         """``sum c * x_head * x_args`` over the ``(head, args, c)`` words of
         one content of degree ``n >= 3``, through anticommutators: by the
@@ -335,7 +335,7 @@ class _FWitnesses:
             totals[t1] = get(t1, 0) - units
             totals[t2] = get(t2, 0) + 3 * units
             totals[t3] = get(t3, 0) - units
-        den <<= n - 1
+        den <<= len(args)  # 2^(n-1): each word of the content has n - 1 args
         fractions = self._fractions
         out: dict[Node, Fraction | int] = {}
         for tree, v in totals.items():
@@ -373,7 +373,7 @@ def _row_witness(store: _FWitnesses, lead: PermMonomial) -> dict[Node, Fraction 
     if lead.degree == 2:
         (b,) = lead.tail
         return {Anti(store.leaf(b), store.leaf(lead.head)): _HALF if b == lead.head else 1}
-    return store.content(((lead.head, lead.tail, 1),), lead.degree)
+    return store.content(((lead.head, lead.tail, 1),))
 
 
 def sj_span(k: int, n: int) -> Subspace:
@@ -425,7 +425,7 @@ def jordan_express(g: PermPolynomial) -> ExprSum:
                 raise NotJordanElement(comp)
             terms.update((node, c * a) for node, a in _row_witness(store, lead).items())
         else:
-            terms.update(store.content([(m.head, m.tail, c) for m, c in comp.items()], n))
+            terms.update(store.content([(m.head, m.tail, c) for m, c in comp.items()]))
     return ExprSum._of(terms)
 
 
@@ -563,7 +563,7 @@ class FElement(NamedTuple):
         return 1 + len(self.args)
 
     def expr(self) -> ExprSum:
-        return ExprSum._of(_FWitnesses().content((self._word(1),), self.degree))
+        return ExprSum._of(_FWitnesses().content((self._word(1),)))
 
     def _word(self, coeff: Fraction | int) -> tuple[int, tuple[int, ...], Fraction | int]:
         """``coeff`` times this element as a word of :meth:`_FWitnesses.content`:
@@ -627,6 +627,6 @@ def expand_bn(combination: Iterable[tuple[Fraction, FElement]]) -> PermPolynomia
         contents.setdefault(tuple(sorted((fe.head, *fe.args))), []).append(word)
     store = _FWitnesses()
     terms: dict[Node, Fraction | int] = {}
-    for content, words in contents.items():
-        terms.update(store.content(words, len(content)))
+    for words in contents.values():
+        terms.update(store.content(words))
     return ExprSum._of(terms).expand()
