@@ -270,9 +270,9 @@ class _FWitnesses:
     witness tree ``{{x,y},z}`` once, keyed by the ``id``s of ``x``, ``y``
     and ``z``.  So two leaves, two chains or two witness trees of the store
     are one object exactly when they are equal, and sums over the trees
-    merge by identity, with no tree walk.  Each coefficient ``v / den`` that is not integral is one
-    ``Fraction`` per call.  The store lives as long as the call that made
-    it."""
+    merge by identity, with no tree walk.  Each coefficient ``v / den``
+    that is not integral is one ``Fraction`` per call.  The store lives as
+    long as the call that made it."""
 
     __slots__ = ("_leaves", "_chains", "_trees", "_fractions")
 
