@@ -166,6 +166,15 @@ def test_envelope_abelian_500(benchmark):
     assert env.split.y_count == 0
 
 
+def test_embed_check_abelian_120(benchmark):
+    """``embed_check`` on the 120-dimensional abelian algebra: the perm
+    commutator of each of the 7140 pairs of letters, and its normal form,
+    one swap of the dot."""
+    env = Envelope(MetabelianLieAlgebra(120))
+    report = run(benchmark, env.embed_check, (), 5)
+    assert report.ok and report.checked == comb(120, 2)
+
+
 def test_validate_two_step_nilpotent_34(benchmark):
     """``validate`` on ``random_metabelian(34, Random(2))``, a two-step
     nilpotent algebra with 359 pairs whose values all lie in the centre

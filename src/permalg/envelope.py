@@ -76,6 +76,12 @@ __all__ = [
 # the rewriting system
 
 
+def _letter_commutator(i: int, j: int) -> PermPolynomial:
+    """The perm commutator ``x_i x_j - x_j x_i`` of two distinct letters,
+    built as its two words ``x_i' x_j - x_j' x_i`` with no product."""
+    return PermPolynomial._of({PermMonomial(i, (j,)): 1, PermMonomial(j, (i,)): -1})
+
+
 def env_key(m: PermMonomial, y_count: int) -> tuple:
     """Degree-lexicographic order with dotted derived letters smallest."""
     return (m.degree, 0 if m.head <= y_count else 1, m.head, m.tail)
@@ -327,10 +333,9 @@ class Envelope:
         """Every adapted basis pair must satisfy ``nf(x_i x_j - x_j x_i) =
         [x_i,x_j]'``, the perm commutator of two letters reducing to the
         dotted bracket."""
-        x = {i: PermPolynomial.generator(i) for i in range(1, self.dim + 1)}
         failures: list[tuple[str, str, str, str]] = []
         for i, j in combinations(range(1, self.dim + 1), 2):
-            got = self.normal_form(x[i] * x[j] - x[j] * x[i])
+            got = self.normal_form(_letter_commutator(i, j))
             expected = self.dotted(self.algebra.bracket_basis(i, j))
             if got != expected:
                 failures.append((self.label(i), self.label(j), self.element_str(got), self.element_str(expected)))

@@ -70,7 +70,10 @@ not part of the target's reaches nothing there.
 
 Slices and witnesses are values computed per call.  ``_sj_rows`` gives
 the echelon rows of a slice in closed form (a letter, the anticommutator
-of two letters, or from degree 3 on every word).  The ``f``-element
+of two letters, or from degree 3 on every word).  So from degree 3 on,
+``sj_span`` is every word of the degree with its ``f``-element over
+``2^(n-3)`` as its witness; it installs those rows as they are
+(``Subspace.echelon``), with no row reduction.  The ``f``-element
 witnesses of one call come from one node store, :class:`_FWitnesses`:
 under the perm law a word is its head plus the multiset of its letters,
 so the words of one content use the same leaves and often the same
@@ -314,6 +317,32 @@ class _FWitnesses:
             out.append(tree)
         return tuple(out)
 
+    def share(self, v: int, den: int) -> Fraction:
+        """The call's one ``Fraction(v, den)``: the same object on every call."""
+        q = self._fractions.get((v, den))
+        if q is None:
+            q = self._fractions[v, den] = Fraction(v, den)
+        return q
+
+    def unit(self, head: int, args: Sequence[int]) -> dict[Node, Fraction]:
+        """The word ``x_head * x_args`` itself through anticommutators, as
+        :meth:`content` gives it for that one word with coefficient 1, with
+        no sum to take: ``-q``, ``3q`` and ``-q`` on the trees ``t1``,
+        ``t2``, ``t3`` of :meth:`word`, ``q = 1/2^(n-1)``.  Trees coincide
+        only at one letter repeated: ``t2`` is ``t3`` when ``head == a1``,
+        and at degree 3 ``t1`` is ``t3`` when ``a1 == a2``.  None of these
+        coefficients is integral, as ``n >= 3``."""
+        t1, t2, t3 = self.word(head, args)
+        den = 1 << len(args)
+        share = self.share
+        if t2 is not t3:
+            if t1 is t3:
+                return {t1: share(-2, den), t2: share(3, den)}
+            return {t1: share(-1, den), t2: share(3, den), t3: share(-1, den)}
+        if t1 is t2:  # x*x*x
+            return {t1: share(1, den)}
+        return {t1: share(-1, den), t2: share(2, den)}
+
     def content(
         self, words: Sequence[tuple[int, Sequence[int], Fraction | int]]
     ) -> dict[Node, Fraction | int]:
@@ -323,9 +352,7 @@ class _FWitnesses:
         of :meth:`word`, with ``q = c / 2^(n-1)``.  Each distinct tree sums
         ``int`` units over ``den = lcm(denominators) << (n-1)``, and a
         nonzero sum ``v`` is the coefficient ``v / den``: an ``int`` when
-        it is integral, otherwise the call's one ``Fraction`` of it, so the
-        rows of ``sj_span``, each one word with coefficient 1, share the
-        coefficients ``-q``, ``3q`` and ``2q``."""
+        it is integral, otherwise the call's one ``Fraction`` of it."""
         den = lcm(*[c.denominator for _, _, c in words])
         totals: dict[Node, int] = {}
         get = totals.get
@@ -373,20 +400,25 @@ def _row_witness(store: _FWitnesses, lead: PermMonomial) -> dict[Node, Fraction 
     if lead.degree == 2:
         (b,) = lead.tail
         return {Anti(store.leaf(b), store.leaf(lead.head)): _HALF if b == lead.head else 1}
-    return store.content(((lead.head, lead.tail, 1),))
+    return store.unit(lead.head, lead.tail)
 
 
 def sj_span(k: int, n: int) -> Subspace:
     """Degree-``n`` slice of the anticommutator subalgebra, with an
-    expression witness attached to every basis row."""
+    expression witness attached to every basis row.  The rows are known
+    reduced, so they are installed with no row reduction: from degree 3 on
+    every word, each with its ``f``-element over ``2^(n-3)``, and below
+    that the rows of :func:`_sj_rows`."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    space = Subspace(enumerate_basis(k, n))
+    words = enumerate_basis(k, n)
+    if n >= 3:
+        rows = [PermPolynomial._of({m: 1}) for m in words]
+    else:
+        rows = [row for content in combinations_with_replacement(range(1, k + 1), n) for row in _sj_rows(content)]
     store = _FWitnesses()
-    for content in combinations_with_replacement(range(1, k + 1), n):
-        for row in _sj_rows(content):
-            space.add(row, ExprSum._of(_row_witness(store, row.terms()[0][0])))
-    return space
+    witnesses = [ExprSum._of(_row_witness(store, min(row._terms))) for row in rows]
+    return Subspace.echelon(words, rows, witnesses)
 
 
 class NotJordanElement(ValueError):
@@ -530,7 +562,7 @@ def cohn_witness() -> CohnWitnessReport:
     target = (2, 1)
     ideal_slice = ideal_component("jordan", gens, target)
     perm_slice = ideal_component("perm", gens, target)
-    sj_slice = Subspace(enumerate_basis(2, 3, target), _sj_rows(letters(target)))
+    sj_slice = Subspace.echelon(enumerate_basis(2, 3, target), _sj_rows(letters(target)))
     b = (wrap(x).prod(x)).anti(y).expand()  # x*x*y + y*x*x
     return CohnWitnessReport(
         witness=b,

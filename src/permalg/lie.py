@@ -200,7 +200,9 @@ def lie_span_oracle(
         md = tuple(multidegree)
         if len(md) != k or sum(md) != n:
             raise ValueError("multidegree must have length k and total n")
-        return Subspace(enumerate_basis(k, n, md), _lie_component(md, memo))
-    return Subspace(
+        return Subspace.echelon(enumerate_basis(k, n, md), _lie_component(md, memo))
+    # slices of different multidegrees share no word, so their rows together
+    # are already reduced
+    return Subspace.echelon(
         enumerate_basis(k, n), (p for md in multidegrees(k, n) for p in _lie_component(md, memo))
     )

@@ -11,7 +11,12 @@ fractional.
 ``PermPolynomial``, whose columns are its canonical words.  Rows are stored
 sparse and fully reduced, so reducing a vector touches only the pivots in
 its support.  ``Subspace`` pins a span to the words of one homogeneous
-component.  Coordinates are read off witnesses: ``span_solve`` gives the
+component.  Rows that a closed form gives already reduced are installed,
+not reduced: ``Span.echelon`` (and ``Subspace.echelon``, which also keeps
+every row inside the component) copies them in one pass, checking each
+entry as ``add`` does, that each row's smallest column holds 1, and that
+no row holds another row's pivot, and refuses the rows otherwise.
+Coordinates are read off witnesses: ``span_solve`` gives the
 ``j``-th vector the witness ``{j: 1}``, a
 :class:`~permalg.perm.Combination`, and returns the coefficients of the
 target's witness.
@@ -90,6 +95,37 @@ class Span:
             c = -c
             accumulate(residue, ((j, c * x) for j, x in rows[p].items()))
         return residue, used
+
+    @classmethod
+    def echelon(cls, rows: Iterable, witnesses: Iterable[Any] | None = None) -> "Span":
+        """The span whose rows are ``rows``, given already in reduced echelon
+        form, in one pass with no row reduction.  Each row is copied and its
+        entries checked as :meth:`add` checks them; its smallest column must
+        hold 1, no two rows may share that pivot, and no row may hold
+        another's pivot.  ``witnesses``, when given, pairs one witness with
+        each row.  Anything else raises ``ValueError`` or ``TypeError``."""
+        span = cls()
+        pivots, columns = span._rows, span._columns
+        paired = zip(rows, witnesses, strict=True) if witnesses is not None else ((r, None) for r in rows)
+        for vec, witness in paired:
+            row = cls._sparse(vec)
+            if not row:
+                raise ValueError("a zero row has no pivot")
+            pivot = min(row)
+            if row[pivot] != 1:
+                raise ValueError(f"row with pivot {pivot} has lead {row[pivot]}, not 1")
+            if pivot in columns:
+                raise ValueError(f"pivot {pivot} is held by another row")
+            if not pivots.keys().isdisjoint(row):
+                raise ValueError(f"row with pivot {pivot} holds another row's pivot")
+            if witnesses is not None:
+                if witness is None:
+                    raise ValueError("a span carries a witness on every row or on none")
+                span._witnesses[pivot] = witness
+            columns.update(row)
+            pivots[pivot] = row
+        span._pivots = sorted(pivots)
+        return span
 
     def contains(self, vec) -> bool:
         residue, _ = self._reduce(vec)
@@ -174,6 +210,21 @@ class Subspace:
             outside = poly.support() - self._words
             raise ValueError(f"monomial {min(outside)} outside this component")
         return poly
+
+    @classmethod
+    def echelon(
+        cls,
+        monomials: Sequence[PermMonomial],
+        rows: Iterable[PermPolynomial],
+        witnesses: Iterable[Any] | None = None,
+    ) -> "Subspace":
+        """The subspace whose basis is ``rows``, polynomials of this
+        component already in reduced echelon form, installed by
+        :meth:`Span.echelon` with no row reduction: the same rows, pivots
+        and witnesses as :meth:`add` of each row in turn would give."""
+        space = cls(monomials)
+        space._span = Span.echelon(map(space._inside, rows), witnesses)
+        return space
 
     def add(self, poly: PermPolynomial, witness: Any = None) -> bool:
         return self._span.add(self._inside(poly), witness)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from permalg.envelope import Envelope, degree_count, gk_estimate, letter_count
+from permalg.envelope import Envelope, _letter_commutator, degree_count, gk_estimate, letter_count
 from permalg.linalg import Span, Subspace
 from permalg.metabelian import (
     AlgebraFormatError,
@@ -548,6 +548,16 @@ def test_embed_check_examples():
     assert Envelope(abelian(3)).embed_check().ok
     affine = Envelope(MetabelianLieAlgebra(2, ["e1", "e2"], {(1, 2): {2: 1}}))
     assert affine.embed_check().ok
+
+
+def test_letter_commutator_is_the_product_form():
+    x = PermPolynomial.generator
+    for i in range(1, 6):
+        for j in range(1, 6):
+            if i != j:
+                direct = _letter_commutator(i, j)
+                assert direct == x(i) * x(j) - x(j) * x(i)
+                assert [type(c) for _, c in direct.terms()] == [int, int]
 
 
 def test_embed_pair_reduction():

@@ -5,10 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from permalg.expr import ExprSum
+from permalg.jordan import cohn_witness, sj_span
+from permalg.lie import lie_span_oracle
 from permalg.linalg import Span, Subspace, span_solve
-from permalg.perm import PermPolynomial, enumerate_basis
+from permalg.perm import PermMonomial, PermPolynomial, enumerate_basis, multidegrees
 
 F = Fraction
+x = PermPolynomial.from_word
 
 
 def vec(*entries):
@@ -295,3 +299,156 @@ class SpanMachine(RuleBasedStateMachine):
 
 SpanMachine.TestCase.settings = settings(max_examples=25, stateful_step_count=10, deadline=None)
 TestSpanMachine = SpanMachine.TestCase
+
+
+def same_subspace(installed: Subspace, added: Subspace):
+    """Equal in every stored part: words, pivots, rows with their ``int``
+    or ``Fraction`` storage, the columns the rows held, and witnesses by
+    ``==`` and by ``str``."""
+    a, b = installed._span, added._span
+    assert installed.monomials == added.monomials
+    assert installed.dim == added.dim
+    assert a.pivots == b.pivots
+    assert a.rows == b.rows
+    assert [[type(c) for _, c in sorted(r.items())] for r in a.rows] == [
+        [type(c) for _, c in sorted(r.items())] for r in b.rows
+    ]
+    assert a._columns == b._columns
+    assert a.witnesses == b.witnesses
+    assert [str(w) for w in a.witnesses] == [str(w) for w in b.witnesses]
+
+
+@pytest.fixture
+def installs(monkeypatch):
+    """Each ``Subspace.echelon`` call as ``(monomials, rows, witnesses, result)``."""
+    calls = []
+    install = Subspace.echelon.__func__
+
+    def recording(cls, monomials, rows, witnesses=None):
+        rows = list(rows)
+        witnesses = None if witnesses is None else list(witnesses)
+        space = install(cls, monomials, rows, witnesses)
+        calls.append((monomials, rows, witnesses, space))
+        return space
+
+    monkeypatch.setattr(Subspace, "echelon", classmethod(recording))
+    return calls
+
+
+ECHELON_CALLS = (
+    [pytest.param(lambda k=k, n=n: sj_span(k, n), id=f"sj_span({k},{n})") for k in range(1, 5) for n in range(1, 7)]
+    + [
+        pytest.param(lambda k=k, n=n: lie_span_oracle(k, n), id=f"lie_span_oracle({k},{n})")
+        for k, n in [(k, n) for k in range(1, 5) for n in range(1, 6)] + [(2, 6), (3, 6)]
+    ]
+    + [
+        pytest.param(
+            lambda k=k, n=n: [lie_span_oracle(k, n, md) for md in multidegrees(k, n)],
+            id=f"lie_span_oracle({k},{n},md)",
+        )
+        for k, n in [(2, 5), (3, 4), (3, 5), (4, 4)]
+    ]
+    + [pytest.param(cohn_witness, id="cohn_witness")]
+)
+
+
+@pytest.mark.parametrize("call", ECHELON_CALLS)
+def test_echelon_installs_what_add_builds(call, installs):
+    """Every closed form installs the subspace that adding its rows one at
+    a time builds."""
+    call()
+    assert installs
+    for monomials, rows, witnesses, space in installs:
+        added = Subspace(monomials)
+        for row, witness in zip(rows, witnesses or [None] * len(rows), strict=True):
+            assert added.add(row, witness)
+        same_subspace(space, added)
+
+
+def test_installed_rows_are_copies(installs):
+    """Adding to an installed slice reduces its own rows, not the caller's."""
+    space = sj_span(3, 2)
+    (_, rows, _, installed), = installs
+    assert installed is space
+    before = [(dict(r.items()), str(r)) for r in rows]
+    # the added words are not anticommutator elements; the zero witness
+    # only satisfies the span's every-row rule, since the rows are what count
+    assert space.add(x((2, 1)), ExprSum.zero()) and space.add(x((3, 1), 2), ExprSum.zero())
+    assert space.dim == 8
+    assert [(dict(r.items()), str(r)) for r in rows] == before
+
+
+PAIR = enumerate_basis(2, 2, (1, 1))  # the words x1*x2 and x2*x1
+
+
+@pytest.mark.parametrize(
+    "rows, witnesses, error, match",
+    [
+        ([x((1, 2)), x((1, 2)) + x((2, 1), 3)], None, ValueError, "held by another row"),
+        ([x((1, 2), 2)], None, ValueError, "lead 2, not 1"),
+        ([x((1, 2), F(-1, 2)) + x((2, 1))], None, ValueError, "lead -1/2"),
+        ([x((1, 2)) + x((2, 1)), x((2, 1))], None, ValueError, "held by another row"),
+        ([x((2, 1)), x((1, 2)) + x((2, 1))], None, ValueError, "holds another row's pivot"),
+        ([PermPolynomial._of({PAIR[0]: 1.0})], None, TypeError, "float"),
+        ([x((1, 2)), PermPolynomial._of({PAIR[1]: True})], None, TypeError, "bool"),
+        ([x((1, 2)) + x((1, 1))], None, ValueError, r"x1\*x1 outside"),
+        ([PermPolynomial.zero()], None, ValueError, "zero row"),
+        ([x((1, 2)), x((2, 1))], [F(1)], ValueError, "shorter"),
+        ([x((1, 2))], [F(1), F(2)], ValueError, "longer"),
+        ([x((1, 2)), x((2, 1))], [F(1), None], ValueError, "every row or on none"),
+    ],
+    ids=[
+        "duplicate pivot",
+        "lead 2",
+        "lead -1/2",
+        "held pivot",
+        "holds pivot",
+        "float",
+        "bool",
+        "outside",
+        "zero row",
+        "too few witnesses",
+        "too many witnesses",
+        "missing witness",
+    ],
+)
+def test_echelon_refuses_rows_not_in_reduced_form(rows, witnesses, error, match):
+    with pytest.raises(error, match=match):
+        Subspace.echelon(PAIR, rows, witnesses)
+
+
+MULTILINEAR = enumerate_basis(4, 4, (1, 1, 1, 1))  # 4 words
+exact_entries = st.lists(st.one_of(st.integers(-3, 3), small), min_size=4, max_size=4)
+
+
+@given(st.lists(exact_entries, min_size=1, max_size=5), st.data())
+def test_echelon_reinstalls_added_rows(entries, data):
+    """The rows and witnesses ``add`` leaves, installed again, give an
+    equal subspace; and the same rows with one entry corrupted are refused."""
+    added = Subspace(MULTILINEAR)
+    for i, row in enumerate(entries):
+        added.add(PermPolynomial(zip(MULTILINEAR, row)), Combo({i: 1}))
+    rows, witnesses = added.basis(), added.expressions
+    same_subspace(Subspace.echelon(MULTILINEAR, rows, witnesses), added)
+    if not rows:
+        return
+    r = data.draw(st.integers(0, len(rows) - 1))
+    terms = dict(rows[r].items())
+    pivot = min(terms)
+    kinds = ["float", "lead", "outside"] + (["pivot"] if len(rows) > 1 else [])
+    kind = data.draw(st.sampled_from(kinds))
+    error = ValueError
+    if kind == "float":
+        word = data.draw(st.sampled_from(sorted(terms)))
+        terms[word] = float(terms[word])
+        error = TypeError
+    elif kind == "lead":
+        terms[pivot] = data.draw(st.sampled_from([2, -1, F(1, 2), F(-3, 2)]))
+    elif kind == "outside":
+        terms[PermMonomial(1, (1, 1, 1))] = 1
+    else:
+        other = data.draw(st.sampled_from([p for p in added._span.pivots if p != pivot]))
+        terms[other] = data.draw(st.sampled_from([1, -2, F(1, 3)]))
+    corrupted = rows[:r] + [PermPolynomial._of(terms)] + rows[r + 1 :]
+    with pytest.raises(error):
+        Subspace.echelon(MULTILINEAR, corrupted, witnesses)

@@ -10,11 +10,14 @@ from permalg.perm import PermPolynomial
 
 x = PermPolynomial.from_word
 
+# each call with the count of the work it must repeat
 CALLS = [
-    pytest.param(lambda: lie_span_oracle(3, 6), id="lie_span_oracle(3, 6)"),
-    pytest.param(lambda: sj_span(3, 5), id="sj_span(3, 5)"),
+    pytest.param(lambda: lie_span_oracle(3, 6), "add", id="lie_span_oracle(3, 6)"),
+    # the rows are installed, not added: the work left is one witness per word
+    pytest.param(lambda: sj_span(3, 5), "word", id="sj_span(3, 5)"),
     pytest.param(
         lambda: ideal_component("jordan", [x((1, 2)) + x((2, 1)), x((3, 3))], (2, 2, 1)),
+        "add",
         id="ideal_component(jordan, (2, 2, 1))",
     ),
 ]
@@ -22,8 +25,9 @@ CALLS = [
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of ``Span.add`` and ``PermPolynomial.__mul__`` since the fixture began."""
-    tally = {"add": 0, "mul": 0}
+    """Calls of ``Span.add``, ``PermPolynomial.__mul__`` and
+    ``_FWitnesses.word`` since the fixture began."""
+    tally = {"add": 0, "mul": 0, "word": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -34,18 +38,24 @@ def counts(monkeypatch):
 
     monkeypatch.setattr(Span, "add", counting("add", Span.add))
     monkeypatch.setattr(PermPolynomial, "__mul__", counting("mul", PermPolynomial.__mul__))
+    monkeypatch.setattr(jordan._FWitnesses, "word", counting("word", jordan._FWitnesses.word))
     return tally
 
 
-@pytest.mark.parametrize("call", CALLS)
-def test_repeated_call_does_the_same_work(call, counts):
+@pytest.mark.parametrize("call, probe", CALLS)
+def test_repeated_call_does_the_same_work(call, probe, counts):
     work = []
     for _ in range(2):
         before = dict(counts)
         call()
         work.append({key: counts[key] - before[key] for key in counts})
     assert work[0] == work[1]
-    assert work[0]["add"] > 0
+    assert work[0][probe] > 0
+
+
+def test_sj_span_builds_one_witness_per_word(counts):
+    sj_span(3, 5)
+    assert counts == {"add": 0, "mul": 0, "word": 45}
 
 
 def node_ids(witnesses) -> set[int]:
