@@ -105,7 +105,7 @@ class Span:
         another's pivot.  ``witnesses``, when given, pairs one witness with
         each row.  Anything else raises ``ValueError`` or ``TypeError``."""
         span = cls()
-        pivots, columns = span._rows, span._columns
+        stored, columns = span._rows, span._columns
         paired = zip(rows, witnesses, strict=True) if witnesses is not None else ((r, None) for r in rows)
         for vec, witness in paired:
             row = cls._sparse(vec)
@@ -116,15 +116,15 @@ class Span:
                 raise ValueError(f"row with pivot {pivot} has lead {row[pivot]}, not 1")
             if pivot in columns:
                 raise ValueError(f"pivot {pivot} is held by another row")
-            if not pivots.keys().isdisjoint(row):
+            if not stored.keys().isdisjoint(row):
                 raise ValueError(f"row with pivot {pivot} holds another row's pivot")
             if witnesses is not None:
                 if witness is None:
                     raise ValueError("a span carries a witness on every row or on none")
                 span._witnesses[pivot] = witness
             columns.update(row)
-            pivots[pivot] = row
-        span._pivots = sorted(pivots)
+            stored[pivot] = row
+        span._pivots = sorted(stored)
         return span
 
     def contains(self, vec) -> bool:
