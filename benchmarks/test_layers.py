@@ -107,6 +107,17 @@ def test_perm_commutator_with_letter(benchmark):
     assert is_lie(comm)
 
 
+def test_perm_commutator_method_with_letter(benchmark):
+    """``u.commutator(x)`` on the same ``u`` and ``x`` as the layer above:
+    both products summed by the product law into one dict, the bracket of
+    the Lie slice closure."""
+    rng = random.Random(2)
+    u = PermPolynomial((m, rng.randint(1, 5)) for m in enumerate_basis(3, 6))
+    x = PermPolynomial.generator(2)
+    comm = run(benchmark, u.commutator, (x,), 50)
+    assert comm == u * x - x * u and is_lie(comm)
+
+
 def test_check_identity_polarized_associator_exchange(benchmark):
     """``check_identity``, which ``check-identity --polarized`` runs, on the
     associator exchange law
@@ -185,6 +196,26 @@ def test_validate_two_step_nilpotent_34(benchmark):
     assert run(benchmark, algebra.validate, (), 20).ok
 
 
+def test_validate_commuting_derivations_4_20(benchmark):
+    """``validate`` on an abelian ideal ``e5..e24`` with four commuting
+    derivations ``e1..e4``, each a seeded polynomial in the shift
+    ``e_j -> e_(j+1)`` of the ideal: 80 pairs with values of up to 20
+    terms, and 120 Jacobi triples, each bracketing such a value with a
+    letter three times.  The values lie in the abelian ideal, so the
+    metabelian law needs no bracket."""
+    rng = random.Random(4)
+    m, a = 4, 20
+    coeffs = [[rng.randint(-3, 3) for _ in range(a)] for _ in range(m)]
+    brackets = {
+        (i, m + j): {m + j + s: coeffs[i - 1][s] for s in range(a - j + 1)}
+        for i in range(1, m + 1)
+        for j in range(1, a + 1)
+    }
+    algebra = MetabelianLieAlgebra(m + a, brackets=brackets)
+    assert len(algebra.table) == m * a
+    assert run(benchmark, algebra.validate, (), 20).ok
+
+
 def test_element_from_original_skew2_tail_6(benchmark):
     """``element_from_original`` of ``d(e2)*e2^6`` on ``skew2``, whose
     ``split_basis`` changes the basis: ``e2`` is ``y1 - e1`` there, so the
@@ -250,7 +281,14 @@ def test_span_add_whole_degree(benchmark):
     whole-degree subspace, the assembly step of ``lie_span_oracle``."""
     monomials = enumerate_basis(4, 5)
     rows = [p for md in multidegrees(4, 5) for p in lie_span_oracle(4, 5, md).basis()]
-    space = benchmark(Subspace, monomials, rows)
+
+    def assemble():
+        space = Subspace(monomials)
+        for p in rows:
+            space.add(p)
+        return space
+
+    space = benchmark(assemble)
     assert space.dim == len(rows)
 
 

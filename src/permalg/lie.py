@@ -39,20 +39,25 @@ the nonzero exponents in order (``(2,0,1,1)`` and ``(0,2,1,1)`` both have
 letters ``1..r`` onto an increasing support is an endomorphism of the free
 perm algebra.  It maps canonical words to canonical words (a sorted tail
 stays sorted) and keeps their order, so it keeps pivots and reduced
-echelon rows, and it commutes with ``u * x - x * u``.  So the closure
-closes each pattern once, on the letters ``1..r``, and renames its rows
-onto every multidegree of that pattern.  That work is per call: a call of
-``lie_span_oracle`` keeps the patterns it closed in a dict of its own and
-keeps nothing once it returns.
+echelon rows, and it commutes with the bracket ``[u, x] = u * x - x * u``
+(``PermPolynomial.commutator``).  So the closure closes each pattern once,
+on the letters ``1..r``, and renames its rows onto every multidegree of
+that pattern.  That work is per call: a call of ``lie_span_oracle`` keeps
+the patterns it closed in a dict of its own and keeps nothing once it
+returns.  Only the oracle reduces rows, so only it imports
+:mod:`permalg.linalg`; ``is_lie`` and ``lie_express`` do not load it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .expr import Comm, ExprSum, expand_node, left_normed, node_str
-from .linalg import Span, Subspace
-from .perm import PermMonomial, PermPolynomial, accumulate, enumerate_basis, multidegrees, slice_word
+from .perm import PermMonomial, PermPolynomial, enumerate_basis, multidegrees, slice_word
+
+if TYPE_CHECKING:
+    from .linalg import Subspace
 
 __all__ = [
     "MLMonomial",
@@ -67,8 +72,12 @@ __all__ = [
 def _defect(f: PermPolynomial) -> PermPolynomial:
     """``s W(a)`` on each slice of degree >= 2, in one pass: each term is
     keyed by its content, whose least letter is ``a``."""
-    sums = accumulate({}, ((m.content(), c) for m, c in f.items() if m.tail))
-    return PermPolynomial._of({slice_word(key, key[0]): s for key, s in sums.items()})
+    sums: dict[tuple[int, ...], Fraction | int] = {}
+    for m, c in f.items():
+        if m.tail:
+            key = m.content()
+            sums[key] = sums.get(key, 0) + c
+    return PermPolynomial._of({slice_word(key, key[0]): s for key, s in sums.items() if s})
 
 
 def is_lie(f: PermPolynomial) -> bool:
@@ -144,13 +153,14 @@ def ml_basis(
 def _rename(p: PermPolynomial, support: tuple[int, ...]) -> PermPolynomial:
     """``p`` with letter ``j`` renamed to ``support[j - 1]``, for ``support``
     increasing: a sorted tail stays sorted."""
-    return PermPolynomial._of(
-        {PermMonomial(support[m.head - 1], tuple(support[t - 1] for t in m.tail)): c for m, c in p.items()}
-    )
+    name = (0, *support).__getitem__  # letter j -> support[j - 1]
+    return PermPolynomial._of({PermMonomial(name(m.head), tuple(map(name, m.tail))): c for m, c in p.items()})
 
 
 def _lie_component(
-    md: tuple[int, ...], memo: dict[tuple[int, ...], list[PermPolynomial]]
+    md: tuple[int, ...],
+    memo: dict[tuple[int, ...], list[PermPolynomial]],
+    xs: Sequence[PermPolynomial],
 ) -> list[PermPolynomial]:
     """Echelon rows of the bracket-closure span of one multidegree slice.
 
@@ -160,6 +170,9 @@ def _lie_component(
     as ``[[u, v], w] - [[u, w], v]``), and a left-normed bracket ends in one
     letter.  Bracketing pairs of lower slices over every split spans the
     same subspace, so the echelon rows are the same, at many more products.
+    ``xs`` holds the letters ``x_1, x_2, ...``, built once per call of
+    ``lie_span_oracle``, and ``[u, x_i]`` is ``u.commutator(x_i)``: one
+    dict, no intermediate product.
 
     Each exponent pattern (the nonzero entries of ``md``, in order) is
     closed once, on the letters ``1..r`` and on a bare ``Span``, and its
@@ -167,25 +180,28 @@ def _lie_component(
     to the ``j``-th letter of its support.  The renaming preserves the
     order of letters, so it is an endomorphism of the free perm algebra
     that maps canonical words to canonical words in the same order and
-    commutes with ``u * x - x * u``: it carries each step of the pattern's
+    commutes with the bracket: it carries each step of the pattern's
     closure onto the same step of ``md``'s, and the pattern's reduced
     echelon rows onto ``md``'s, with the same pivots in the same order.
     """
-    pattern = tuple(e for e in md if e)
+    pattern = tuple(filter(None, md))
     rows = memo.get(pattern)
     if rows is None:
-        span = Span()
         if pattern == (1,):
-            span.add(PermPolynomial.generator(1))
+            rows = [xs[0]]
         else:
+            from .linalg import Span
+
+            span = Span()
             for i, e in enumerate(pattern):
-                x = PermPolynomial.generator(i + 1)
-                for u in _lie_component(pattern[:i] + (e - 1,) + pattern[i + 1 :], memo):
-                    span.add(u * x - x * u)
-        rows = memo[pattern] = [PermPolynomial._of(row) for row in span.rows]
-    support = tuple(i for i, e in enumerate(md, start=1) if e)
-    if support[-1] == len(support):  # already on the letters 1..r
+                x = xs[i]
+                for u in _lie_component(pattern[:i] + (e - 1,) + pattern[i + 1 :], memo, xs):
+                    span.add(u.commutator(x))
+            rows = [PermPolynomial._of(row) for row in span.rows]
+        memo[pattern] = rows
+    if md[: len(pattern)] == pattern:  # already on the letters 1..r
         return rows
+    support = tuple(i for i, e in enumerate(md, start=1) if e)
     return [_rename(p, support) for p in rows]
 
 
@@ -193,16 +209,19 @@ def lie_span_oracle(
     k: int, n: int, multidegree: Sequence[int] | None = None
 ) -> Subspace:
     """Degree-``n`` slice of the commutator subalgebra, by brute-force closure."""
+    from .linalg import Subspace
+
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
     memo: dict[tuple[int, ...], list[PermPolynomial]] = {}
+    xs = [PermPolynomial._of({PermMonomial(i): 1}) for i in range(1, k + 1)]
     if multidegree is not None:
         md = tuple(multidegree)
         if len(md) != k or sum(md) != n:
             raise ValueError("multidegree must have length k and total n")
-        return Subspace.echelon(enumerate_basis(k, n, md), _lie_component(md, memo))
+        return Subspace.echelon(enumerate_basis(k, n, md), _lie_component(md, memo, xs))
     # slices of different multidegrees share no word, so their rows together
     # are already reduced
     return Subspace.echelon(
-        enumerate_basis(k, n), (p for md in multidegrees(k, n) for p in _lie_component(md, memo))
+        enumerate_basis(k, n), (p for md in multidegrees(k, n) for p in _lie_component(md, memo, xs))
     )

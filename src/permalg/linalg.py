@@ -189,16 +189,12 @@ class Subspace:
     echelon form with pivots increasing in word order: head, then tail.
     """
 
-    def __init__(
-        self, monomials: Sequence[PermMonomial], polynomials: Iterable[PermPolynomial] = ()
-    ):
+    def __init__(self, monomials: Sequence[PermMonomial]):
         self.monomials = tuple(monomials)
         self._words = frozenset(self.monomials)
         if len(self._words) != len(self.monomials):
             raise ValueError("duplicate monomials in axis")
         self._span = Span()
-        for p in polynomials:
-            self.add(p)
 
     @property
     def dim(self) -> int:

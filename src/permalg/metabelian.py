@@ -155,15 +155,21 @@ class MetabelianLieAlgebra:
         return {b: -c for b, c in self.table.get((j, i), {}).items()}
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
-        return accumulate(
-            {},
-            (
-                (b, ci * cj * c)
-                for i, ci in u.items()
-                for j, cj in v.items()
-                for b, c in self.bracket_basis(i, j).items()
-            ),
-        )
+        """``[u, v]`` by bilinearity: each pair's entry of ``table`` read in
+        place, its sign moved onto the scalar when ``i > j``."""
+        table = self.table
+        out: Vec = {}
+        for i, ci in u.items():
+            for j, cj in v.items():
+                if i < j:
+                    value, scalar = table.get((i, j)), ci * cj
+                elif i > j:
+                    value, scalar = table.get((j, i)), -ci * cj
+                else:
+                    continue
+                if value:
+                    accumulate(out, ((b, scalar * c) for b, c in value.items()))
+        return out
 
     def _bracket_support(self, vectors: Sequence[Vec]) -> list[tuple[int, int]]:
         """The index pairs ``r < s`` of ``vectors``, ascending, where a letter

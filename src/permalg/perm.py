@@ -23,7 +23,10 @@ content through :func:`letters`.
 The product law: ``u * v`` is ``W(head of u)`` in the slice of the
 letters of both.  Only the content ``M`` of ``v`` matters, so
 ``f * g = sum_M s_M(g) * (f with M appended)``, where ``s_M(g)`` is the
-sum of ``g``'s coefficients on the slice ``M``.
+sum of ``g``'s coefficients on the slice ``M``.  The law is written once,
+in ``PermPolynomial._product_into``, which adds a signed product into a
+plain dict: ``f * g`` is one call of it, and ``f.commutator(g)``, that is
+``f * g - g * f``, two calls into the same dict.
 """
 
 from __future__ import annotations
@@ -271,23 +274,43 @@ class PermPolynomial(Combination):
     def support(self) -> set[PermMonomial]:
         return set(self._terms)
 
+    def _product_into(
+        self, out: dict[PermMonomial, Fraction | int], other: "PermPolynomial", sign: int
+    ) -> dict[PermMonomial, Fraction | int]:
+        """Add ``sign * self * other`` into ``out`` in place and return it,
+        by the product law: one word per term of ``self`` and slice of
+        ``other``, terms in the order of ``self``.  As in :func:`accumulate`,
+        a word whose coefficient sums to zero is dropped."""
+        sums: dict[tuple[int, ...], Fraction | int] = {}
+        for m, c in other._terms.items():
+            key = m.content()
+            sums[key] = sums.get(key, 0) + c
+        slices = [(rest, sign * s) for rest, s in sums.items() if s]
+        for (head, tail), c in self._terms.items():
+            for rest, s in slices:
+                word = PermMonomial(head, tuple(sorted(tail + rest)))
+                old = out.get(word)
+                if old is None:
+                    out[word] = c * s
+                elif t := old + c * s:
+                    out[word] = t
+                else:
+                    del out[word]
+        return out
+
     def __mul__(self, other):
         if isinstance(other, PermPolynomial):
-            # the product law: one product per term of self and slice of other
-            sums = accumulate({}, ((m.content(), c) for m, c in other._terms.items()))
-            return PermPolynomial._of(
-                accumulate(
-                    {},
-                    (
-                        (PermMonomial(m.head, tuple(sorted(m.tail + rest))), c * s)
-                        for m, c in self._terms.items()
-                        for rest, s in sums.items()
-                    ),
-                )
-            )
+            return PermPolynomial._of(self._product_into({}, other, 1))
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
+
+    def commutator(self, other: "PermPolynomial") -> "PermPolynomial":
+        """``self * other - other * self``: both products summed into one
+        dict by the product law, with no intermediate polynomial."""
+        if not isinstance(other, PermPolynomial):
+            raise TypeError(f"expected PermPolynomial, got {type(other).__name__}")
+        return PermPolynomial._of(other._product_into(self._product_into({}, other, 1), self, -1))
 
     def components(self) -> dict[tuple[int, ...], "PermPolynomial"]:
         """The slices of this polynomial, keyed by content, in ascending content."""

@@ -9,9 +9,9 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# more examples for the differential tests of the expansion kernel, the
-# row echelon and the Lie criterion:
-# pytest tests/test_expr.py tests/test_jordan.py tests/test_linalg.py tests/test_lie.py --hypothesis-profile deep
+# more examples for the differential tests of the perm product and
+# commutator, the expansion kernel, the row echelon and the Lie criterion:
+# pytest tests/test_perm.py tests/test_expr.py tests/test_jordan.py tests/test_linalg.py tests/test_lie.py --hypothesis-profile deep
 settings.register_profile(
     "deep",
     max_examples=400,

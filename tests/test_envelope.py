@@ -718,4 +718,7 @@ def test_envelope_of_free_metabelian_is_free_perm(k, c, checks):
     assert checked == checks
     for n, images in normal.items():
         assert len(images) == dimension(k, n)
-        assert Subspace(enumerate_basis(k, n), images).dim == dimension(k, n)
+        space = Subspace(enumerate_basis(k, n))
+        for image in images:
+            space.add(image)
+        assert space.dim == dimension(k, n)

@@ -89,7 +89,9 @@ def test_import_cli_loads_no_library_module():
     [
         (["dims", "--gens", "3", "--deg", "4"], LIBRARY - {"permalg.perm"}),
         (["normalize", "x2*x1*x3"], {"permalg.envelope", "permalg.metabelian", "permalg.lie"}),
-        (["is-lie", "x2*x1*x3 - x1*x2*x3"], {"permalg.envelope", "permalg.metabelian", "permalg.jordan"}),
+        # the Lie criterion is a sum per slice: no row echelon, so no linalg
+        (["is-lie", "x2*x1*x3 - x1*x2*x3"], {"permalg.envelope", "permalg.metabelian", "permalg.jordan", "permalg.linalg"}),
+        (["lie-express", "x2*x1 - x1*x2"], {"permalg.envelope", "permalg.metabelian", "permalg.jordan", "permalg.linalg"}),
         (["envelope", "build", "--algebra", HEISENBERG, "--deg", "4"], {"permalg.jordan", "permalg.lie"}),
         (["envelope", "nf", "--algebra", HEISENBERG, "d(e2)*e1"], {"permalg.jordan", "permalg.lie"}),
         (["envelope", "check", "--algebra", HEISENBERG], {"permalg.jordan", "permalg.lie"}),

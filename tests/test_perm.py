@@ -130,6 +130,74 @@ def test_product_kills_commutators_on_the_right(rng):
         assert_product_matches_oracle(f, comm)
 
 
+def assert_commutator_matches(f, g):
+    """``f.commutator(g)`` against the two products and against the
+    word-by-word oracle, its antisymmetry, and its stored values."""
+    got = f.commutator(g)
+    assert got == f * g - g * f
+    assert got == word_product_oracle(f, g) - word_product_oracle(g, f)
+    assert g.commutator(f) == -got
+    assert_stored_exact(got)
+    return got
+
+
+def test_commutator_matches_products(rng):
+    """Seeded operands of mixed degree on several contents, with ``int``
+    and ``Fraction`` coefficients: the one-dict commutator is ``f*g - g*f``."""
+    for _ in range(320):
+        assert_commutator_matches(random_poly(rng), random_poly(rng))
+
+
+def test_commutator_cancels_to_zero(rng):
+    """Brackets that vanish store no term: an element with a multiple of
+    itself; words of one head whose products coincide (``x1 * x1*x2`` is
+    ``x1*x2 * x1``); two polynomials in one letter; and two elements whose
+    slices all sum to 0, which the product law multiplies to 0 either way
+    (the metabelian law)."""
+    x = PermPolynomial.from_word
+    lie = [x((2, 1)) - x((1, 2)), x((3, 1, 2)).scale(Fraction(1, 2)) - x((1, 2, 3)).scale(Fraction(1, 2))]
+    lie.append(lie[0].scale(3) + x((3, 2)) - x((2, 3)))
+    pairs = [(x((1,)), x((1, 2))), (x((1, 1)) + x((1,), Fraction(2, 3)), x((1, 1, 1), -4) + x((1,)))]
+    pairs += [(u, v) for u in lie for v in lie]
+    for _ in range(40):
+        f = random_poly(rng)
+        pairs += [(f, f), (f, f.scale(Fraction(-5, 3))), (f.scale(2), f)]
+    for f, g in pairs:
+        got = assert_commutator_matches(f, g)
+        assert not got.items(), (f, g)
+
+
+def test_commutator_refuses_a_scalar():
+    with pytest.raises(TypeError, match="PermPolynomial"):
+        PermPolynomial.generator(1).commutator(2)
+
+
+mixed_coeffs = st.one_of(st.integers(min_value=-6, max_value=6), coeffs)
+
+
+def mixed_polys(max_terms=5):
+    """Sums of words on several contents with ``int`` and ``Fraction``
+    coefficients, repeated words included, so terms can cancel."""
+    return st.lists(st.tuples(words, mixed_coeffs), max_size=max_terms).map(
+        lambda items: sum((PermPolynomial.from_word(w, c) for w, c in items), PermPolynomial.zero())
+    )
+
+
+@given(mixed_polys(), mixed_polys())
+def test_commutator_is_the_difference_of_products(f, g):
+    got = f.commutator(g)
+    assert got == f * g - g * f
+    assert g.commutator(f) == -got
+    assert not f.commutator(f).items()
+    assert_stored_exact(got)
+
+
+@given(mixed_polys(3), mixed_polys(3), mixed_polys(3))
+def test_commutator_satisfies_jacobi(a, b, c):
+    jacobi = a.commutator(b).commutator(c) + b.commutator(c).commutator(a) + c.commutator(a).commutator(b)
+    assert not jacobi.items()
+
+
 def test_terms_are_in_monomial_tuple_order(rng):
     """``terms()`` sorts by the ``(head, tail)`` tuple a ``PermMonomial`` is."""
     for _ in range(100):
