@@ -50,13 +50,14 @@ returns.  Only the oracle reduces rows, so only it imports
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .expr import Comm, ExprSum, expand_node, left_normed, node_str
 from .perm import PermMonomial, PermPolynomial, enumerate_basis, multidegrees, slice_word
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .linalg import Subspace
 
 __all__ = [
