@@ -200,9 +200,9 @@ def test_validate_commuting_derivations_4_20(benchmark):
     """``validate`` on an abelian ideal ``e5..e24`` with four commuting
     derivations ``e1..e4``, each a seeded polynomial in the shift
     ``e_j -> e_(j+1)`` of the ideal: 80 pairs with values of up to 20
-    terms, and 120 Jacobi triples, each bracketing such a value with a
-    letter three times.  The values lie in the abelian ideal, so the
-    metabelian law needs no bracket."""
+    terms, and 120 Jacobi triples of two derivations and a letter of the
+    ideal, each bracketing two such values with a derivation.  The values
+    lie in the abelian ideal, so the metabelian law needs no bracket."""
     rng = random.Random(4)
     m, a = 4, 20
     coeffs = [[rng.randint(-3, 3) for _ in range(a)] for _ in range(m)]

@@ -25,8 +25,8 @@ words = st.lists(letters, min_size=1, max_size=6)
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
-def polys(max_terms=4):
-    return st.lists(st.tuples(words, coeffs), min_size=0, max_size=max_terms).map(
+def polys(max_terms=4, coefficients=coeffs):
+    return st.lists(st.tuples(words, coefficients), min_size=0, max_size=max_terms).map(
         lambda items: sum(
             (PermPolynomial.from_word(w, c) for w, c in items), PermPolynomial.zero()
         )
@@ -172,18 +172,12 @@ def test_commutator_refuses_a_scalar():
         PermPolynomial.generator(1).commutator(2)
 
 
+# sums of words on several contents with int and Fraction coefficients;
+# a repeated word can cancel
 mixed_coeffs = st.one_of(st.integers(min_value=-6, max_value=6), coeffs)
 
 
-def mixed_polys(max_terms=5):
-    """Sums of words on several contents with ``int`` and ``Fraction``
-    coefficients, repeated words included, so terms can cancel."""
-    return st.lists(st.tuples(words, mixed_coeffs), max_size=max_terms).map(
-        lambda items: sum((PermPolynomial.from_word(w, c) for w, c in items), PermPolynomial.zero())
-    )
-
-
-@given(mixed_polys(), mixed_polys())
+@given(polys(5, mixed_coeffs), polys(5, mixed_coeffs))
 def test_commutator_is_the_difference_of_products(f, g):
     got = f.commutator(g)
     assert got == f * g - g * f
@@ -192,7 +186,7 @@ def test_commutator_is_the_difference_of_products(f, g):
     assert_stored_exact(got)
 
 
-@given(mixed_polys(3), mixed_polys(3), mixed_polys(3))
+@given(polys(3, mixed_coeffs), polys(3, mixed_coeffs), polys(3, mixed_coeffs))
 def test_commutator_satisfies_jacobi(a, b, c):
     jacobi = a.commutator(b).commutator(c) + b.commutator(c).commutator(a) + c.commutator(a).commutator(b)
     assert not jacobi.items()
